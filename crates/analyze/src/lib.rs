@@ -45,6 +45,7 @@ pub mod analyzer;
 pub mod diag;
 pub mod envelope;
 pub mod failure;
+pub mod journal;
 pub mod json;
 pub mod lints;
 pub mod profile;

@@ -1,30 +1,18 @@
-//! Crash-safe evaluation journal.
+//! The table harness's crash-safe evaluation journal.
 //!
 //! [`run_cells_reported`](crate::run_cells_reported) records every
-//! terminal cell outcome to a JSONL file (one object per line) named by
-//! `BSCHED_JOURNAL`. Each write rewrites the whole file to a sibling
-//! temp file and renames it over the original, so the journal on disk is
-//! always a complete, parseable prefix of the run — killing the process
-//! at any instant loses at most the in-flight cell. A re-run with the
-//! same configuration loads the journal and *resumes*: recorded cells
-//! are returned verbatim instead of re-evaluated.
+//! terminal cell outcome to the JSONL [`Journal`] named by
+//! `BSCHED_JOURNAL`; a re-run with the same configuration resumes
+//! recorded cells verbatim instead of re-evaluating them. The file
+//! format, atomic rewrite and whole-file discard on a fingerprint
+//! mismatch live in [`bsched_analyze::journal`]; this module holds only
+//! the cell line codec and the environment hook.
 //!
-//! The first line is a header carrying a fingerprint of everything that
-//! determines cell values (master seed, runs, fault plan, and the shape
-//! of the job list). A journal whose fingerprint does not match the
-//! current run is discarded **whole**, never merged or partially
-//! resumed — resuming must be bit-identical to not having crashed — and
-//! the discard is reported ([`Journal::discarded`], surfaced on stderr
-//! by [`Journal::from_env`]).
-//!
-//! Floats are serialised as 16-hex-digit [`f64::to_bits`] strings, not
-//! decimal, so a resumed cell is bit-for-bit the cell that was measured.
+//! The fingerprint covers everything that determines cell values (master
+//! seed, runs, fault plan, and the shape of the job list); a mismatch is
+//! reported on stderr by [`from_env`].
 
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
+use bsched_analyze::journal::{hex, unhex, Record};
 use bsched_analyze::json::{self, Json};
 use bsched_analyze::FailureKind;
 use bsched_pipeline::ProgramEval;
@@ -32,8 +20,8 @@ use bsched_stats::{ConfidenceInterval, Improvement};
 
 use crate::Cell;
 
-/// Magic first-field value identifying a journal file and its version.
-const MAGIC: &str = "bsched-journal-v1";
+/// The evaluation journal: one [`JournalEntry`] per cell key.
+pub type Journal = bsched_analyze::journal::Journal<JournalEntry>;
 
 /// One recorded terminal outcome.
 #[derive(Debug, Clone)]
@@ -49,249 +37,99 @@ pub enum JournalEntry {
     },
 }
 
-struct State {
-    /// Serialised cell lines, in write order (header not included).
-    lines: Vec<String>,
-    /// Key → entry for lookup; mirrors `lines`.
-    entries: HashMap<String, JournalEntry>,
-}
-
-/// A crash-safe, resumable record of per-cell outcomes.
-pub struct Journal {
-    path: PathBuf,
-    header: String,
-    state: Mutex<State>,
-    /// Recorded cells found on disk but thrown away because the file's
-    /// fingerprint did not match this run's.
-    discarded: usize,
-}
-
-impl Journal {
-    /// Opens (or creates) the journal at `path` for a run identified by
-    /// `fingerprint`. An existing journal with a matching fingerprint is
-    /// loaded for resumption; a mismatched or unparseable one is
-    /// discarded whole — never partially resumed — with the number of
-    /// thrown-away cells reported via [`discarded`](Journal::discarded).
-    /// Unparseable *lines* are skipped individually.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors creating the parent directory or writing
-    /// the initial header.
-    pub fn open(path: impl Into<PathBuf>, fingerprint: &str) -> std::io::Result<Journal> {
-        let path = path.into();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
+/// Opens the journal named by `BSCHED_JOURNAL`, if set. I/O failures
+/// are reported to stderr and disable journaling rather than abort the
+/// run; a fingerprint mismatch (the journal came from a run with a
+/// different seed, run count, job list, or fault plan) reports how many
+/// recorded cells were discarded.
+#[must_use]
+pub fn from_env(fingerprint: &str) -> Option<Journal> {
+    let path = std::env::var("BSCHED_JOURNAL").ok()?;
+    if path.trim().is_empty() {
+        return None;
+    }
+    match Journal::open(path.clone(), fingerprint) {
+        Ok(j) => {
+            if j.discarded() > 0 {
+                eprintln!(
+                    "warning: BSCHED_JOURNAL={path}: fingerprint changed (seed, runs, \
+                     job list, or fault plan differ); discarded {} recorded cell{} \
+                     instead of resuming",
+                    j.discarded(),
+                    if j.discarded() == 1 { "" } else { "s" }
+                );
             }
+            Some(j)
         }
-        let header = format!(
-            "{{\"journal\":{},\"fingerprint\":{}}}",
-            json::string(MAGIC),
-            json::string(fingerprint)
-        );
-        let mut state = State {
-            lines: Vec::new(),
-            entries: HashMap::new(),
-        };
-        let mut discarded = 0;
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            let mut lines = existing.lines();
-            if lines
-                .next()
-                .is_some_and(|first| header_matches(first, fingerprint))
-            {
-                for line in lines {
-                    if let Some((key, entry)) = parse_cell_line(line) {
-                        state.entries.insert(key, entry);
-                        state.lines.push(line.to_owned());
-                    }
-                }
-            } else {
-                // Count what a matching fingerprint would have resumed,
-                // so the discard can be reported rather than silent.
-                discarded = lines.filter(|l| parse_cell_line(l).is_some()).count();
-            }
+        Err(e) => {
+            eprintln!("warning: BSCHED_JOURNAL={path}: {e}; journaling disabled");
+            None
         }
-        let journal = Journal {
-            path,
-            header,
-            state: Mutex::new(state),
-            discarded,
-        };
-        journal.rewrite(&journal.state.lock().unwrap().lines)?;
-        Ok(journal)
-    }
-
-    /// Opens the journal named by `BSCHED_JOURNAL`, if set. I/O failures
-    /// are reported to stderr and disable journaling rather than abort
-    /// the run; a fingerprint mismatch (the journal came from a run with
-    /// a different seed, run count, job list, or fault plan) reports how
-    /// many recorded cells were discarded.
-    #[must_use]
-    pub fn from_env(fingerprint: &str) -> Option<Journal> {
-        let path = std::env::var("BSCHED_JOURNAL").ok()?;
-        if path.trim().is_empty() {
-            return None;
-        }
-        match Journal::open(path.clone(), fingerprint) {
-            Ok(j) => {
-                if j.discarded() > 0 {
-                    eprintln!(
-                        "warning: BSCHED_JOURNAL={path}: fingerprint changed (seed, runs, \
-                         job list, or fault plan differ); discarded {} recorded cell{} \
-                         instead of resuming",
-                        j.discarded(),
-                        if j.discarded() == 1 { "" } else { "s" }
-                    );
-                }
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("warning: BSCHED_JOURNAL={path}: {e}; journaling disabled");
-                None
-            }
-        }
-    }
-
-    /// Number of recorded cells found on disk but discarded because the
-    /// journal's fingerprint did not match this run's.
-    #[must_use]
-    pub fn discarded(&self) -> usize {
-        self.discarded
-    }
-
-    /// The journal's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The recorded entry for `key`, if any.
-    #[must_use]
-    pub fn lookup(&self, key: &str) -> Option<JournalEntry> {
-        self.state.lock().unwrap().entries.get(key).cloned()
-    }
-
-    /// Number of recorded entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().entries.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records a terminal outcome for `key` and atomically rewrites the
-    /// file. Re-recording a key overwrites its lookup entry but keeps
-    /// the newest line. Write errors are reported to stderr — losing the
-    /// journal must not fail the run itself.
-    pub fn record(&self, key: &str, entry: &JournalEntry) {
-        let line = render_cell_line(key, entry);
-        let mut state = self.state.lock().unwrap();
-        if state.entries.contains_key(key) {
-            state
-                .lines
-                .retain(|l| parse_cell_line(l).is_none_or(|(k, _)| k != key));
-        }
-        state.entries.insert(key.to_owned(), entry.clone());
-        state.lines.push(line);
-        if let Err(e) = self.rewrite(&state.lines) {
-            eprintln!("warning: journal {}: {e}", self.path.display());
-        }
-    }
-
-    /// Deletes the journal file (called after a complete, clean pass so
-    /// the next run starts fresh).
-    pub fn remove(self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-
-    fn rewrite(&self, lines: &[String]) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{}", self.header)?;
-            for line in lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
     }
 }
 
-fn header_matches(line: &str, fingerprint: &str) -> bool {
-    let Some(v) = json::parse(line) else {
-        return false;
-    };
-    v.get("journal").and_then(Json::as_str) == Some(MAGIC)
-        && v.get("fingerprint").and_then(Json::as_str) == Some(fingerprint)
-}
+impl Record for JournalEntry {
+    const MAGIC: &'static str = "bsched-journal-v1";
+    const KEY: &'static str = "key";
 
-// ---------------------------------------------------------------------
-// Serialisation. Reading goes through the shared
-// [`bsched_analyze::json`] parser; only the journal-specific rendering
-// and the hex-bit float convention live here.
-// ---------------------------------------------------------------------
+    fn render(&self) -> String {
+        match self {
+            JournalEntry::Ok(cell) => format!(
+                "\"status\":\"ok\",\"imp\":{{\"mean\":{},\"low\":{},\"high\":{},\"level\":{}}},\"trad\":{},\"bal\":{},\"tspill\":{},\"bspill\":{}",
+                hex(cell.improvement.mean_percent),
+                hex(cell.improvement.interval.low),
+                hex(cell.improvement.interval.high),
+                hex(cell.improvement.interval.level),
+                eval_json(&cell.traditional),
+                eval_json(&cell.balanced),
+                hex(cell.traditional_spill_percent),
+                hex(cell.balanced_spill_percent)
+            ),
+            JournalEntry::Failed { kind, reason } => format!(
+                "\"status\":\"failed\",\"kind\":{},\"reason\":{}",
+                json::string(kind.id()),
+                json::string(reason)
+            ),
+        }
+    }
 
-/// One f64, bit-exact, as a 16-hex-digit JSON string.
-fn hex(v: f64) -> String {
-    format!("\"{:016x}\"", v.to_bits())
-}
-
-fn hex_list(vs: &[f64]) -> String {
-    let inner: Vec<String> = vs.iter().map(|v| hex(*v)).collect();
-    format!("[{}]", inner.join(","))
+    fn parse(v: &Json) -> Option<JournalEntry> {
+        match v.get("status")?.as_str()? {
+            "ok" => {
+                let imp = v.get("imp")?;
+                Some(JournalEntry::Ok(Cell {
+                    improvement: Improvement {
+                        mean_percent: get_f64(imp, "mean")?,
+                        interval: ConfidenceInterval {
+                            low: get_f64(imp, "low")?,
+                            high: get_f64(imp, "high")?,
+                            level: get_f64(imp, "level")?,
+                        },
+                    },
+                    traditional: parse_eval(v.get("trad")?)?,
+                    balanced: parse_eval(v.get("bal")?)?,
+                    traditional_spill_percent: get_f64(v, "tspill")?,
+                    balanced_spill_percent: get_f64(v, "bspill")?,
+                }))
+            }
+            "failed" => Some(JournalEntry::Failed {
+                kind: FailureKind::from_id(v.get("kind")?.as_str()?)?,
+                reason: v.get("reason")?.as_str()?.to_owned(),
+            }),
+            _ => None,
+        }
+    }
 }
 
 fn eval_json(e: &ProgramEval) -> String {
+    let boot: Vec<String> = e.bootstrap_runtimes.iter().map(|v| hex(*v)).collect();
     format!(
-        "{{\"boot\":{},\"mean\":{},\"dyn\":{},\"ilk\":{}}}",
-        hex_list(&e.bootstrap_runtimes),
+        "{{\"boot\":[{}],\"mean\":{},\"dyn\":{},\"ilk\":{}}}",
+        boot.join(","),
         hex(e.mean_runtime),
         hex(e.dynamic_instructions),
         hex(e.mean_interlocks)
     )
-}
-
-fn render_cell_line(key: &str, entry: &JournalEntry) -> String {
-    match entry {
-        JournalEntry::Ok(cell) => format!(
-            "{{\"key\":{},\"status\":\"ok\",\"imp\":{{\"mean\":{},\"low\":{},\"high\":{},\"level\":{}}},\"trad\":{},\"bal\":{},\"tspill\":{},\"bspill\":{}}}",
-            json::string(key),
-            hex(cell.improvement.mean_percent),
-            hex(cell.improvement.interval.low),
-            hex(cell.improvement.interval.high),
-            hex(cell.improvement.interval.level),
-            eval_json(&cell.traditional),
-            eval_json(&cell.balanced),
-            hex(cell.traditional_spill_percent),
-            hex(cell.balanced_spill_percent)
-        ),
-        JournalEntry::Failed { kind, reason } => format!(
-            "{{\"key\":{},\"status\":\"failed\",\"kind\":{},\"reason\":{}}}",
-            json::string(key),
-            json::string(kind.id()),
-            json::string(reason)
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deserialisation, on top of the shared reader. Unparseable input yields
-// `None`, never a panic: a torn or hand-edited line is simply not
-// resumed.
-// ---------------------------------------------------------------------
-
-fn unhex(v: &Json) -> Option<f64> {
-    match v.as_str() {
-        Some(s) if s.len() == 16 => u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-        _ => None,
-    }
 }
 
 fn get_f64(obj: &Json, key: &str) -> Option<f64> {
@@ -299,235 +137,15 @@ fn get_f64(obj: &Json, key: &str) -> Option<f64> {
 }
 
 fn parse_eval(v: &Json) -> Option<ProgramEval> {
-    let boot = v.get("boot")?.as_array()?;
     Some(ProgramEval {
-        bootstrap_runtimes: boot.iter().map(unhex).collect::<Option<Vec<f64>>>()?,
+        bootstrap_runtimes: v
+            .get("boot")?
+            .as_array()?
+            .iter()
+            .map(unhex)
+            .collect::<Option<_>>()?,
         mean_runtime: get_f64(v, "mean")?,
         dynamic_instructions: get_f64(v, "dyn")?,
         mean_interlocks: get_f64(v, "ilk")?,
     })
-}
-
-fn parse_cell_line(line: &str) -> Option<(String, JournalEntry)> {
-    let v = json::parse(line)?;
-    v.as_object()?;
-    let key = v.get("key")?.as_str()?.to_owned();
-    match v.get("status")?.as_str()? {
-        "ok" => {
-            let imp = v.get("imp")?;
-            let cell = Cell {
-                improvement: Improvement {
-                    mean_percent: get_f64(imp, "mean")?,
-                    interval: ConfidenceInterval {
-                        low: get_f64(imp, "low")?,
-                        high: get_f64(imp, "high")?,
-                        level: get_f64(imp, "level")?,
-                    },
-                },
-                traditional: parse_eval(v.get("trad")?)?,
-                balanced: parse_eval(v.get("bal")?)?,
-                traditional_spill_percent: get_f64(&v, "tspill")?,
-                balanced_spill_percent: get_f64(&v, "bspill")?,
-            };
-            Some((key, JournalEntry::Ok(cell)))
-        }
-        "failed" => Some((
-            key,
-            JournalEntry::Failed {
-                kind: FailureKind::from_id(v.get("kind")?.as_str()?)?,
-                reason: v.get("reason")?.as_str()?.to_owned(),
-            },
-        )),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_cell() -> Cell {
-        Cell {
-            improvement: Improvement {
-                mean_percent: 9.875,
-                interval: ConfidenceInterval {
-                    low: -1.5,
-                    high: 12.25,
-                    level: 0.95,
-                },
-            },
-            traditional: ProgramEval {
-                // PI/3 has no short decimal form — proves bit-exactness.
-                bootstrap_runtimes: vec![100.0, 101.5, std::f64::consts::PI / 3.0],
-                mean_runtime: 100.75,
-                dynamic_instructions: 42.0,
-                mean_interlocks: 7.125,
-            },
-            balanced: ProgramEval {
-                bootstrap_runtimes: vec![90.0, 91.5],
-                mean_runtime: 90.75,
-                dynamic_instructions: 42.0,
-                mean_interlocks: 3.0,
-            },
-            traditional_spill_percent: 1.25,
-            balanced_spill_percent: 2.5,
-        }
-    }
-
-    fn assert_cells_identical(a: &Cell, b: &Cell) {
-        assert_eq!(
-            a.improvement.mean_percent.to_bits(),
-            b.improvement.mean_percent.to_bits()
-        );
-        assert_eq!(
-            a.improvement.interval.low.to_bits(),
-            b.improvement.interval.low.to_bits()
-        );
-        assert_eq!(
-            a.improvement.interval.high.to_bits(),
-            b.improvement.interval.high.to_bits()
-        );
-        assert_eq!(
-            a.improvement.interval.level.to_bits(),
-            b.improvement.interval.level.to_bits()
-        );
-        for (x, y) in [(&a.traditional, &b.traditional), (&a.balanced, &b.balanced)] {
-            assert_eq!(
-                x.bootstrap_runtimes
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                y.bootstrap_runtimes
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(x.mean_runtime.to_bits(), y.mean_runtime.to_bits());
-            assert_eq!(
-                x.dynamic_instructions.to_bits(),
-                y.dynamic_instructions.to_bits()
-            );
-            assert_eq!(x.mean_interlocks.to_bits(), y.mean_interlocks.to_bits());
-        }
-        assert_eq!(
-            a.traditional_spill_percent.to_bits(),
-            b.traditional_spill_percent.to_bits()
-        );
-        assert_eq!(
-            a.balanced_spill_percent.to_bits(),
-            b.balanced_spill_percent.to_bits()
-        );
-    }
-
-    #[test]
-    fn cell_lines_roundtrip_bit_exactly() {
-        let cell = sample_cell();
-        let line = render_cell_line("MDG|N(2,2) @ 2|UNLIMITED", &JournalEntry::Ok(cell.clone()));
-        let (key, entry) = parse_cell_line(&line).expect("roundtrip");
-        assert_eq!(key, "MDG|N(2,2) @ 2|UNLIMITED");
-        match entry {
-            JournalEntry::Ok(parsed) => assert_cells_identical(&cell, &parsed),
-            JournalEntry::Failed { .. } => panic!("expected ok"),
-        }
-    }
-
-    #[test]
-    fn failed_lines_roundtrip() {
-        let entry = JournalEntry::Failed {
-            kind: FailureKind::Timeout,
-            reason: "timed out after 5s \"hard\"".to_owned(),
-        };
-        let line = render_cell_line("k", &entry);
-        let (key, parsed) = parse_cell_line(&line).expect("roundtrip");
-        assert_eq!(key, "k");
-        match parsed {
-            JournalEntry::Failed { kind, reason } => {
-                assert_eq!(kind, FailureKind::Timeout);
-                assert_eq!(reason, "timed out after 5s \"hard\"");
-            }
-            JournalEntry::Ok(_) => panic!("expected failed"),
-        }
-    }
-
-    #[test]
-    fn torn_and_garbage_lines_are_skipped() {
-        assert_eq!(parse_cell_line("").map(|(k, _)| k), None);
-        assert_eq!(
-            parse_cell_line("{\"key\":\"x\",\"status\":\"ok\",").map(|(k, _)| k),
-            None
-        );
-        assert_eq!(parse_cell_line("not json at all").map(|(k, _)| k), None);
-        assert_eq!(
-            parse_cell_line("{\"key\":\"x\",\"status\":\"weird\"}").map(|(k, _)| k),
-            None
-        );
-    }
-
-    #[test]
-    fn journal_survives_reopen_and_rejects_other_fingerprints() {
-        let dir = std::env::temp_dir().join(format!(
-            "bsched-journal-test-{}-{:x}",
-            std::process::id(),
-            std::ptr::from_ref(&MAGIC) as usize
-        ));
-        let path = dir.join("results/.journal.jsonl");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let j = Journal::open(&path, "fp-a").expect("open");
-        assert!(j.is_empty());
-        j.record("cell-1", &JournalEntry::Ok(sample_cell()));
-        j.record(
-            "cell-2",
-            &JournalEntry::Failed {
-                kind: FailureKind::Panic,
-                reason: "boom".to_owned(),
-            },
-        );
-        assert_eq!(j.len(), 2);
-        drop(j);
-
-        let j = Journal::open(&path, "fp-a").expect("reopen");
-        assert_eq!(j.len(), 2, "matching fingerprint resumes");
-        assert_eq!(j.discarded(), 0, "matching fingerprint discards nothing");
-        assert!(matches!(j.lookup("cell-1"), Some(JournalEntry::Ok(_))));
-        assert!(matches!(
-            j.lookup("cell-2"),
-            Some(JournalEntry::Failed {
-                kind: FailureKind::Panic,
-                ..
-            })
-        ));
-        drop(j);
-
-        let j = Journal::open(&path, "fp-b").expect("reopen changed");
-        assert!(j.is_empty(), "changed fingerprint discards the journal");
-        assert_eq!(
-            j.discarded(),
-            2,
-            "the discard is counted, not silent — both cells were thrown away"
-        );
-        assert!(
-            j.lookup("cell-1").is_none() && j.lookup("cell-2").is_none(),
-            "discard is whole: no cell is partially resumed"
-        );
-        drop(j);
-
-        // A later reopen under the *new* fingerprint resumes nothing and
-        // reports nothing discarded: the mismatched file was truncated.
-        let j = Journal::open(&path, "fp-b").expect("reopen truncated");
-        assert!(j.is_empty());
-        assert_eq!(j.discarded(), 0);
-        drop(j);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn header_mismatch_and_match() {
-        let good = format!("{{\"journal\":\"{MAGIC}\",\"fingerprint\":\"abc\"}}");
-        assert!(header_matches(&good, "abc"));
-        assert!(!header_matches(&good, "xyz"));
-        assert!(!header_matches("{}", "abc"));
-        assert!(!header_matches("", "abc"));
-    }
 }

@@ -30,6 +30,7 @@ pub mod journal;
 use std::collections::HashMap;
 use std::time::Duration;
 
+use bsched_analyze::journal::fingerprint_mix;
 use bsched_analyze::FailureKind;
 use bsched_core::Ratio;
 use bsched_cpusim::ProcessorModel;
@@ -42,7 +43,7 @@ use bsched_pipeline::{
 use bsched_stats::Improvement;
 use bsched_workload::Benchmark;
 
-use journal::{Journal, JournalEntry};
+use journal::JournalEntry;
 
 /// One Table 2 row: a memory system plus the optimistic latency the
 /// traditional baseline assumes for it.
@@ -408,14 +409,11 @@ fn timeout_from_env() -> Option<Duration> {
 /// journal refuses to resume across a change in any of these.
 fn run_fingerprint(keys: &[String]) -> String {
     let cfg = eval_config(ProcessorModel::Unlimited);
-    // FNV-1a over the ordered key list captures the job-list shape.
-    let mut shape: u64 = 0xcbf2_9ce4_8422_2325;
-    for key in keys {
-        for b in key.as_bytes() {
-            shape = (shape ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
-        }
-        shape = (shape ^ u64::from(b'\n')).wrapping_mul(0x100_0000_01b3);
-    }
+    // FNV-1a over the ordered, newline-terminated key list captures the
+    // job-list shape.
+    let shape = keys.iter().fold(fingerprint_mix(0, b""), |h, key| {
+        fingerprint_mix(fingerprint_mix(h, key.as_bytes()), b"\n")
+    });
     let plan = bsched_faults::installed_plan().map_or_else(|| "none".to_owned(), |p| p.to_string());
     format!(
         "v1;seed={};runs={};cells={};shape={shape:016x};faults={plan}",
@@ -507,7 +505,7 @@ pub fn run_cells_checked(jobs: &[CellJob<'_>]) -> Vec<CellOutcome> {
 pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
     bsched_faults::init_from_env();
     let keys: Vec<String> = jobs.iter().map(cell_key).collect();
-    let journal = Journal::from_env(&run_fingerprint(&keys));
+    let journal = journal::from_env(&run_fingerprint(&keys));
     let timeout = timeout_from_env();
 
     // Compilation is independent of the memory system and processor
@@ -1334,7 +1332,7 @@ mod tests {
         // different fingerprint reports how many cells it threw away.
         let fresh = run_cells_reported(&jobs);
         assert!(fresh.iter().all(|r| !r.resumed));
-        let j = Journal::open(&path, "other-fingerprint").expect("open");
+        let j = journal::Journal::open(&path, "other-fingerprint").expect("open");
         assert!(j.is_empty());
         assert_eq!(
             j.discarded(),

@@ -16,6 +16,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use bsched_analyze::journal::write_atomic;
 use bsched_analyze::json::{self, Json};
 use bsched_serve::{Router, RouterConfig, Server, ServerConfig};
 
@@ -1636,11 +1637,10 @@ fn run() -> Result<i32, String> {
     );
     match &args.out {
         Some(path) => {
-            // Temp + rename so an interrupted run never leaves a
-            // truncated report where a previous good one stood.
-            let tmp = format!("{path}.tmp");
-            std::fs::write(&tmp, format!("{report}\n")).map_err(|e| format!("write {tmp}: {e}"))?;
-            std::fs::rename(&tmp, path).map_err(|e| format!("rename {tmp} -> {path}: {e}"))?;
+            // Atomic so an interrupted run never leaves a truncated
+            // report where a previous good one stood.
+            write_atomic(path, |f| writeln!(f, "{report}"))
+                .map_err(|e| format!("write {path}: {e}"))?;
         }
         None => println!("{report}"),
     }

@@ -35,8 +35,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "bsched-serve needs Linux: its IO backend is raw epoll and its drain uses POSIX signals"
+);
+
 pub mod cache;
-#[cfg(target_os = "linux")]
 pub(crate) mod eventloop;
 pub mod health;
 pub mod persist;

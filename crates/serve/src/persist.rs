@@ -6,8 +6,8 @@
 //! state on every restart fails its latency targets for minutes after
 //! each deploy. This module makes the cache survive the process.
 //!
-//! The format follows the bench journal's discipline (see
-//! `crates/bench/src/journal.rs`): exact bytes, atomic replacement,
+//! The format follows the evaluation journals' discipline (see
+//! [`bsched_analyze::journal`]): exact bytes, atomic replacement,
 //! and recovery that *degrades* instead of crashing.
 //!
 //! ## On-disk format
@@ -38,8 +38,8 @@
 //!
 //! Dead bytes (overwritten or evicted records) accumulate until the
 //! file is ~4× its live payload, then the server rewrites it from the
-//! cache's LRU-ordered snapshot via temp + rename + `sync_all` — the
-//! same atomic-replacement move the journal uses, so a crash during
+//! cache's LRU-ordered snapshot via [`write_atomic`] — the same
+//! atomic-replacement writer the journals use, so a crash during
 //! compaction leaves either the old log or the new one, both valid.
 
 use std::collections::HashMap;
@@ -48,6 +48,7 @@ use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use bsched_analyze::journal::write_atomic;
 use bsched_faults::{fault_point, Site};
 
 /// Magic first line: identifies the file and pins the record format.
@@ -292,23 +293,20 @@ impl CacheLog {
     }
 
     /// Rewrites the log from the cache's LRU-ordered snapshot (coldest
-    /// first, so replay recency matches) via temp + rename + `sync_all`.
+    /// first, so replay recency matches) via [`write_atomic`].
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; on error the original log is untouched
     /// (the temp file may linger, and is overwritten next time).
     pub fn compact(&mut self, entries: &[(u128, Arc<str>)]) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut out = File::create(&tmp)?;
+        write_atomic(&self.path, |out| {
             out.write_all(MAGIC)?;
             for (key, payload) in entries {
                 out.write_all(&encode_record(*key, payload, false))?;
             }
-            out.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+            Ok(())
+        })?;
         // Reopen the append handle on the new inode: the old handle
         // still points at the renamed-over file.
         self.file = OpenOptions::new()

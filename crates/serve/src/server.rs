@@ -1,7 +1,7 @@
 //! The daemon: epoll event loop, admission control, worker pool,
 //! lifecycle.
 //!
-//! On Linux a small fixed set of IO threads multiplexes every
+//! A small fixed set of IO threads multiplexes every
 //! connection over raw `epoll` (see [`crate::eventloop`]): thread 0
 //! owns the non-blocking listener and hands accepted sockets out
 //! round-robin; each IO thread runs an edge-triggered loop over its
@@ -14,8 +14,7 @@
 //! pipe, so pipelined responses interleave out of order — the protocol
 //! echoes ids for exactly this reason. Control requests (`stats`,
 //! `ping`, `shutdown`) are answered inline on the IO thread and never
-//! queue. Non-Linux builds fall back to the original thread-per-
-//! connection loop with identical semantics.
+//! queue.
 //!
 //! Backpressure is a counter, not a buffer: admission increments the
 //! queue depth and rejects with a typed `overloaded` response when it
@@ -119,22 +118,18 @@ pub(crate) fn signalled() -> bool {
 /// Installs SIGTERM/SIGINT handlers that begin a graceful drain.
 ///
 /// Uses the C `signal()` entry point directly (the workspace vendors no
-/// libc binding); on non-unix platforms this compiles to a no-op and
-/// drains rely on `op:"shutdown"`.
+/// libc binding).
 pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: `on_signal` is an `extern "C" fn(i32)` as POSIX
-        // requires, and only performs an atomic store.
-        unsafe {
-            signal(SIGTERM, on_signal as *const () as usize);
-            signal(SIGINT, on_signal as *const () as usize);
-        }
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    // SAFETY: `on_signal` is an `extern "C" fn(i32)` as POSIX requires,
+    // and only performs an atomic store.
+    unsafe {
+        signal(SIGTERM, on_signal as *const () as usize);
+        signal(SIGINT, on_signal as *const () as usize);
     }
 }
 
@@ -142,7 +137,6 @@ pub fn install_signal_handlers() {
 /// slot (`token`) it came from. The generation guards against slot
 /// reuse: if the connection died and the slot was recycled, the stale
 /// completion is dropped instead of being written to a stranger.
-#[cfg(target_os = "linux")]
 struct Completion {
     token: usize,
     generation: u64,
@@ -151,7 +145,6 @@ struct Completion {
 
 /// The cross-thread half of one IO thread: workers push completions and
 /// thread 0 pushes handed-over sockets, then wake the pipe.
-#[cfg(target_os = "linux")]
 struct IoHandle {
     completions: Mutex<Vec<Completion>>,
     incoming: Mutex<Vec<std::net::TcpStream>>,
@@ -176,7 +169,6 @@ struct Inner {
     tuned_installs: std::sync::atomic::AtomicU64,
     stats: ServerStats,
     shutdown: AtomicBool,
-    #[cfg(target_os = "linux")]
     io: Vec<Arc<IoHandle>>,
 }
 
@@ -200,78 +192,51 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (address in use, permission, …) or,
-    /// on Linux, an `epoll`/pipe setup failure.
+    /// Propagates the bind failure (address in use, permission, …) or an
+    /// `epoll`/pipe setup failure.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = std::net::TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (log, cache) = open_cache(&cfg)?;
-        #[cfg(target_os = "linux")]
-        {
-            let io_count = cfg.io_threads.max(1);
-            let mut io = Vec::with_capacity(io_count);
-            for _ in 0..io_count {
-                io.push(Arc::new(IoHandle {
-                    completions: Mutex::new(Vec::new()),
-                    incoming: Mutex::new(Vec::new()),
-                    wake: crate::eventloop::WakePipe::new()?,
-                }));
-            }
-            let inner = Arc::new(Inner {
-                pool: WorkerPool::new(cfg.workers.max(1)),
-                cache: Mutex::new(cache),
-                log,
-                persist_errors: std::sync::atomic::AtomicU64::new(0),
-                tuning: Mutex::new(std::collections::HashSet::new()),
-                tuned_installs: std::sync::atomic::AtomicU64::new(0),
-                cfg,
-                stats: ServerStats::default(),
-                shutdown: AtomicBool::new(false),
-                io,
-            });
-            let mut threads = Vec::with_capacity(io_count);
-            let mut listener = Some(listener);
-            for index in 0..io_count {
-                let io_inner = Arc::clone(&inner);
-                let listener = if index == 0 { listener.take() } else { None };
-                threads.push(
-                    thread::Builder::new()
-                        .name(format!("bsched-serve-io{index}"))
-                        .spawn(move || event::io_loop(&io_inner, index, listener))
-                        .expect("spawn io thread"),
-                );
-            }
-            Ok(Server {
-                inner,
-                addr,
-                threads,
-            })
+        let io_count = cfg.io_threads.max(1);
+        let mut io = Vec::with_capacity(io_count);
+        for _ in 0..io_count {
+            io.push(Arc::new(IoHandle {
+                completions: Mutex::new(Vec::new()),
+                incoming: Mutex::new(Vec::new()),
+                wake: crate::eventloop::WakePipe::new()?,
+            }));
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let inner = Arc::new(Inner {
-                pool: WorkerPool::new(cfg.workers.max(1)),
-                cache: Mutex::new(cache),
-                log,
-                persist_errors: std::sync::atomic::AtomicU64::new(0),
-                tuning: Mutex::new(std::collections::HashSet::new()),
-                tuned_installs: std::sync::atomic::AtomicU64::new(0),
-                cfg,
-                stats: ServerStats::default(),
-                shutdown: AtomicBool::new(false),
-            });
-            let accept_inner = Arc::clone(&inner);
-            let accept = thread::Builder::new()
-                .name("bsched-serve-accept".to_owned())
-                .spawn(move || fallback::accept_loop(&listener, &accept_inner))
-                .expect("spawn accept thread");
-            Ok(Server {
-                inner,
-                addr,
-                threads: vec![accept],
-            })
+        let inner = Arc::new(Inner {
+            pool: WorkerPool::new(cfg.workers.max(1)),
+            cache: Mutex::new(cache),
+            log,
+            persist_errors: std::sync::atomic::AtomicU64::new(0),
+            tuning: Mutex::new(std::collections::HashSet::new()),
+            tuned_installs: std::sync::atomic::AtomicU64::new(0),
+            cfg,
+            stats: ServerStats::default(),
+            shutdown: AtomicBool::new(false),
+            io,
+        });
+        let mut threads = Vec::with_capacity(io_count);
+        let mut listener = Some(listener);
+        for index in 0..io_count {
+            let io_inner = Arc::clone(&inner);
+            let listener = if index == 0 { listener.take() } else { None };
+            threads.push(
+                thread::Builder::new()
+                    .name(format!("bsched-serve-io{index}"))
+                    .spawn(move || event::io_loop(&io_inner, index, listener))
+                    .expect("spawn io thread"),
+            );
         }
+        Ok(Server {
+            inner,
+            addr,
+            threads,
+        })
     }
 
     /// The bound address (useful with `listen = "127.0.0.1:0"`).
@@ -283,7 +248,6 @@ impl Server {
     /// Begins a graceful drain, as if `op:"shutdown"` had arrived.
     pub fn begin_shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
-        #[cfg(target_os = "linux")]
         for handle in &self.inner.io {
             handle.wake.wake();
         }
@@ -608,7 +572,6 @@ fn render_stats(inner: &Inner, id: Option<&str>) -> String {
     )
 }
 
-#[cfg(target_os = "linux")]
 mod event {
     //! The Linux backend: one edge-triggered epoll loop per IO thread.
     //!
@@ -1185,103 +1148,5 @@ mod event {
             }
             false
         }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod fallback {
-    //! Portable backend: one thread per connection, blocking IO. Same
-    //! protocol, admission, and drain semantics as the epoll backend.
-
-    use super::{handle_line, run_schedule, Action, Inner};
-    use std::io::{BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::Ordering;
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    type SharedWriter = Arc<Mutex<TcpStream>>;
-
-    fn write_line(writer: &SharedWriter, line: &str) {
-        let mut w = writer.lock().unwrap();
-        // A vanished client is not a server error; the work is done
-        // either way.
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
-        let _ = w.flush();
-    }
-
-    pub(super) fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
-        loop {
-            if inner.draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn_inner = Arc::clone(inner);
-                    let _ = std::thread::Builder::new()
-                        .name("bsched-serve-conn".to_owned())
-                        .spawn(move || serve_connection(stream, &conn_inner));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        }
-        // Drain: every admitted request releases its queue slot only
-        // after its response hits the socket, so depth == 0 means all
-        // work is flushed.
-        while inner.stats.queue_depth.load(Ordering::Relaxed) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
-        let writer: SharedWriter = match stream.try_clone() {
-            Ok(clone) => Arc::new(Mutex::new(clone)),
-            Err(_) => return,
-        };
-        inner.stats.conns_open.fetch_add(1, Ordering::Relaxed);
-        let max_line = inner.cfg.max_line_bytes.max(1);
-        let mut reader = BufReader::new(stream);
-        loop {
-            let line = match crate::protocol::read_line_bounded(&mut reader, max_line) {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // Inbound cap: typed error, then hang up — same
-                    // semantics as the epoll backend. Blocking writes
-                    // give this backend its outbound backpressure.
-                    inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.too_large.fetch_add(1, Ordering::Relaxed);
-                    write_line(
-                        &writer,
-                        &crate::protocol::too_large_response(None, max_line),
-                    );
-                    break;
-                }
-                Err(_) => break,
-            };
-            match handle_line(inner, &line) {
-                None => {}
-                Some(Action::Respond(response)) => write_line(&writer, &response),
-                Some(Action::Execute {
-                    id,
-                    req,
-                    admitted_at,
-                }) => {
-                    let job_inner = Arc::clone(inner);
-                    let job_writer = Arc::clone(&writer);
-                    inner.pool.spawn(move || {
-                        let response = run_schedule(&job_inner, id.as_deref(), &req, admitted_at);
-                        write_line(&job_writer, &response);
-                        job_inner.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-            }
-        }
-        inner.stats.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -377,9 +377,7 @@ fn shutdown_op_drains_in_flight_work_before_join_returns() {
 
 /// A connection that has sent half a request line when the drain begins
 /// must get a typed `overloaded` response before the socket closes —
-/// never a silent hangup. (The notice is an epoll-backend behaviour;
-/// the portable fallback just closes.)
-#[cfg(target_os = "linux")]
+/// never a silent hangup.
 #[test]
 fn connection_caught_mid_line_at_drain_gets_a_typed_overloaded() {
     let server = small_server();

@@ -206,7 +206,6 @@ fn oversized_request_line_gets_a_typed_too_large_error_then_close() {
 
 /// Shrinks a socket's kernel receive buffer so the peer's writes hit
 /// backpressure after a few KB instead of the autotuned megabytes.
-#[cfg(target_os = "linux")]
 fn shrink_rcvbuf(stream: &TcpStream) {
     use std::os::fd::AsRawFd;
     extern "C" {
@@ -229,7 +228,6 @@ fn shrink_rcvbuf(stream: &TcpStream) {
 /// A consumer that stops reading while pipelining requests must be
 /// disconnected once its outbound backlog exceeds the configured cap —
 /// the connection dies, the server's memory stays bounded.
-#[cfg(target_os = "linux")]
 #[test]
 fn slow_consumer_is_disconnected_once_its_backlog_exceeds_the_cap() {
     let server = Server::start(ServerConfig {

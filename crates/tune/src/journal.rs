@@ -2,29 +2,23 @@
 //!
 //! A tuning run over a real benchmark suite evaluates dozens of
 //! candidates at 30 simulated runs each; killing the process mid-search
-//! should not throw that work away. The journal reuses the bench
-//! harness's crash-safe format (DESIGN.md §8): a JSONL file whose first
-//! line is a header carrying a fingerprint of everything that determines
-//! candidate scores, followed by one record per terminal candidate
-//! outcome. Every record atomically rewrites the whole file
-//! (temp + rename), so the file on disk is always a parseable prefix of
-//! the run. A journal whose fingerprint does not match is discarded
-//! whole — resuming must be bit-identical to not having crashed.
+//! should not throw that work away. Each terminal candidate outcome is
+//! recorded, keyed by the candidate's canonical policy string, in the
+//! workspace's one crash-safe journal format
+//! ([`bsched_analyze::journal`]): a fingerprinted header, atomic
+//! whole-file rewrites, and whole-file discard on a fingerprint
+//! mismatch. This module holds only the outcome line codec.
 //!
-//! Scores are serialised as 16-hex-digit [`f64::to_bits`] strings so a
-//! resumed candidate is bit-for-bit the candidate that was measured.
 //! Pruned candidates are *not* journaled: pruning depends on the
 //! incumbent at evaluation time, which the resumed search rediscovers.
 
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
+use bsched_analyze::journal::{hex, unhex, Journal, Record};
 use bsched_analyze::json::{self, Json};
 
-/// Magic first-field value identifying a tune journal and its version.
-const MAGIC: &str = "bsched-tune-journal-v1";
+pub use bsched_analyze::journal::fingerprint_mix;
+
+/// The search journal: one [`CandidateOutcome`] per canonical policy.
+pub type TuneJournal = Journal<CandidateOutcome>;
 
 /// One terminal candidate outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,256 +33,33 @@ pub enum CandidateOutcome {
     Failed(String),
 }
 
-struct State {
-    lines: Vec<String>,
-    entries: HashMap<String, CandidateOutcome>,
-}
+impl Record for CandidateOutcome {
+    const MAGIC: &'static str = "bsched-tune-journal-v1";
+    const KEY: &'static str = "candidate";
 
-/// A crash-safe, resumable record of per-candidate outcomes, keyed by
-/// the candidate's canonical policy string.
-pub struct TuneJournal {
-    path: PathBuf,
-    header: String,
-    state: Mutex<State>,
-    discarded: usize,
-}
-
-impl TuneJournal {
-    /// Opens (or creates) the journal at `path` for a search identified
-    /// by `fingerprint`. A matching journal resumes; a mismatched or
-    /// unparseable one is discarded whole, with the count reported via
-    /// [`discarded`](TuneJournal::discarded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors creating the parent directory or writing
-    /// the initial header.
-    pub fn open(path: impl Into<PathBuf>, fingerprint: &str) -> std::io::Result<TuneJournal> {
-        let path = path.into();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
+    fn render(&self) -> String {
+        match self {
+            CandidateOutcome::Score(score) => {
+                format!("\"status\":\"ok\",\"score\":{}", hex(*score))
+            }
+            CandidateOutcome::TimedOut => "\"status\":\"timeout\"".to_owned(),
+            CandidateOutcome::Failed(reason) => {
+                format!("\"status\":\"failed\",\"reason\":{}", json::string(reason))
             }
         }
-        let header = format!(
-            "{{\"journal\":{},\"fingerprint\":{}}}",
-            json::string(MAGIC),
-            json::string(fingerprint)
-        );
-        let mut state = State {
-            lines: Vec::new(),
-            entries: HashMap::new(),
-        };
-        let mut discarded = 0;
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            let mut lines = existing.lines();
-            if lines
-                .next()
-                .is_some_and(|first| header_matches(first, fingerprint))
-            {
-                for line in lines {
-                    if let Some((key, entry)) = parse_line(line) {
-                        state.entries.insert(key, entry);
-                        state.lines.push(line.to_owned());
-                    }
-                }
-            } else {
-                discarded = lines.filter(|l| parse_line(l).is_some()).count();
-            }
-        }
-        let journal = TuneJournal {
-            path,
-            header,
-            state: Mutex::new(state),
-            discarded,
-        };
-        journal.rewrite(&journal.state.lock().unwrap().lines)?;
-        Ok(journal)
     }
 
-    /// Number of recorded candidates found on disk but discarded because
-    /// the journal's fingerprint did not match this search's.
-    #[must_use]
-    pub fn discarded(&self) -> usize {
-        self.discarded
-    }
-
-    /// The journal's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The recorded outcome for a candidate's canonical string, if any.
-    #[must_use]
-    pub fn lookup(&self, canonical: &str) -> Option<CandidateOutcome> {
-        self.state.lock().unwrap().entries.get(canonical).cloned()
-    }
-
-    /// Number of recorded candidates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().entries.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records a terminal outcome and atomically rewrites the file.
-    /// Write errors are reported to stderr — losing the journal must not
-    /// fail the search itself.
-    pub fn record(&self, canonical: &str, outcome: &CandidateOutcome) {
-        let line = render_line(canonical, outcome);
-        let mut state = self.state.lock().unwrap();
-        if state.entries.contains_key(canonical) {
-            state
-                .lines
-                .retain(|l| parse_line(l).is_none_or(|(k, _)| k != canonical));
-        }
-        state.entries.insert(canonical.to_owned(), outcome.clone());
-        state.lines.push(line);
-        if let Err(e) = self.rewrite(&state.lines) {
-            eprintln!("warning: tune journal {}: {e}", self.path.display());
-        }
-    }
-
-    fn rewrite(&self, lines: &[String]) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{}", self.header)?;
-            for line in lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
-    }
-}
-
-/// Mixes a byte string into a fingerprint accumulator (FNV-1a, 64-bit).
-/// Drivers fold the kernel shape, system, seed, and search parameters
-/// through this to derive the journal header.
-#[must_use]
-pub fn fingerprint_mix(acc: u64, bytes: &[u8]) -> u64 {
-    let mut h = if acc == 0 { 0xcbf2_9ce4_8422_2325 } else { acc };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn header_matches(line: &str, fingerprint: &str) -> bool {
-    let Some(v) = json::parse(line) else {
-        return false;
-    };
-    v.get("journal").and_then(Json::as_str) == Some(MAGIC)
-        && v.get("fingerprint").and_then(Json::as_str) == Some(fingerprint)
-}
-
-/// One f64, bit-exact, as a 16-hex-digit JSON string.
-fn hex(v: f64) -> String {
-    format!("\"{:016x}\"", v.to_bits())
-}
-
-fn unhex(v: &Json) -> Option<f64> {
-    let s = v.as_str()?;
-    (s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
-        .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
-        .flatten()
-}
-
-fn render_line(canonical: &str, outcome: &CandidateOutcome) -> String {
-    match outcome {
-        CandidateOutcome::Score(score) => format!(
-            "{{\"candidate\":{},\"status\":\"ok\",\"score\":{}}}",
-            json::string(canonical),
-            hex(*score)
-        ),
-        CandidateOutcome::TimedOut => format!(
-            "{{\"candidate\":{},\"status\":\"timeout\"}}",
-            json::string(canonical)
-        ),
-        CandidateOutcome::Failed(reason) => format!(
-            "{{\"candidate\":{},\"status\":\"failed\",\"reason\":{}}}",
-            json::string(canonical),
-            json::string(reason)
-        ),
-    }
-}
-
-fn parse_line(line: &str) -> Option<(String, CandidateOutcome)> {
-    let v = json::parse(line)?;
-    let key = v.get("candidate").and_then(Json::as_str)?.to_owned();
-    let outcome = match v.get("status").and_then(Json::as_str)? {
-        "ok" => CandidateOutcome::Score(v.get("score").and_then(unhex)?),
-        "timeout" => CandidateOutcome::TimedOut,
-        "failed" => CandidateOutcome::Failed(
-            v.get("reason")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned(),
-        ),
-        _ => return None,
-    };
-    Some((key, outcome))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "bsched-tune-journal-{}-{name}.jsonl",
-            std::process::id()
-        ));
-        p
-    }
-
-    #[test]
-    fn outcomes_roundtrip_bit_exactly() {
-        let path = tmp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        let score = 1234.5678901234567_f64;
-        {
-            let j = TuneJournal::open(&path, "fp-1").unwrap();
-            j.record(
-                "family=balanced;rounding=nearest;ties=",
-                &CandidateOutcome::Score(score),
-            );
-            j.record("candidate-b", &CandidateOutcome::TimedOut);
-            j.record(
-                "candidate-c",
-                &CandidateOutcome::Failed("spill pool".into()),
-            );
-        }
-        let j = TuneJournal::open(&path, "fp-1").unwrap();
-        assert_eq!(j.len(), 3);
-        match j.lookup("family=balanced;rounding=nearest;ties=").unwrap() {
-            CandidateOutcome::Score(s) => assert_eq!(s.to_bits(), score.to_bits()),
-            other => panic!("wrong outcome {other:?}"),
-        }
-        assert_eq!(j.lookup("candidate-b"), Some(CandidateOutcome::TimedOut));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fingerprint_mismatch_discards_whole() {
-        let path = tmp_path("mismatch");
-        let _ = std::fs::remove_file(&path);
-        {
-            let j = TuneJournal::open(&path, "fp-1").unwrap();
-            j.record("c1", &CandidateOutcome::Score(1.0));
-        }
-        let j = TuneJournal::open(&path, "fp-2").unwrap();
-        assert!(j.is_empty());
-        assert_eq!(j.discarded(), 1);
-        let _ = std::fs::remove_file(&path);
+    fn parse(v: &Json) -> Option<CandidateOutcome> {
+        Some(match v.get("status")?.as_str()? {
+            "ok" => CandidateOutcome::Score(unhex(v.get("score")?)?),
+            "timeout" => CandidateOutcome::TimedOut,
+            "failed" => CandidateOutcome::Failed(
+                v.get("reason")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_owned(),
+            ),
+            _ => return None,
+        })
     }
 }

@@ -455,14 +455,21 @@ fn top_k(specs: &[PolicySpec], scores: &[Option<f64>], k: usize) -> Vec<PolicySp
 }
 
 /// Derives the journal fingerprint: everything that determines candidate
-/// scores or the shape of the search.
+/// scores or the shape of the search — each block's instructions as
+/// well as its name, length and frequency, and the installed fault plan.
 fn fingerprint(function: &Function, system: &MemorySystem, cfg: &TuneConfig) -> String {
     let mut acc = fingerprint_mix(0, function.name().as_bytes());
     for block in function.blocks() {
         acc = fingerprint_mix(acc, block.name().as_bytes());
         acc = fingerprint_mix(acc, &(block.len() as u64).to_le_bytes());
         acc = fingerprint_mix(acc, &block.frequency().to_bits().to_le_bytes());
+        for inst in block.insts() {
+            acc = fingerprint_mix(acc, inst.to_string().as_bytes());
+            acc = fingerprint_mix(acc, b"\n");
+        }
     }
+    let plan = bsched_faults::installed_plan().map_or_else(|| "none".to_owned(), |p| p.to_string());
+    acc = fingerprint_mix(acc, plan.as_bytes());
     acc = fingerprint_mix(acc, system.name().as_bytes());
     acc = fingerprint_mix(acc, &cfg.seed.to_le_bytes());
     acc = fingerprint_mix(acc, &u64::from(cfg.runs).to_le_bytes());
@@ -564,4 +571,61 @@ pub fn tune(
         resumed: search.resumed,
         space_size: space.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsched_workload::{lower_kernel, parse_program};
+
+    const DAXPY: &str = "kernel daxpy {
+        arrays x, y;
+        unroll 4;
+        frequency 1000;
+        y[0] = 3.0 * x[0] + y[0];
+    }";
+
+    fn function(src: &str) -> Function {
+        let blocks = parse_program(src)
+            .unwrap()
+            .iter()
+            .map(|k| lower_kernel(&k.kernel, k.frequency))
+            .collect();
+        Function::new("daxpy", blocks)
+    }
+
+    fn fp(function: &Function) -> String {
+        let system: MemorySystem = "N(30,5)".parse().unwrap();
+        fingerprint(function, &system, &TuneConfig::default())
+    }
+
+    #[test]
+    fn fingerprint_covers_instructions() {
+        let original = function(DAXPY);
+        let edited = function(&DAXPY.replace("+ y[0]", "+ y[1]"));
+        // Same shape — names, lengths, frequencies — different code.
+        let shape = |f: &Function| -> Vec<(String, usize, u64)> {
+            f.blocks()
+                .iter()
+                .map(|b| (b.name().to_owned(), b.len(), b.frequency().to_bits()))
+                .collect()
+        };
+        assert_eq!(shape(&original), shape(&edited));
+        assert_eq!(fp(&original), fp(&function(DAXPY)));
+        assert_ne!(fp(&original), fp(&edited));
+    }
+
+    #[test]
+    fn fingerprint_covers_the_installed_fault_plan() {
+        let func = function(DAXPY);
+        bsched_faults::clear();
+        let clean = fp(&func);
+        // An empty plan fires nothing, so installing it cannot perturb
+        // other tests; it still names different run conditions.
+        bsched_faults::install(bsched_faults::FaultPlan::seeded(7));
+        let planned = fp(&func);
+        bsched_faults::clear();
+        assert_ne!(clean, planned);
+        assert_eq!(clean, fp(&func));
+    }
 }

@@ -577,12 +577,12 @@ fn tune_config_of(args: &Args) -> Result<balanced_scheduling::tune::TuneConfig, 
     Ok(cfg)
 }
 
-/// Writes `text` to `path` atomically (temp + rename), the same
-/// discipline the crash-safe journals use.
+/// Writes `text` to `path` atomically (temp + `sync_all` + rename), the
+/// same writer the crash-safe journals use.
 fn write_atomic(path: &str, text: &str) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, text).map_err(|e| format!("{tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
+    use std::io::Write as _;
+    balanced_scheduling::analyze::journal::write_atomic(path, |f| f.write_all(text.as_bytes()))
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// Renders the policy artifact JSON for a finished search.
