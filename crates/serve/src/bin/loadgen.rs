@@ -1,24 +1,28 @@
 //! `bsched-loadgen` — drive a `bsched serve` daemon with concurrent
 //! clients and record throughput/latency/cache behaviour.
 //!
-//! The request mix is the eight Perfect Club stand-ins (optionally
-//! crossed with several schedulers). Each pass sends every request once,
-//! spread round-robin over `--clients` connections; repeated passes are
-//! how the content-addressed cache shows up in the numbers — the second
-//! pass should be nearly all hits.
+//! The request mix is the eight Perfect Club stand-ins under the
+//! balanced scheduler on `L80(2,5)`. Each pass sends every request
+//! once, spread round-robin over `--clients` connections; repeated
+//! passes are how the content-addressed cache shows up in the numbers —
+//! the second pass should be nearly all hits.
+//!
+//! Every scenario (passes, burst, sweep, kill, membership, scale-out)
+//! talks through the shared [`Client`], and every concurrent one runs
+//! through the one fan-out, [`drive`].
 //!
 //! Exit status is the verdict: non-zero when any response is dropped or
 //! malformed, or when `--expect-hit-rate` is given and the second pass's
 //! measured hit rate falls short.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use bsched_analyze::journal::write_atomic;
 use bsched_analyze::json::{self, Json};
-use bsched_serve::{Router, RouterConfig, Server, ServerConfig};
+use bsched_serve::health::{ping_shard, HealthConfig};
+use bsched_serve::{blank_service_us, Client, Router, RouterConfig, Server, ServerConfig};
 
 const USAGE: &str = "\
 bsched-loadgen: load-test a bsched serve daemon
@@ -32,9 +36,6 @@ OPTIONS:
     --clients N            concurrent client connections   [default: 4]
     --passes N             times to send the full mix      [default: 2]
     --runs N               simulation runs per request     [default: 10]
-    --system SPEC          memory system                   [default: L80(2,5)]
-    --schedulers A,B       scheduler specs to cross with   [default: balanced]
-    --analyze              request analyzer diagnostics too
     --burst N              afterwards, pipeline N extra requests at once and
                            report how many were shed as overloaded
     --sweep C1,C2,...      afterwards, warm the cache then replay the mix at
@@ -43,14 +44,14 @@ OPTIONS:
     --expect-hit-rate PCT  fail unless 2nd-pass cache hit rate >= PCT
     --out FILE             write the JSON report here      [default: stdout]
     --workers N            (with --spawn) worker threads   [default: 4]
-    --io-threads N         (with --spawn) event-loop IO threads [default: 2]
     --queue-cap N          (with --spawn) admission bound  [default: 64]
     --fleet N              spawn N shard daemons (child processes) behind an
                            in-process router and drive the router instead
     --serve-bin PATH       (with --fleet) the bsched binary to spawn shards
                            with                  [default: target/release/bsched]
     --cache-log-dir DIR    (with --fleet) per-shard cache-log directory
-                           [default: a fresh directory under the temp dir]
+                           [default: a fresh directory under the temp dir,
+                           removed on exit]
     --kill-shard           (with --fleet) chaos scenario: SIGKILL one shard
                            mid-mix (assert zero failed requests), restart it,
                            and verify it warm-starts from its cache log to a
@@ -72,21 +73,24 @@ OPTIONS:
                            1,2,3); needs --fleet mode for the shard binary
 ";
 
+/// The memory system every request asks for.
+const SYSTEM: &str = "L80(2,5)";
+/// The scheduler every request asks for.
+const SCHEDULER: &str = "balanced";
+/// Event-loop IO threads of the `--spawn` daemon.
+const IO_THREADS: usize = 2;
+
 struct Args {
     addr: Option<String>,
     spawn: bool,
     clients: usize,
     passes: usize,
     runs: u32,
-    system: String,
-    schedulers: Vec<String>,
-    analyze: bool,
     burst: usize,
     sweep: Vec<usize>,
     expect_hit_rate: Option<f64>,
     out: Option<String>,
     workers: usize,
-    io_threads: usize,
     queue_cap: usize,
     fleet: usize,
     serve_bin: String,
@@ -104,15 +108,11 @@ fn parse_args() -> Result<Args, String> {
         clients: 4,
         passes: 2,
         runs: 10,
-        system: "L80(2,5)".to_owned(),
-        schedulers: vec!["balanced".to_owned()],
-        analyze: false,
         burst: 0,
         sweep: Vec::new(),
         expect_hit_rate: None,
         out: None,
         workers: 4,
-        io_threads: 2,
         queue_cap: 64,
         fleet: 0,
         serve_bin: "target/release/bsched".to_owned(),
@@ -131,23 +131,9 @@ fn parse_args() -> Result<Args, String> {
             "--clients" => args.clients = parse_num(&value("--clients")?, "--clients")?,
             "--passes" => args.passes = parse_num(&value("--passes")?, "--passes")?,
             "--runs" => args.runs = parse_num(&value("--runs")?, "--runs")?,
-            "--system" => args.system = value("--system")?,
-            "--schedulers" => {
-                args.schedulers = value("--schedulers")?
-                    .split(',')
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--analyze" => args.analyze = true,
             "--burst" => args.burst = parse_num(&value("--burst")?, "--burst")?,
             "--sweep" => {
-                args.sweep = value("--sweep")?
-                    .split(',')
-                    .map(|c| parse_num::<usize>(c.trim(), "--sweep"))
-                    .collect::<Result<_, _>>()?;
-                if args.sweep.contains(&0) {
-                    return Err("--sweep: concurrency levels must be at least 1".to_owned());
-                }
+                args.sweep = parse_counts(&value("--sweep")?, "--sweep", "concurrency levels")?;
             }
             "--expect-hit-rate" => {
                 let raw = value("--expect-hit-rate")?;
@@ -158,7 +144,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = Some(value("--out")?),
             "--workers" => args.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--io-threads" => args.io_threads = parse_num(&value("--io-threads")?, "--io-threads")?,
             "--queue-cap" => args.queue_cap = parse_num(&value("--queue-cap")?, "--queue-cap")?,
             "--fleet" => args.fleet = parse_num(&value("--fleet")?, "--fleet")?,
             "--serve-bin" => args.serve_bin = value("--serve-bin")?,
@@ -172,13 +157,7 @@ fn parse_args() -> Result<Args, String> {
                     Some(parse_num(&value("--drain-shard-at")?, "--drain-shard-at")?);
             }
             "--scaleout" => {
-                args.scaleout = value("--scaleout")?
-                    .split(',')
-                    .map(|c| parse_num::<usize>(c.trim(), "--scaleout"))
-                    .collect::<Result<_, _>>()?;
-                if args.scaleout.contains(&0) {
-                    return Err("--scaleout: fleet sizes must be at least 1".to_owned());
-                }
+                args.scaleout = parse_counts(&value("--scaleout")?, "--scaleout", "fleet sizes")?;
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -216,35 +195,57 @@ fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: bad number {raw:?}"))
 }
 
+/// A comma-separated list of positive counts (`--sweep`, `--scaleout`).
+fn parse_counts(raw: &str, flag: &str, what: &str) -> Result<Vec<usize>, String> {
+    let counts: Vec<usize> = raw
+        .split(',')
+        .map(|c| parse_num(c.trim(), flag))
+        .collect::<Result<_, _>>()?;
+    if counts.contains(&0) {
+        return Err(format!("{flag}: {what} must be at least 1"));
+    }
+    Ok(counts)
+}
+
+fn count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 /// One request line plus the id a well-behaved response must echo.
+#[derive(Clone)]
 struct Prepared {
     id: String,
     line: String,
 }
 
-fn request_mix(args: &Args, pass: usize) -> Vec<Prepared> {
-    let mut mix = Vec::new();
-    for bench in bsched_workload::perfect_club() {
-        for sched in &args.schedulers {
-            let id = format!("p{pass}-{}-{sched}", bench.name());
-            let line = format!(
-                "{{\"op\":\"schedule\",\"id\":{},\"benchmark\":{},\"system\":{},\
-                 \"scheduler\":{},\"runs\":{},\"analyze\":{}}}",
-                json::string(&id),
-                json::string(bench.name()),
-                json::string(&args.system),
-                json::string(sched),
-                args.runs,
-                args.analyze
-            );
-            mix.push(Prepared { id, line });
-        }
-    }
-    mix
+/// Renders every schedule request line: stand-in `bench` under the fixed
+/// system and scheduler, with `extra` fields (`,"seed":…`) appended.
+fn schedule(id: String, bench: &str, runs: u32, extra: &str) -> Prepared {
+    let line = format!(
+        "{{\"op\":\"schedule\",\"id\":{},\"benchmark\":{},\"system\":{},\"scheduler\":{},\
+         \"runs\":{runs},\"analyze\":false{extra}}}",
+        json::string(&id),
+        json::string(bench),
+        json::string(SYSTEM),
+        json::string(SCHEDULER),
+    );
+    Prepared { id, line }
 }
 
+/// Every stand-in once, ids tagged with `pass`.
+fn request_mix(runs: u32, pass: usize) -> Vec<Prepared> {
+    bsched_workload::perfect_club()
+        .iter()
+        .map(|bench| {
+            let id = format!("p{pass}-{}-{SCHEDULER}", bench.name());
+            schedule(id, bench.name(), runs, "")
+        })
+        .collect()
+}
+
+/// What a set of requests got back.
 #[derive(Default, Clone)]
-struct PassOutcome {
+struct Outcome {
     ok: u64,
     cached: u64,
     /// Responses carrying the router's `degraded:true` annotation —
@@ -258,33 +259,87 @@ struct PassOutcome {
     latencies_us: Vec<u64>,
 }
 
-/// Connects with bounded retries and backoff: a daemon still binding
-/// its socket (or a shard mid-restart) refuses connections for a few
-/// milliseconds, which must not fail a whole run. When the daemon
-/// really is absent the caller gets one clean, typed error instead of
-/// a raw `ECONNREFUSED` bubbling up.
-fn connect_with_retry(addr: &str) -> std::io::Result<TcpStream> {
-    const ATTEMPTS: u32 = 8;
-    let mut delay = Duration::from_millis(25);
-    let mut last: Option<std::io::Error> = None;
-    for attempt in 0..ATTEMPTS {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = Some(e),
-        }
-        if attempt + 1 < ATTEMPTS {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(Duration::from_millis(400));
+impl Outcome {
+    fn merge(&mut self, other: Outcome) {
+        self.ok += other.ok;
+        self.cached += other.cached;
+        self.degraded += other.degraded;
+        self.errors += other.errors;
+        self.overloaded += other.overloaded;
+        self.timeouts += other.timeouts;
+        self.dropped += other.dropped;
+        self.malformed += other.malformed;
+        self.latencies_us.extend(other.latencies_us);
+    }
+
+    fn answered(&self) -> usize {
+        self.latencies_us.len()
+    }
+
+    /// Every one of `requests` was answered `ok`.
+    fn all_ok(&self, requests: u64) -> bool {
+        self.ok == requests
+            && self.dropped == 0
+            && self.malformed == 0
+            && self.errors == 0
+            && self.timeouts == 0
+            && self.overloaded == 0
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn throughput(&self, wall: Duration) -> f64 {
+        if wall.as_secs_f64() > 0.0 {
+            self.answered() as f64 / wall.as_secs_f64()
+        } else {
+            0.0
         }
     }
-    Err(std::io::Error::other(format!(
-        "no daemon accepting connections at {addr} after {ATTEMPTS} attempts \
-         (last error: {})",
-        last.map_or_else(|| "none".to_owned(), |e| e.to_string())
-    )))
+
+    /// The counters every report section shares, in report order:
+    /// `ok`, then `second` (`cached` for load runs, `degraded` for the
+    /// chaos phases), then the failure counters.
+    fn render_counts(&self, second: (&str, u64)) -> String {
+        format!(
+            "\"ok\":{},\"{}\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\
+             \"dropped\":{},\"malformed\":{}",
+            self.ok,
+            second.0,
+            second.1,
+            self.errors,
+            self.overloaded,
+            self.timeouts,
+            self.dropped,
+            self.malformed,
+        )
+    }
+
+    /// `wall_s`, `throughput_rps` and the `p<N>_us` latency percentiles
+    /// for each N in `percentiles` (latencies must be sorted).
+    fn render_timing(&self, wall: Duration, percentiles: &[u32]) -> String {
+        let mut out = format!(
+            "\"wall_s\":{:.6},\"throughput_rps\":{:.3}",
+            wall.as_secs_f64(),
+            self.throughput(wall)
+        );
+        for &p in percentiles {
+            let at = percentile(&self.latencies_us, f64::from(p) / 100.0);
+            out.push_str(&format!(",\"p{p}_us\":{at}"));
+        }
+        out
+    }
+
+    /// `A/N answered in Ws (T req/s)` for the stderr progress lines.
+    fn summary(&self, requests: usize, wall: Duration) -> String {
+        format!(
+            "{}/{requests} answered in {:.3}s ({:.1} req/s)",
+            self.answered(),
+            wall.as_secs_f64(),
+            self.throughput(wall)
+        )
+    }
 }
 
-fn classify(outcome: &mut PassOutcome, expected_id: &str, line: &str) {
+fn classify(outcome: &mut Outcome, expected_id: &str, line: &str) {
     // The router splices its annotation at the end of the line, past
     // the payload, so it is counted from the full line (the substring
     // cannot occur inside schedule text or eval numbers).
@@ -356,54 +411,74 @@ fn extract_status(line: &str) -> Option<&str> {
     rest.split('"').next()
 }
 
-/// Sends `requests` over one connection, one at a time, timing each
-/// round trip.
-fn run_client(addr: &str, requests: &[Prepared]) -> std::io::Result<PassOutcome> {
-    let mut outcome = PassOutcome::default();
+/// Sends one request and classifies its answer, timing the round trip
+/// from before the send. `Ok(false)` when the server hung up instead.
+fn exchange(client: &mut Client, req: &Prepared, outcome: &mut Outcome) -> std::io::Result<bool> {
+    let started = Instant::now();
+    client.send(&req.line)?;
+    let Some(line) = client.recv_line()? else {
+        return Ok(false);
+    };
+    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    outcome.latencies_us.push(micros);
+    classify(outcome, &req.id, &line);
+    Ok(true)
+}
+
+/// Sends `requests` over one connection, one at a time.
+fn run_client(addr: &str, requests: &[Prepared]) -> std::io::Result<Outcome> {
+    let mut outcome = Outcome::default();
     if requests.is_empty() {
         return Ok(outcome);
     }
-    let stream = connect_with_retry(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut frame = Vec::new();
+    let mut client = Client::connect(addr)?;
     for (idx, req) in requests.iter().enumerate() {
-        let started = Instant::now();
-        // One write syscall per request: splitting the newline into its
-        // own segment trips client-side Nagle against the server's
-        // delayed ACK (~40ms stall on an incomplete line).
-        frame.clear();
-        frame.extend_from_slice(req.line.as_bytes());
-        frame.push(b'\n');
-        writer.write_all(&frame)?;
-        writer.flush()?;
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            // Server hung up: this request and everything after it on
-            // this connection got no answer.
-            outcome.dropped += u64::try_from(requests.len() - idx).unwrap_or(u64::MAX);
+        if !exchange(&mut client, req, &mut outcome)? {
+            // This request and everything after it on this connection
+            // got no answer.
+            outcome.dropped += count(requests.len() - idx);
             break;
         }
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        outcome.latencies_us.push(micros);
-        classify(&mut outcome, &req.id, line.trim());
     }
     Ok(outcome)
 }
 
+/// The one fan-out: each request list runs on its own connection and
+/// thread. Returns the merged outcome (latencies sorted) and the wall
+/// time of the whole fan-out; a client that fails outright counts as
+/// one malformed response.
+fn drive(addr: &str, per_client: &[Vec<Prepared>]) -> (Outcome, Duration) {
+    let started = Instant::now();
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = per_client
+            .iter()
+            .map(|reqs| scope.spawn(move || run_client(addr, reqs)))
+            .collect();
+        handles
+            .into_iter()
+            .map(std::thread::ScopedJoinHandle::join)
+            .collect()
+    });
+    let wall = started.elapsed();
+    let mut merged = Outcome::default();
+    for result in results {
+        match result {
+            Ok(Ok(outcome)) => merged.merge(outcome),
+            Ok(Err(e)) => {
+                eprintln!("bsched-loadgen: client error: {e}");
+                merged.malformed += 1;
+            }
+            Err(_) => merged.malformed += 1,
+        }
+    }
+    merged.latencies_us.sort_unstable();
+    (merged, wall)
+}
+
 fn fetch_stats(addr: &str) -> Result<Json, String> {
-    let stream = connect_with_retry(addr).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut writer = stream;
-    writer
-        .write_all(b"/stats\n")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send /stats: {e}"))?;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read /stats: {e}"))?;
-    json::parse(line.trim()).ok_or_else(|| format!("malformed /stats response: {line:?}"))
+    Client::connect(addr)
+        .and_then(|mut client| client.stats())
+        .map_err(|e| format!("/stats from {addr}: {e}"))
 }
 
 fn stat_u64(stats: &Json, key: &str) -> u64 {
@@ -412,6 +487,15 @@ fn stat_u64(stats: &Json, key: &str) -> u64 {
         .and_then(|s| s.get(key))
         .and_then(Json::as_u64)
         .unwrap_or(0)
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn hit_rate(hits: u64, requests: usize) -> f64 {
+    if requests == 0 {
+        0.0
+    } else {
+        hits as f64 / requests as f64
+    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -423,30 +507,57 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Pipelines `n` requests down one connection without reading, then
-/// reads every response — the over-capacity probe. Returns
-/// (ok, overloaded, other, dropped).
-fn run_burst(addr: &str, args: &Args, n: usize) -> std::io::Result<(u64, u64, u64, u64)> {
-    let stream = connect_with_retry(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mix = request_mix(args, 9999);
-    let mut frame = Vec::new();
-    for i in 0..n {
-        let req = &mix[i % mix.len()];
-        frame.extend_from_slice(req.line.as_bytes());
-        frame.push(b'\n');
+/// One load pass: the mix split round-robin over `--clients`
+/// connections. Returns the pass's report, its outcome and its cache
+/// hit rate as counted by the server.
+fn run_pass(addr: &str, args: &Args, pass: usize) -> Result<(String, Outcome, f64), String> {
+    let mix = request_mix(args.runs, pass);
+    let total = mix.len();
+    let mut per_client = vec![Vec::new(); args.clients];
+    for (i, req) in mix.into_iter().enumerate() {
+        per_client[i % args.clients].push(req);
     }
-    writer.write_all(&frame)?;
-    writer.flush()?;
+    let hits_before = stat_u64(&fetch_stats(addr)?, "cache_hits");
+    let (outcome, wall) = drive(addr, &per_client);
+    let hits_after = stat_u64(&fetch_stats(addr)?, "cache_hits");
+    let rate = hit_rate(hits_after.saturating_sub(hits_before), total);
+    eprintln!(
+        "pass {pass}: {}, ok={} cached={} errors={} overloaded={} timeouts={} hit_rate={:.0}%",
+        outcome.summary(total, wall),
+        outcome.ok,
+        outcome.cached,
+        outcome.errors,
+        outcome.overloaded,
+        outcome.timeouts,
+        rate * 100.0
+    );
+    let report = format!(
+        "{{\"pass\":{pass},\"requests\":{total},\"answered\":{},{},{},\
+         \"cache_hit_rate\":{rate:.4}}}",
+        outcome.answered(),
+        outcome.render_counts(("cached", outcome.cached)),
+        outcome.render_timing(wall, &[50, 95, 99]),
+    );
+    Ok((report, outcome, rate))
+}
+
+/// Pipelines `n` requests down one connection in one write, then reads
+/// every response — the over-capacity probe.
+fn run_burst(addr: &str, args: &Args) -> Result<String, String> {
+    let n = args.burst;
+    let mix = request_mix(args.runs, 9999);
+    let lines: Vec<&str> = (0..n).map(|i| mix[i % mix.len()].line.as_str()).collect();
     let (mut ok, mut overloaded, mut other, mut dropped) = (0u64, 0u64, 0u64, 0u64);
+    let mut client = Client::connect(addr).map_err(|e| format!("burst: {e}"))?;
+    client
+        .send(&lines.join("\n"))
+        .map_err(|e| format!("burst: {e}"))?;
     for _ in 0..n {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let Some(line) = client.recv_line().map_err(|e| format!("burst: {e}"))? else {
             dropped += 1;
             continue;
-        }
-        match json::parse(line.trim())
+        };
+        match json::parse(&line)
             .as_ref()
             .and_then(|v| v.get("status"))
             .and_then(Json::as_str)
@@ -456,122 +567,46 @@ fn run_burst(addr: &str, args: &Args, n: usize) -> std::io::Result<(u64, u64, u6
             _ => other += 1,
         }
     }
-    Ok((ok, overloaded, other, dropped))
-}
-
-/// One point on the concurrency-sweep curve.
-struct SweepPoint {
-    concurrency: usize,
-    requests: usize,
-    outcome: PassOutcome,
-    wall_s: f64,
-    throughput_rps: f64,
-}
-
-impl SweepPoint {
-    fn render(&self) -> String {
-        let o = &self.outcome;
-        format!(
-            "{{\"concurrency\":{},\"requests\":{},\"answered\":{},\"ok\":{},\
-             \"cached\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\
-             \"dropped\":{},\"malformed\":{},\"wall_s\":{:.6},\
-             \"throughput_rps\":{:.3},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-            self.concurrency,
-            self.requests,
-            o.latencies_us.len(),
-            o.ok,
-            o.cached,
-            o.errors,
-            o.overloaded,
-            o.timeouts,
-            o.dropped,
-            o.malformed,
-            self.wall_s,
-            self.throughput_rps,
-            percentile(&o.latencies_us, 0.50),
-            percentile(&o.latencies_us, 0.95),
-            percentile(&o.latencies_us, 0.99),
-        )
-    }
+    eprintln!("burst {n}: ok={ok} overloaded={overloaded} other={other} dropped={dropped}");
+    Ok(format!(
+        "{{\"requests\":{n},\"ok\":{ok},\"overloaded\":{overloaded},\
+         \"other\":{other},\"dropped\":{dropped}}}"
+    ))
 }
 
 /// The concurrency sweep: warm the cache with one serial pass of the
 /// mix, then replay the full mix once per connection at each
 /// concurrency level, so the curve measures the serving path (framing,
 /// admission, cache, completion plumbing) rather than first-touch
-/// compilation.
-fn run_sweep(addr: &str, args: &Args, levels: &[usize]) -> Result<Vec<SweepPoint>, String> {
-    let warm = request_mix(args, 0);
-    let warmed = run_client(addr, &warm).map_err(|e| format!("sweep warm-up: {e}"))?;
+/// compilation. Returns the curve and the merged outcome of its points.
+fn run_sweep(addr: &str, args: &Args) -> Result<(String, Outcome), String> {
+    let warmed =
+        run_client(addr, &request_mix(args.runs, 0)).map_err(|e| format!("sweep warm-up: {e}"))?;
     if warmed.dropped > 0 || warmed.malformed > 0 {
         return Err("sweep warm-up pass lost responses".to_owned());
     }
     let mut points = Vec::new();
-    for (at, &concurrency) in levels.iter().enumerate() {
+    let mut all = Outcome::default();
+    for (at, &concurrency) in args.sweep.iter().enumerate() {
         // Unique pass tag per level keeps request ids unambiguous in
         // logs; cache keys ignore ids, so hits still land.
-        let mix = request_mix(args, at + 1);
-        let started = Instant::now();
-        let outcomes: Vec<PassOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..concurrency)
-                .map(|_| scope.spawn(|| run_client(addr, &mix)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(outcome)) => outcome,
-                    Ok(Err(e)) => {
-                        eprintln!("bsched-loadgen: sweep client error: {e}");
-                        PassOutcome {
-                            malformed: 1,
-                            ..PassOutcome::default()
-                        }
-                    }
-                    Err(_) => PassOutcome {
-                        malformed: 1,
-                        ..PassOutcome::default()
-                    },
-                })
-                .collect()
-        });
-        let wall = started.elapsed();
-        let mut merged = PassOutcome::default();
-        for o in outcomes {
-            merged.ok += o.ok;
-            merged.cached += o.cached;
-            merged.degraded += o.degraded;
-            merged.errors += o.errors;
-            merged.overloaded += o.overloaded;
-            merged.timeouts += o.timeouts;
-            merged.dropped += o.dropped;
-            merged.malformed += o.malformed;
-            merged.latencies_us.extend(o.latencies_us);
-        }
-        merged.latencies_us.sort_unstable();
-        #[allow(clippy::cast_precision_loss)]
-        let throughput = if wall.as_secs_f64() > 0.0 {
-            merged.latencies_us.len() as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        let point = SweepPoint {
-            concurrency,
-            requests: mix.len() * concurrency,
-            outcome: merged,
-            wall_s: wall.as_secs_f64(),
-            throughput_rps: throughput,
-        };
+        let mix = request_mix(args.runs, at + 1);
+        let requests = mix.len() * concurrency;
+        let (outcome, wall) = drive(addr, &vec![mix; concurrency]);
         eprintln!(
-            "sweep c={concurrency}: {}/{} answered in {:.3}s ({throughput:.1} req/s), \
-             p99={}us",
-            point.outcome.latencies_us.len(),
-            point.requests,
-            point.wall_s,
-            percentile(&point.outcome.latencies_us, 0.99),
+            "sweep c={concurrency}: {}, p99={}us",
+            outcome.summary(requests, wall),
+            percentile(&outcome.latencies_us, 0.99),
         );
-        points.push(point);
+        points.push(format!(
+            "{{\"concurrency\":{concurrency},\"requests\":{requests},\"answered\":{},{},{}}}",
+            outcome.answered(),
+            outcome.render_counts(("cached", outcome.cached)),
+            outcome.render_timing(wall, &[50, 95, 99]),
+        ));
+        all.merge(outcome);
     }
-    Ok(points)
+    Ok((format!("[{}]", points.join(",")), all))
 }
 
 /// A spawned fleet: N shard daemons (child processes, each with its own
@@ -585,6 +620,9 @@ struct Fleet {
     router: Option<Router>,
     serve_bin: String,
     log_dir: PathBuf,
+    /// The log directory was created here (no `--cache-log-dir`), so
+    /// shutdown removes it; a directory the user named is never removed.
+    owns_log_dir: bool,
 }
 
 fn free_port() -> std::io::Result<u16> {
@@ -623,27 +661,22 @@ fn spawn_shard(
 }
 
 /// Polls until the daemon at `addr` answers a protocol-level ping.
-fn wait_for_daemon(addr: &str, deadline: Duration) -> Result<(), String> {
+fn wait_for_daemon(addr: &str) -> Result<(), String> {
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let probe = HealthConfig {
+        read_timeout: Duration::from_millis(500),
+        ..HealthConfig::default()
+    };
     let started = Instant::now();
-    loop {
-        if let Ok(mut stream) = TcpStream::connect(addr) {
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            if stream.write_all(b"{\"op\":\"ping\"}\n").is_ok() {
-                let mut line = String::new();
-                if BufReader::new(stream).read_line(&mut line).is_ok()
-                    && line.contains("\"pong\":true")
-                {
-                    return Ok(());
-                }
-            }
-        }
-        if started.elapsed() > deadline {
+    while !ping_shard(addr, &probe) {
+        if started.elapsed() > DEADLINE {
             return Err(format!(
-                "daemon at {addr} did not come up within {deadline:?}"
+                "daemon at {addr} did not come up within {DEADLINE:?}"
             ));
         }
         std::thread::sleep(Duration::from_millis(25));
     }
+    Ok(())
 }
 
 impl Fleet {
@@ -666,12 +699,13 @@ impl Fleet {
             router: None,
             serve_bin: serve_bin.to_owned(),
             log_dir: dir.clone(),
+            owns_log_dir: cache_log_dir.is_none(),
         };
         for _ in 0..count {
             fleet.spawn_extra()?;
         }
         for addr in &fleet.shard_addrs {
-            wait_for_daemon(addr, Duration::from_secs(10))?;
+            wait_for_daemon(addr)?;
         }
         let router = Router::start(RouterConfig {
             listen: "127.0.0.1:0".to_owned(),
@@ -703,7 +737,7 @@ impl Fleet {
         self.ports.push(port);
         self.log_paths.push(log);
         if self.router.is_some() {
-            wait_for_daemon(&addr, Duration::from_secs(10))?;
+            wait_for_daemon(&addr)?;
         }
         Ok(addr)
     }
@@ -766,7 +800,7 @@ impl Fleet {
         }
         let child = spawn_shard(&self.serve_bin, self.ports[index], &self.log_paths[index])?;
         self.children[index] = Some(child);
-        wait_for_daemon(&self.shard_addrs[index], Duration::from_secs(10))
+        wait_for_daemon(&self.shard_addrs[index])
     }
 
     fn shutdown(&mut self) {
@@ -779,6 +813,9 @@ impl Fleet {
             let _ = child.wait();
         }
         self.children.clear();
+        if self.owns_log_dir {
+            let _ = std::fs::remove_dir_all(&self.log_dir);
+        }
     }
 }
 
@@ -810,6 +847,15 @@ fn wait_for_shards_down(
     }
 }
 
+/// `requests ok (degraded), errors= dropped= malformed=` for the chaos
+/// scenarios' stderr lines.
+fn chaos_summary(outcome: &Outcome, requests: u64) -> String {
+    format!(
+        "{}/{requests} ok ({} degraded), errors={} dropped={} malformed={}",
+        outcome.ok, outcome.degraded, outcome.errors, outcome.dropped, outcome.malformed
+    )
+}
+
 /// The chaos scenario behind `--kill-shard` (DESIGN.md §12): SIGKILL a
 /// shard mid-mix, assert zero failed client requests, watch the merged
 /// stats notice the outage, restart the shard from its cache log, and
@@ -822,7 +868,7 @@ fn run_fleet_chaos(
     router_addr: &str,
 ) -> Result<(String, bool), String> {
     let victim = 0usize;
-    let mix = request_mix(args, 900);
+    let mix = request_mix(args.runs, 900);
     let half = mix.len() / 2;
 
     // Kill phase: half the mix against a healthy fleet, SIGKILL, the
@@ -834,32 +880,15 @@ fn run_fleet_chaos(
         "fleet: SIGKILLed shard {victim} ({})",
         fleet.shard_addrs[victim]
     );
-    let after = run_client(router_addr, &mix[half..])
-        .map_err(|e| format!("kill-phase (after kill): {e}"))?;
-    kill_outcome.ok += after.ok;
-    kill_outcome.cached += after.cached;
-    kill_outcome.degraded += after.degraded;
-    kill_outcome.errors += after.errors;
-    kill_outcome.overloaded += after.overloaded;
-    kill_outcome.timeouts += after.timeouts;
-    kill_outcome.dropped += after.dropped;
-    kill_outcome.malformed += after.malformed;
-    kill_outcome.latencies_us.extend(after.latencies_us);
-    let kill_total = u64::try_from(mix.len()).unwrap_or(u64::MAX);
-    let kill_ok = kill_outcome.ok == kill_total
-        && kill_outcome.dropped == 0
-        && kill_outcome.malformed == 0
-        && kill_outcome.errors == 0
-        && kill_outcome.timeouts == 0
-        && kill_outcome.overloaded == 0;
+    kill_outcome.merge(
+        run_client(router_addr, &mix[half..])
+            .map_err(|e| format!("kill-phase (after kill): {e}"))?,
+    );
+    let kill_total = count(mix.len());
+    let kill_ok = kill_outcome.all_ok(kill_total);
     eprintln!(
-        "fleet: kill phase {}/{} ok ({} degraded), errors={} dropped={} malformed={}",
-        kill_outcome.ok,
-        kill_total,
-        kill_outcome.degraded,
-        kill_outcome.errors,
-        kill_outcome.dropped,
-        kill_outcome.malformed
+        "fleet: kill phase {}",
+        chaos_summary(&kill_outcome, kill_total)
     );
 
     // The merged stats must report the outage.
@@ -883,21 +912,13 @@ fn run_fleet_chaos(
     // fleet-wide hit rate only clears 90% if the restarted shard's
     // slice came back warm.
     let hits_before = stat_u64(&fetch_stats(router_addr)?, "cache_hits");
-    let replay = request_mix(args, 901);
+    let replay = request_mix(args.runs, 901);
     let replay_outcome =
         run_client(router_addr, &replay).map_err(|e| format!("warm replay: {e}"))?;
     let hits_after = stat_u64(&fetch_stats(router_addr)?, "cache_hits");
-    #[allow(clippy::cast_precision_loss)]
-    let warm_hit_rate = if replay.is_empty() {
-        0.0
-    } else {
-        hits_after.saturating_sub(hits_before) as f64 / replay.len() as f64
-    };
-    let replay_total = u64::try_from(replay.len()).unwrap_or(u64::MAX);
-    let warm_ok = replay_outcome.ok == replay_total
-        && replay_outcome.dropped == 0
-        && replay_outcome.malformed == 0
-        && warm_hit_rate >= 0.90;
+    let warm_hit_rate = hit_rate(hits_after.saturating_sub(hits_before), replay.len());
+    let replay_total = count(replay.len());
+    let warm_ok = replay_outcome.all_ok(replay_total) && warm_hit_rate >= 0.90;
     eprintln!(
         "fleet: warm replay {}/{} ok, hit_rate={:.1}%",
         replay_outcome.ok,
@@ -909,21 +930,14 @@ fn run_fleet_chaos(
     let passed = kill_ok && down_observed && recovered && warm_ok;
     let json = format!(
         "{{\"shards\":{},\"killed_shard\":{victim},\
-         \"kill_phase\":{{\"requests\":{kill_total},\"ok\":{},\"degraded\":{},\
-         \"errors\":{},\"overloaded\":{},\"timeouts\":{},\"dropped\":{},\"malformed\":{}}},\
+         \"kill_phase\":{{\"requests\":{kill_total},{}}},\
          \"shard_down_observed\":{down_observed},\"recovered\":{recovered},\
          \"recovery_s\":{recovery_s:.3},\"warm_start_entries\":{warm_entries},\
          \"warm_replay\":{{\"requests\":{replay_total},\"ok\":{},\"degraded\":{},\
          \"hit_rate\":{warm_hit_rate:.4}}},\
          \"failovers\":{},\"retries\":{},\"passed\":{passed}}}",
         fleet.shard_addrs.len(),
-        kill_outcome.ok,
-        kill_outcome.degraded,
-        kill_outcome.errors,
-        kill_outcome.overloaded,
-        kill_outcome.timeouts,
-        kill_outcome.dropped,
-        kill_outcome.malformed,
+        kill_outcome.render_counts(("degraded", kill_outcome.degraded)),
         replay_outcome.ok,
         replay_outcome.degraded,
         stat_u64(&final_merged, "failovers"),
@@ -936,39 +950,11 @@ fn run_fleet_chaos(
 /// response. Draining can wait on in-flight work server-side, so the
 /// read deadline is generous.
 fn control_op(router_addr: &str, line: &str) -> Result<Json, String> {
-    let stream = connect_with_retry(router_addr).map_err(|e| e.to_string())?;
-    stream
+    let mut client = Client::connect(router_addr).map_err(|e| e.to_string())?;
+    client
         .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("control op: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut writer = stream;
-    writer
-        .write_all(format!("{line}\n").as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send control op: {e}"))?;
-    let mut response = String::new();
-    reader
-        .read_line(&mut response)
-        .map_err(|e| format!("read control response: {e}"))?;
-    json::parse(response.trim()).ok_or_else(|| format!("malformed control response: {response:?}"))
-}
-
-/// Blanks volatile fields so two responses for the same cached request
-/// compare byte-for-byte: `service_us` is wall-clock and differs per
-/// hit.
-fn normalize_response(line: &str) -> String {
-    const NEEDLE: &str = "\"service_us\":";
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    while let Some(at) = rest.find(NEEDLE) {
-        let tail = &rest[at + NEEDLE.len()..];
-        let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
-        out.push_str(&rest[..at + NEEDLE.len()]);
-        out.push('0');
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
+        .and_then(|()| client.round_trip(line))
+        .map_err(|e| format!("control op: {e}"))
 }
 
 /// Proves streamed responses reassemble bit-identical to plain ones
@@ -976,74 +962,39 @@ fn normalize_response(line: &str) -> String {
 /// plain (now a hit), replay it streamed with the same id, and compare
 /// the reassembled bytes against the plain hit after blanking
 /// `service_us`.
-fn stream_identity_check(addr: &str, args: &Args) -> Result<bool, String> {
-    let bench = bsched_workload::perfect_club()
-        .into_iter()
-        .next()
-        .ok_or("no benchmarks")?;
-    let fields = format!(
-        "\"id\":\"stream-check\",\"benchmark\":{},\"system\":{},\"scheduler\":\"balanced\",\
-         \"runs\":{},\"analyze\":false",
-        json::string(bench.name()),
-        json::string(&args.system),
-        args.runs
-    );
-    let stream = connect_with_retry(addr).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut writer = stream;
-    let mut ask = |line: String| -> Result<String, String> {
-        writer
-            .write_all(format!("{line}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("stream check send: {e}"))?;
-        let mut response = String::new();
-        if reader
-            .read_line(&mut response)
-            .map_err(|e| format!("stream check read: {e}"))?
-            == 0
-        {
-            return Err("stream check: connection closed".to_owned());
-        }
-        Ok(response.trim().to_owned())
-    };
+fn stream_identity_check(addr: &str, runs: u32) -> Result<bool, String> {
+    let club = bsched_workload::perfect_club();
+    let bench = club.first().ok_or("no benchmarks")?.name();
+    let plain = schedule("stream-check".to_owned(), bench, runs, "").line;
+    let streamed = schedule("stream-check".to_owned(), bench, runs, ",\"stream\":true").line;
+    let failed = |e: std::io::Error| format!("stream check: {e}");
+    let mut client = Client::connect(addr).map_err(failed)?;
     // First plain request computes (cached:false); second is the
     // cache-hit reference the streamed replay must match.
-    let _ = ask(format!("{{\"op\":\"schedule\",{fields}}}"))?;
-    let plain = ask(format!("{{\"op\":\"schedule\",{fields}}}"))?;
-    writer
-        .write_all(format!("{{\"op\":\"schedule\",{fields},\"stream\":true}}\n").as_bytes())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("stream check send: {e}"))?;
-    let mut chunks = Vec::new();
-    let terminal = loop {
-        let mut line = String::new();
-        if reader
-            .read_line(&mut line)
-            .map_err(|e| format!("stream check read: {e}"))?
-            == 0
-        {
-            return Err("stream check: connection closed mid-stream".to_owned());
-        }
-        let line = line.trim().to_owned();
-        if bsched_serve::is_stream_end(&line) {
-            break line;
-        }
-        if !bsched_serve::is_chunk_line(&line) {
-            eprintln!("stream check: unexpected line in stream: {line}");
+    client.round_trip(&plain).map_err(failed)?;
+    client.send(&plain).map_err(failed)?;
+    let reference = client
+        .recv_line()
+        .map_err(failed)?
+        .ok_or("stream check: connection closed")?;
+    client.send(&streamed).map_err(failed)?;
+    let reassembled = match client.recv_stream() {
+        Ok((chunks, terminal)) => bsched_serve::reassemble_stream(&chunks, &terminal),
+        Err(e) => {
+            eprintln!("stream check: {e}");
             return Ok(false);
         }
-        chunks.push(line);
     };
-    let Some(reassembled) = bsched_serve::reassemble_stream(&chunks, &terminal) else {
+    let Some(reassembled) = reassembled else {
         eprintln!("stream check: terminal line did not reassemble");
         return Ok(false);
     };
-    let identical = normalize_response(&reassembled) == normalize_response(&plain);
+    let identical = blank_service_us(&reassembled) == blank_service_us(&reference);
     if !identical {
         eprintln!(
             "stream check: reassembled response differs from the plain one\n  plain: {}…\n  \
              reassembled: {}…",
-            &plain[..plain.len().min(160)],
+            &reference[..reference.len().min(160)],
             &reassembled[..reassembled.len().min(160)],
         );
     }
@@ -1057,7 +1008,6 @@ fn stream_identity_check(addr: &str, args: &Args) -> Result<bool, String> {
 /// invisible to clients — the add must re-home only ~1/N of the key
 /// space, and the drained shard must exit on its own with a reusable
 /// cache log.
-#[allow(clippy::too_many_lines)]
 fn run_membership_chaos(
     fleet: &mut Fleet,
     args: &Args,
@@ -1065,22 +1015,19 @@ fn run_membership_chaos(
 ) -> Result<(String, bool), String> {
     let mut mix = Vec::new();
     for pass in [950, 951, 952] {
-        mix.extend(request_mix(args, pass));
+        mix.extend(request_mix(args.runs, pass));
     }
     let add_at = args.add_shard_at.map(|n| n.min(mix.len()));
     let drain_at = args.drain_shard_at.map(|n| n.min(mix.len()));
 
-    let mut outcome = PassOutcome::default();
+    let mut outcome = Outcome::default();
     let mut added: Option<(String, f64, u64)> = None; // (addr, rehomed, members)
     let mut drained: Option<(bool, bool)> = None; // (drained ok, child exited)
     let victim = 0usize;
-    let before_members = u64::try_from(fleet.shard_addrs.len()).unwrap_or(u64::MAX);
+    let before_members = count(fleet.shard_addrs.len());
 
     {
-        let stream = connect_with_retry(router_addr).map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        let mut writer = stream;
-        let mut frame = Vec::new();
+        let mut client = Client::connect(router_addr).map_err(|e| e.to_string())?;
         for idx in 0..=mix.len() {
             if add_at == Some(idx) {
                 let addr = fleet.spawn_extra()?;
@@ -1119,39 +1066,18 @@ fn run_membership_chaos(
                 drained = Some((ok, exited));
             }
             let Some(req) = mix.get(idx) else { break };
-            frame.clear();
-            frame.extend_from_slice(req.line.as_bytes());
-            frame.push(b'\n');
-            writer
-                .write_all(&frame)
-                .map_err(|e| format!("membership mix send: {e}"))?;
-            let started = Instant::now();
-            let mut line = String::new();
-            if reader
-                .read_line(&mut line)
-                .map_err(|e| format!("membership mix read: {e}"))?
-                == 0
+            if !exchange(&mut client, req, &mut outcome)
+                .map_err(|e| format!("membership mix: {e}"))?
             {
-                outcome.dropped += u64::try_from(mix.len() - idx).unwrap_or(u64::MAX);
+                outcome.dropped += count(mix.len() - idx);
                 break;
             }
-            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            outcome.latencies_us.push(micros);
-            classify(&mut outcome, &req.id, line.trim());
         }
     }
 
-    let total = u64::try_from(mix.len()).unwrap_or(u64::MAX);
-    let requests_ok = outcome.ok == total
-        && outcome.dropped == 0
-        && outcome.malformed == 0
-        && outcome.errors == 0
-        && outcome.timeouts == 0
-        && outcome.overloaded == 0;
-    eprintln!(
-        "membership: mix {}/{total} ok ({} degraded), errors={} dropped={} malformed={}",
-        outcome.ok, outcome.degraded, outcome.errors, outcome.dropped, outcome.malformed
-    );
+    let total = count(mix.len());
+    let requests_ok = outcome.all_ok(total);
+    eprintln!("membership: mix {}", chaos_summary(&outcome, total));
 
     // Re-homed fraction gate: adding one member to an N-shard ring may
     // only move the keys the new member now owns (~1/N of the space,
@@ -1192,25 +1118,18 @@ fn run_membership_chaos(
         drain_at.is_none()
     };
 
-    let stream_identical = stream_identity_check(router_addr, args)?;
+    let stream_identical = stream_identity_check(router_addr, args.runs)?;
     eprintln!("membership: streamed == plain through the router: {stream_identical}");
 
     let final_merged = fetch_stats(router_addr)?;
     let passed = requests_ok && rehome_ok && drain_ok && log_reusable && stream_identical;
     let json = format!(
-        "{{\"initial_shards\":{before_members},\"requests\":{total},\"ok\":{},\
-         \"degraded\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\"dropped\":{},\
-         \"malformed\":{},\"added\":{},\"rehomed_fraction\":{rehomed:.4},\
+        "{{\"initial_shards\":{before_members},\"requests\":{total},{},\
+         \"added\":{},\"rehomed_fraction\":{rehomed:.4},\
          \"rehome_ok\":{rehome_ok},\"drained\":{},\"drain_ok\":{drain_ok},\
          \"drained_log_reusable\":{log_reusable},\"stream_identical\":{stream_identical},\
          \"members_now\":{},\"passed\":{passed}}}",
-        outcome.ok,
-        outcome.degraded,
-        outcome.errors,
-        outcome.overloaded,
-        outcome.timeouts,
-        outcome.dropped,
-        outcome.malformed,
+        outcome.render_counts(("degraded", outcome.degraded)),
         added
             .as_ref()
             .map_or_else(|| "null".to_owned(), |(a, _, _)| json::string(a)),
@@ -1223,115 +1142,36 @@ fn run_membership_chaos(
     Ok((json, passed))
 }
 
-/// One point on the `--scaleout` aggregate-throughput curve.
-struct ScalePoint {
-    shards: usize,
-    clients: usize,
-    requests: usize,
-    stall_us: u64,
-    outcome: PassOutcome,
-    wall_s: f64,
-    throughput_rps: f64,
-}
-
-impl ScalePoint {
-    fn render(&self) -> String {
-        let o = &self.outcome;
-        format!(
-            "{{\"shards\":{},\"clients\":{},\"requests\":{},\"stall_us\":{},\"ok\":{},\
-             \"cached\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\"dropped\":{},\
-             \"malformed\":{},\"wall_s\":{:.6},\"throughput_rps\":{:.3},\
-             \"p50_us\":{},\"p99_us\":{}}}",
-            self.shards,
-            self.clients,
-            self.requests,
-            self.stall_us,
-            o.ok,
-            o.cached,
-            o.errors,
-            o.overloaded,
-            o.timeouts,
-            o.dropped,
-            o.malformed,
-            self.wall_s,
-            self.throughput_rps,
-            percentile(&o.latencies_us, 0.50),
-            percentile(&o.latencies_us, 0.99),
-        )
-    }
-}
+/// Client connections per `--scaleout` point.
+const SCALE_CLIENTS: usize = 16;
+/// Requests each of those clients sends.
+const SCALE_PER_CLIENT: usize = 15;
 
 /// Request mix for the scale-out curve: every request carries a
 /// distinct seed (240 distinct cache keys per point, spread across the
 /// ring by rendezvous hashing). With `stall_us` > 0 each request also
 /// carries a simulated service stall, which the shard sleeps on a
 /// worker thread before consulting its cache.
-fn scaleout_mix(
-    args: &Args,
-    shards: usize,
-    per_client: usize,
-    clients: usize,
-    stall_us: u64,
-) -> Vec<Vec<Prepared>> {
+fn scaleout_mix(runs: u32, shards: usize, stall_us: u64) -> Vec<Vec<Prepared>> {
     let club = bsched_workload::perfect_club();
-    (0..clients)
+    let stall = if stall_us > 0 {
+        format!(",\"stall_us\":{stall_us}")
+    } else {
+        String::new()
+    };
+    (0..SCALE_CLIENTS)
         .map(|c| {
-            (0..per_client)
+            (0..SCALE_PER_CLIENT)
                 .map(|i| {
-                    let n = c * per_client + i;
-                    let bench = &club[n % club.len()];
+                    let n = c * SCALE_PER_CLIENT + i;
                     let seed = 100_000 * shards + n;
                     let id = format!("scale{shards}-c{c}-{n}");
-                    let stall = if stall_us > 0 {
-                        format!(",\"stall_us\":{stall_us}")
-                    } else {
-                        String::new()
-                    };
-                    let line = format!(
-                        "{{\"op\":\"schedule\",\"id\":{},\"benchmark\":{},\"system\":{},\
-                         \"scheduler\":\"balanced\",\"runs\":{},\"seed\":{seed},\
-                         \"analyze\":false{stall}}}",
-                        json::string(&id),
-                        json::string(bench.name()),
-                        json::string(&args.system),
-                        args.runs,
-                    );
-                    Prepared { id, line }
+                    let extra = format!(",\"seed\":{seed}{stall}");
+                    schedule(id, club[n % club.len()].name(), runs, &extra)
                 })
                 .collect()
         })
         .collect()
-}
-
-/// Drives one full mix (one thread per client) and merges the
-/// per-client outcomes into the given list.
-fn drive_mix(addr: &str, per_client: &[Vec<Prepared>]) -> Vec<PassOutcome> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = per_client
-            .iter()
-            .map(|reqs| {
-                let addr = addr.to_owned();
-                scope.spawn(move || run_client(&addr, reqs))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(e)) => {
-                    eprintln!("bsched-loadgen: scaleout client error: {e}");
-                    PassOutcome {
-                        malformed: 1,
-                        ..PassOutcome::default()
-                    }
-                }
-                Err(_) => PassOutcome {
-                    malformed: 1,
-                    ..PassOutcome::default()
-                },
-            })
-            .collect()
-    })
 }
 
 /// The `--scaleout` sweep: for each requested fleet size, stand up a
@@ -1348,68 +1188,40 @@ fn drive_mix(addr: &str, per_client: &[Vec<Prepared>]) -> Vec<PassOutcome> {
 /// placement) — it scales with shard count even on a single-core host,
 /// where a compute-bound mix could only measure core count. The
 /// workload and client concurrency never change across points; only
-/// the shard count does.
-fn run_scaleout(args: &Args, sizes: &[usize]) -> Result<Vec<ScalePoint>, String> {
-    const CLIENTS: usize = 16;
-    const PER_CLIENT: usize = 15;
+/// the shard count does. Returns the curve and the merged outcome of
+/// its timed passes.
+fn run_scaleout(args: &Args) -> Result<(String, Outcome), String> {
     const STALL_US: u64 = 20_000;
+    let requests = SCALE_CLIENTS * SCALE_PER_CLIENT;
     let mut points = Vec::new();
-    for &shards in sizes {
+    let mut all = Outcome::default();
+    for &shards in &args.scaleout {
         let mut fleet = Fleet::start(shards, &args.serve_bin, None, &format!("scale{shards}"))?;
         let addr = fleet.router_addr();
-        let warm = scaleout_mix(args, shards, PER_CLIENT, CLIENTS, 0);
-        let warmed: u64 = drive_mix(&addr, &warm).iter().map(|o| o.ok).sum();
-        if warmed < (CLIENTS * PER_CLIENT) as u64 {
+        let (warm, _) = drive(&addr, &scaleout_mix(args.runs, shards, 0));
+        if warm.ok < count(requests) {
             eprintln!(
-                "bsched-loadgen: scaleout warm pass shards={shards}: only {warmed}/{} ok",
-                CLIENTS * PER_CLIENT
+                "bsched-loadgen: scaleout warm pass shards={shards}: only {}/{requests} ok",
+                warm.ok
             );
         }
-        let timed = scaleout_mix(args, shards, PER_CLIENT, CLIENTS, STALL_US);
-        let started = Instant::now();
-        let outcomes = drive_mix(&addr, &timed);
-        let wall = started.elapsed();
+        let (outcome, wall) = drive(&addr, &scaleout_mix(args.runs, shards, STALL_US));
         fleet.shutdown();
-        let mut merged = PassOutcome::default();
-        for o in outcomes {
-            merged.ok += o.ok;
-            merged.cached += o.cached;
-            merged.degraded += o.degraded;
-            merged.errors += o.errors;
-            merged.overloaded += o.overloaded;
-            merged.timeouts += o.timeouts;
-            merged.dropped += o.dropped;
-            merged.malformed += o.malformed;
-            merged.latencies_us.extend(o.latencies_us);
-        }
-        merged.latencies_us.sort_unstable();
-        #[allow(clippy::cast_precision_loss)]
-        let throughput = if wall.as_secs_f64() > 0.0 {
-            merged.latencies_us.len() as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        let point = ScalePoint {
-            shards,
-            clients: CLIENTS,
-            requests: CLIENTS * PER_CLIENT,
-            stall_us: STALL_US,
-            outcome: merged,
-            wall_s: wall.as_secs_f64(),
-            throughput_rps: throughput,
-        };
         eprintln!(
-            "scaleout shards={shards}: {}/{} answered in {:.3}s ({throughput:.1} req/s)",
-            point.outcome.latencies_us.len(),
-            point.requests,
-            point.wall_s,
+            "scaleout shards={shards}: {}",
+            outcome.summary(requests, wall)
         );
-        points.push(point);
+        points.push(format!(
+            "{{\"shards\":{shards},\"clients\":{SCALE_CLIENTS},\"requests\":{requests},\
+             \"stall_us\":{STALL_US},{},{}}}",
+            outcome.render_counts(("cached", outcome.cached)),
+            outcome.render_timing(wall, &[50, 99]),
+        ));
+        all.merge(outcome);
     }
-    Ok(points)
+    Ok((format!("[{}]", points.join(",")), all))
 }
 
-#[allow(clippy::too_many_lines)]
 fn run() -> Result<i32, String> {
     let args = parse_args()?;
     let server = if args.spawn {
@@ -1417,7 +1229,7 @@ fn run() -> Result<i32, String> {
             Server::start(ServerConfig {
                 listen: "127.0.0.1:0".to_owned(),
                 workers: args.workers,
-                io_threads: args.io_threads,
+                io_threads: IO_THREADS,
                 queue_capacity: args.queue_cap,
                 ..ServerConfig::default()
             })
@@ -1439,198 +1251,64 @@ fn run() -> Result<i32, String> {
     let addr = match (&server, &fleet) {
         (Some(s), _) => s.local_addr().to_string(),
         (None, Some(f)) => f.router_addr(),
-        (None, None) => args.addr.clone().unwrap(),
+        (None, None) => args.addr.clone().expect("validated: one source is given"),
     };
 
+    // Responses lost by the load runs (passes, sweep, scale-out); the
+    // chaos scenarios gate their own.
+    let mut lost = Outcome::default();
+    let mut failures = Vec::new();
     let mut pass_reports = Vec::new();
     let mut hit_rate_last_pass = 0.0f64;
-    let mut total_dropped = 0u64;
-    let mut total_malformed = 0u64;
     for pass in 1..=args.passes {
-        let mix = request_mix(&args, pass);
-        let hits_before = stat_u64(&fetch_stats(&addr)?, "cache_hits");
-        // Round-robin split over the client connections.
-        let mut per_client: Vec<Vec<Prepared>> = (0..args.clients).map(|_| Vec::new()).collect();
-        let total = mix.len();
-        for (i, req) in mix.into_iter().enumerate() {
-            per_client[i % args.clients].push(req);
-        }
-        let started = Instant::now();
-        let outcomes: Vec<PassOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_client
-                .iter()
-                .map(|reqs| {
-                    let addr = addr.clone();
-                    scope.spawn(move || run_client(&addr, reqs))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(Ok(outcome)) => outcome,
-                    Ok(Err(e)) => {
-                        eprintln!("bsched-loadgen: client error: {e}");
-                        PassOutcome {
-                            malformed: 1,
-                            ..PassOutcome::default()
-                        }
-                    }
-                    Err(_) => PassOutcome {
-                        malformed: 1,
-                        ..PassOutcome::default()
-                    },
-                })
-                .collect()
-        });
-        let wall = started.elapsed();
-        let hits_after = stat_u64(&fetch_stats(&addr)?, "cache_hits");
-
-        let mut merged = PassOutcome::default();
-        for o in outcomes {
-            merged.ok += o.ok;
-            merged.cached += o.cached;
-            merged.degraded += o.degraded;
-            merged.errors += o.errors;
-            merged.overloaded += o.overloaded;
-            merged.timeouts += o.timeouts;
-            merged.dropped += o.dropped;
-            merged.malformed += o.malformed;
-            merged.latencies_us.extend(o.latencies_us);
-        }
-        merged.latencies_us.sort_unstable();
-        let answered = merged.latencies_us.len();
-        #[allow(clippy::cast_precision_loss)]
-        let throughput = if wall.as_secs_f64() > 0.0 {
-            answered as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let hit_rate = if total > 0 {
-            (hits_after.saturating_sub(hits_before)) as f64 / total as f64
-        } else {
-            0.0
-        };
-        hit_rate_last_pass = hit_rate;
-        total_dropped += merged.dropped;
-        total_malformed += merged.malformed;
-        eprintln!(
-            "pass {pass}: {answered}/{total} answered in {:.3}s ({throughput:.1} req/s), \
-             ok={} cached={} errors={} overloaded={} timeouts={} hit_rate={:.0}%",
-            wall.as_secs_f64(),
-            merged.ok,
-            merged.cached,
-            merged.errors,
-            merged.overloaded,
-            merged.timeouts,
-            hit_rate * 100.0
-        );
-        pass_reports.push(format!(
-            "{{\"pass\":{pass},\"requests\":{total},\"answered\":{answered},\
-             \"ok\":{},\"cached\":{},\"errors\":{},\"overloaded\":{},\"timeouts\":{},\
-             \"dropped\":{},\"malformed\":{},\"wall_s\":{:.6},\"throughput_rps\":{throughput:.3},\
-             \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"cache_hit_rate\":{hit_rate:.4}}}",
-            merged.ok,
-            merged.cached,
-            merged.errors,
-            merged.overloaded,
-            merged.timeouts,
-            merged.dropped,
-            merged.malformed,
-            wall.as_secs_f64(),
-            percentile(&merged.latencies_us, 0.50),
-            percentile(&merged.latencies_us, 0.95),
-            percentile(&merged.latencies_us, 0.99),
-        ));
+        let (report, outcome, rate) = run_pass(&addr, &args, pass)?;
+        pass_reports.push(report);
+        lost.merge(outcome);
+        hit_rate_last_pass = rate;
     }
 
-    let burst_report = if args.burst > 0 {
-        let (ok, overloaded, other, dropped) =
-            run_burst(&addr, &args, args.burst).map_err(|e| format!("burst: {e}"))?;
-        eprintln!(
-            "burst {}: ok={ok} overloaded={overloaded} other={other} dropped={dropped}",
-            args.burst
-        );
-        format!(
-            ",\"burst\":{{\"requests\":{},\"ok\":{ok},\"overloaded\":{overloaded},\
-             \"other\":{other},\"dropped\":{dropped}}}",
-            args.burst
-        )
-    } else {
-        String::new()
-    };
-
-    let sweep_report = if args.sweep.is_empty() {
-        String::new()
-    } else {
-        let points = run_sweep(&addr, &args, &args.sweep)?;
-        for p in &points {
-            total_dropped += p.outcome.dropped;
-            total_malformed += p.outcome.malformed;
-        }
-        format!(
-            ",\"sweep\":[{}]",
-            points
-                .iter()
-                .map(SweepPoint::render)
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    };
-
-    let mut fleet_failed = false;
-    let fleet_report = if args.kill_shard {
+    let mut sections = String::new();
+    if args.burst > 0 {
+        sections.push_str(&format!(",\"burst\":{}", run_burst(&addr, &args)?));
+    }
+    if !args.sweep.is_empty() {
+        let (curve, outcome) = run_sweep(&addr, &args)?;
+        sections.push_str(&format!(",\"sweep\":{curve}"));
+        lost.merge(outcome);
+    }
+    if args.kill_shard {
         let fleet_ref = fleet
             .as_mut()
             .expect("--kill-shard validated to imply --fleet");
         let (json, passed) = run_fleet_chaos(fleet_ref, &args, &addr)?;
-        fleet_failed = !passed;
-        format!(",\"fleet\":{json}")
-    } else {
-        String::new()
-    };
-
-    let mut membership_failed = false;
-    let membership_report = if args.add_shard_at.is_some() || args.drain_shard_at.is_some() {
+        sections.push_str(&format!(",\"fleet\":{json}"));
+        if !passed {
+            failures.push("fleet chaos gates missed (see the \"fleet\" report)".to_owned());
+        }
+    }
+    if args.add_shard_at.is_some() || args.drain_shard_at.is_some() {
         let fleet_ref = fleet
             .as_mut()
             .expect("--add-shard-at/--drain-shard-at validated to imply --fleet");
         let (json, passed) = run_membership_chaos(fleet_ref, &args, &addr)?;
-        membership_failed = !passed;
-        format!(",\"membership\":{json}")
-    } else {
-        String::new()
-    };
-
-    let scaleout_report = if args.scaleout.is_empty() {
-        String::new()
-    } else {
-        let points = run_scaleout(&args, &args.scaleout)?;
-        for p in &points {
-            total_dropped += p.outcome.dropped;
-            total_malformed += p.outcome.malformed;
+        sections.push_str(&format!(",\"membership\":{json}"));
+        if !passed {
+            failures
+                .push("membership chaos gates missed (see the \"membership\" report)".to_owned());
         }
-        format!(
-            ",\"scaleout\":[{}]",
-            points
-                .iter()
-                .map(ScalePoint::render)
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    };
+    }
+    if !args.scaleout.is_empty() {
+        let (curve, outcome) = run_scaleout(&args)?;
+        sections.push_str(&format!(",\"scaleout\":{curve}"));
+        lost.merge(outcome);
+    }
 
     let final_stats = fetch_stats(&addr)?;
     let report = format!(
         "{{\"bench\":\"serve\",\"system\":{},\"schedulers\":[{}],\"clients\":{},\
-         \"passes\":[{}],\"final_stats\":{}{burst_report}{sweep_report}{fleet_report}\
-         {membership_report}{scaleout_report}}}",
-        json::string(&args.system),
-        args.schedulers
-            .iter()
-            .map(|s| json::string(s))
-            .collect::<Vec<_>>()
-            .join(","),
+         \"passes\":[{}],\"final_stats\":{}{sections}}}",
+        json::string(SYSTEM),
+        json::string(SCHEDULER),
         args.clients,
         pass_reports.join(","),
         render_stats_obj(&final_stats),
@@ -1653,32 +1331,24 @@ fn run() -> Result<i32, String> {
         fleet.shutdown();
     }
 
-    if fleet_failed {
-        eprintln!("bsched-loadgen: FAIL: fleet chaos gates missed (see the \"fleet\" report)");
-        return Ok(1);
-    }
-    if membership_failed {
-        eprintln!(
-            "bsched-loadgen: FAIL: membership chaos gates missed (see the \"membership\" report)"
-        );
-        return Ok(1);
-    }
-    if total_dropped > 0 || total_malformed > 0 {
-        eprintln!(
-            "bsched-loadgen: FAIL: {total_dropped} dropped, {total_malformed} malformed responses"
-        );
-        return Ok(1);
+    if lost.dropped > 0 || lost.malformed > 0 {
+        failures.push(format!(
+            "{} dropped, {} malformed responses",
+            lost.dropped, lost.malformed
+        ));
     }
     if let Some(expect) = args.expect_hit_rate {
         let measured = hit_rate_last_pass * 100.0;
         if measured + 1e-9 < expect {
-            eprintln!(
-                "bsched-loadgen: FAIL: final-pass cache hit rate {measured:.1}% < expected {expect:.1}%"
-            );
-            return Ok(1);
+            failures.push(format!(
+                "final-pass cache hit rate {measured:.1}% < expected {expect:.1}%"
+            ));
         }
     }
-    Ok(0)
+    for failure in &failures {
+        eprintln!("bsched-loadgen: FAIL: {failure}");
+    }
+    Ok(i32::from(!failures.is_empty()))
 }
 
 /// Re-renders the `stats` object from a `/stats` response (stripping the
@@ -1721,5 +1391,52 @@ fn main() {
             eprint!("{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classify_probes_only_the_envelope() {
+        let mut outcome = Outcome::default();
+        let line = "{\"id\":\"p1\",\"status\":\"ok\",\"cached\":false,\
+                    \"schedule\":{\"blocks\":[],\"cached\":true},\"service_us\":5}";
+        classify(&mut outcome, "p1", line);
+        assert_eq!((outcome.ok, outcome.cached, outcome.malformed), (1, 0, 0));
+        classify(&mut outcome, "p1", &line.replace("false", "true"));
+        assert_eq!((outcome.ok, outcome.cached), (2, 1));
+    }
+
+    #[test]
+    fn merge_adds_every_counter() {
+        let one = Outcome {
+            ok: 1,
+            cached: 2,
+            degraded: 3,
+            errors: 4,
+            overloaded: 5,
+            timeouts: 6,
+            dropped: 7,
+            malformed: 8,
+            latencies_us: vec![9],
+        };
+        let mut sum = one.clone();
+        sum.merge(one);
+        assert_eq!(
+            [
+                sum.ok,
+                sum.cached,
+                sum.degraded,
+                sum.errors,
+                sum.overloaded,
+                sum.timeouts,
+                sum.dropped,
+                sum.malformed
+            ],
+            [2, 4, 6, 8, 10, 12, 14, 16]
+        );
+        assert_eq!(sum.latencies_us, [9, 9]);
     }
 }

@@ -19,7 +19,9 @@
 //!   recomputing it;
 //! * [`router`] + [`health`] — `--route` mode: rendezvous-hash the
 //!   cache key over N shard daemons, health-check them, and fail over
-//!   with typed `degraded:true` responses when one dies.
+//!   with typed `degraded:true` responses when one dies;
+//! * [`client`] — the one line-protocol client every outside caller
+//!   (loadgen, `bsched serve --control`, the tests) talks through.
 //!
 //! Backpressure is explicit: when the submission queue is full the
 //! server answers `{"status":"overloaded", …}` immediately instead of
@@ -41,6 +43,7 @@ compile_error!(
 );
 
 pub mod cache;
+pub mod client;
 pub(crate) mod eventloop;
 pub mod health;
 pub mod persist;
@@ -50,6 +53,7 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{stable_key, LruCache};
+pub use client::{blank_service_us, Client};
 pub use health::{HealthConfig, MemberState, ShardState};
 pub use persist::CacheLog;
 pub use protocol::{

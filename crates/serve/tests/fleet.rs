@@ -3,16 +3,14 @@
 //! corruption. Every daemon and router binds `127.0.0.1:0` so tests
 //! run in parallel without port collisions.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use bsched_analyze::json::{self, Json};
+use bsched_analyze::json::Json;
 use bsched_serve::{
-    parse_request, prepare_request, router::rendezvous_rank, HealthConfig, Request, Router,
+    parse_request, prepare_request, router::rendezvous_rank, Client, HealthConfig, Request, Router,
     RouterConfig, Server, ServerConfig,
 };
 
@@ -36,31 +34,6 @@ fn temp_log(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir.join("cache.log")
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
-        }
-    }
-
-    fn round_trip(&mut self, line: &str) -> Json {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server hung up instead of responding");
-        json::parse(line.trim()).unwrap_or_else(|| panic!("malformed response: {line:?}"))
-    }
 }
 
 fn status(v: &Json) -> &str {
@@ -107,11 +80,11 @@ fn cache_log_warm_starts_a_restarted_server() {
     let log = temp_log("warm");
 
     let first = server_with_log(&log);
-    let mut client = Client::connect(first.local_addr());
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(first.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(cached(&v), Some(false));
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     assert!(stat(&stats, "persist_appends") >= 1, "{stats:?}");
     assert_eq!(stat(&stats, "persist_errors"), 0);
     first.begin_shutdown();
@@ -120,11 +93,11 @@ fn cache_log_warm_starts_a_restarted_server() {
     // A brand-new process image would see exactly this: same log path,
     // empty in-memory cache. The first request must already be a hit.
     let second = server_with_log(&log);
-    let mut client = Client::connect(second.local_addr());
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(second.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(cached(&v), Some(true), "warm start missed the log: {v:?}");
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     assert!(stat(&stats, "cache_entries") >= 1);
     assert_eq!(stat(&stats, "cache_hits"), 1);
     second.begin_shutdown();
@@ -137,11 +110,11 @@ fn corrupted_log_tail_is_dropped_not_resurrected() {
 
     let log = temp_log("corrupt");
     let server = server_with_log(&log);
-    let mut client = Client::connect(server.local_addr());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // First append is clean, second is written with a poisoned CRC.
-    assert_eq!(status(&client.round_trip(DAXPY)), "ok");
+    assert_eq!(status(&client.round_trip(DAXPY).expect("round trip")), "ok");
     bsched_faults::install("persist-corrupt".parse().expect("plan"));
-    assert_eq!(status(&client.round_trip(DOT)), "ok");
+    assert_eq!(status(&client.round_trip(DOT).expect("round trip")), "ok");
     bsched_faults::clear();
     server.begin_shutdown();
     server.join();
@@ -149,10 +122,10 @@ fn corrupted_log_tail_is_dropped_not_resurrected() {
     // Recovery must keep the clean prefix, truncate the poisoned tail,
     // and above all not panic.
     let server = server_with_log(&log);
-    let mut client = Client::connect(server.local_addr());
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(cached(&v), Some(true), "clean prefix lost: {v:?}");
-    let v = client.round_trip(DOT);
+    let v = client.round_trip(DOT).expect("round trip");
     assert_eq!(cached(&v), Some(false), "corrupt record resurrected: {v:?}");
     server.begin_shutdown();
     server.join();
@@ -168,21 +141,21 @@ fn router_forwards_to_shards_and_merges_stats() {
     })
     .expect("start router");
 
-    let mut client = Client::connect(router.local_addr());
-    let pong = client.round_trip(r#"{"op":"ping"}"#);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let pong = client.round_trip(r#"{"op":"ping"}"#).expect("round trip");
     assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
     assert_eq!(pong.get("router").and_then(Json::as_bool), Some(true));
 
-    let v = client.round_trip(DAXPY);
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(cached(&v), Some(false));
     assert!(v.get("degraded").is_none(), "healthy fleet degraded: {v:?}");
     // Rendezvous hashing is deterministic, so the repeat lands on the
     // same shard and hits its cache.
-    let v = client.round_trip(DAXPY);
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(cached(&v), Some(true), "{v:?}");
 
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     assert_eq!(stat(&stats, "shards_up"), 2);
     assert_eq!(stat(&stats, "shards_down"), 0);
     assert_eq!(stat(&stats, "cache_hits"), 1);
@@ -227,8 +200,8 @@ fn router_fails_over_from_a_dead_shard_with_a_degraded_response() {
     victim.begin_shutdown();
     victim.join();
 
-    let mut client = Client::connect(router.local_addr());
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "ok", "failover dropped the request: {v:?}");
     assert_eq!(
         v.get("degraded").and_then(Json::as_bool),
@@ -239,7 +212,7 @@ fn router_fails_over_from_a_dead_shard_with_a_degraded_response() {
     // The prober (or the forward failures) must mark the shard down.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = client.round_trip("/stats");
+        let stats = client.round_trip("/stats").expect("round trip");
         if stat(&stats, "shards_down") == 1 {
             assert_eq!(stat(&stats, "shards_up"), 1);
             assert!(stat(&stats, "failovers") >= 1, "{stats:?}");
@@ -273,8 +246,8 @@ fn router_with_every_shard_dead_returns_a_typed_error_not_a_drop() {
     })
     .expect("start router");
 
-    let mut client = Client::connect(router.local_addr());
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "error", "{v:?}");
     assert_eq!(
         v.get("kind").and_then(Json::as_str),
@@ -296,12 +269,14 @@ fn add_shard_rehomes_a_minimal_fraction_and_serves_through_it() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
+    let mut client = Client::connect(router.local_addr()).expect("connect");
 
-    let v = client.round_trip(&format!(
-        r#"{{"op":"add-shard","id":"m1","addr":"{}"}}"#,
-        b.local_addr()
-    ));
+    let v = client
+        .round_trip(&format!(
+            r#"{{"op":"add-shard","id":"m1","addr":"{}"}}"#,
+            b.local_addr()
+        ))
+        .expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(v.get("state").and_then(Json::as_str), Some("active"));
     assert_eq!(v.get("members").and_then(Json::as_u64), Some(2));
@@ -318,9 +293,11 @@ fn add_shard_rehomes_a_minimal_fraction_and_serves_through_it() {
     );
 
     // Requests keep landing; the ring now spans both shards.
-    assert_eq!(status(&client.round_trip(DAXPY)), "ok");
-    assert_eq!(status(&client.round_trip(DOT)), "ok");
-    let members = client.round_trip(r#"{"op":"members"}"#);
+    assert_eq!(status(&client.round_trip(DAXPY).expect("round trip")), "ok");
+    assert_eq!(status(&client.round_trip(DOT).expect("round trip")), "ok");
+    let members = client
+        .round_trip(r#"{"op":"members"}"#)
+        .expect("round trip");
     let listed = members
         .get("members")
         .and_then(Json::as_array)
@@ -331,10 +308,12 @@ fn add_shard_rehomes_a_minimal_fraction_and_serves_through_it() {
         .all(|m| m.get("state").and_then(Json::as_str) == Some("active")));
 
     // A duplicate add is a typed error, not a second ring entry.
-    let dup = client.round_trip(&format!(
-        r#"{{"op":"add-shard","addr":"{}"}}"#,
-        b.local_addr()
-    ));
+    let dup = client
+        .round_trip(&format!(
+            r#"{{"op":"add-shard","addr":"{}"}}"#,
+            b.local_addr()
+        ))
+        .expect("round trip");
     assert_eq!(status(&dup), "error");
     assert_eq!(dup.get("kind").and_then(Json::as_str), Some("exists"));
 
@@ -355,12 +334,14 @@ fn drain_shard_without_stop_fences_it_but_leaves_it_running() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
+    let mut client = Client::connect(router.local_addr()).expect("connect");
 
-    let v = client.round_trip(&format!(
-        r#"{{"op":"drain-shard","id":"d1","addr":"{}","stop":false}}"#,
-        a.local_addr()
-    ));
+    let v = client
+        .round_trip(&format!(
+            r#"{{"op":"drain-shard","id":"d1","addr":"{}","stop":false}}"#,
+            a.local_addr()
+        ))
+        .expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(
         v.get("drained").and_then(Json::as_str),
@@ -371,13 +352,13 @@ fn drain_shard_without_stop_fences_it_but_leaves_it_running() {
     assert_eq!(v.get("members").and_then(Json::as_u64), Some(1));
 
     // Every request still lands (all keys now route to b).
-    assert_eq!(status(&client.round_trip(DAXPY)), "ok");
-    assert_eq!(status(&client.round_trip(DOT)), "ok");
+    assert_eq!(status(&client.round_trip(DAXPY).expect("round trip")), "ok");
+    assert_eq!(status(&client.round_trip(DOT).expect("round trip")), "ok");
 
     // The drained daemon was fenced, not stopped: it still answers
     // directly.
-    let mut direct = Client::connect(a.local_addr());
-    let pong = direct.round_trip(r#"{"op":"ping"}"#);
+    let mut direct = Client::connect(a.local_addr()).expect("connect");
+    let pong = direct.round_trip(r#"{"op":"ping"}"#).expect("round trip");
     assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
 
     router.begin_shutdown();
@@ -397,12 +378,14 @@ fn drain_shard_with_stop_shuts_the_daemon_down() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
+    let mut client = Client::connect(router.local_addr()).expect("connect");
 
-    let v = client.round_trip(&format!(
-        r#"{{"op":"drain-shard","addr":"{}"}}"#,
-        a.local_addr()
-    ));
+    let v = client
+        .round_trip(&format!(
+            r#"{{"op":"drain-shard","addr":"{}"}}"#,
+            a.local_addr()
+        ))
+        .expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(v.get("stopped").and_then(Json::as_bool), Some(true));
 
@@ -414,7 +397,7 @@ fn drain_shard_with_stop_shuts_the_daemon_down() {
         "drained daemon never exited"
     );
     // And the survivor still serves through the router.
-    assert_eq!(status(&client.round_trip(DAXPY)), "ok");
+    assert_eq!(status(&client.round_trip(DAXPY).expect("round trip")), "ok");
 
     router.begin_shutdown();
     router.join();
@@ -430,18 +413,22 @@ fn draining_the_last_active_shard_is_refused() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
+    let mut client = Client::connect(router.local_addr()).expect("connect");
 
-    let v = client.round_trip(&format!(
-        r#"{{"op":"drain-shard","addr":"{}"}}"#,
-        a.local_addr()
-    ));
+    let v = client
+        .round_trip(&format!(
+            r#"{{"op":"drain-shard","addr":"{}"}}"#,
+            a.local_addr()
+        ))
+        .expect("round trip");
     assert_eq!(status(&v), "error", "{v:?}");
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("refused"));
     // The refusal left the ring intact.
-    assert_eq!(status(&client.round_trip(DAXPY)), "ok");
+    assert_eq!(status(&client.round_trip(DAXPY).expect("round trip")), "ok");
     // Draining an address that was never a member is its own error.
-    let v = client.round_trip(r#"{"op":"drain-shard","addr":"127.0.0.1:1"}"#);
+    let v = client
+        .round_trip(r#"{"op":"drain-shard","addr":"127.0.0.1:1"}"#)
+        .expect("round trip");
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("unknown"));
 
     router.begin_shutdown();
@@ -453,13 +440,13 @@ fn draining_the_last_active_shard_is_refused() {
 #[test]
 fn membership_ops_on_a_plain_daemon_get_a_typed_unsupported_error() {
     let server = small_server();
-    let mut client = Client::connect(server.local_addr());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     for op in [
         r#"{"op":"add-shard","addr":"127.0.0.1:9"}"#,
         r#"{"op":"drain-shard","addr":"127.0.0.1:9"}"#,
         r#"{"op":"members"}"#,
     ] {
-        let v = client.round_trip(op);
+        let v = client.round_trip(op).expect("round trip");
         assert_eq!(status(&v), "error", "{v:?}");
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("unsupported"));
     }

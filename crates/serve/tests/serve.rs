@@ -2,13 +2,12 @@
 //! sockets, real worker pool. Every server binds `127.0.0.1:0` so tests
 //! run in parallel without port collisions.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use bsched_analyze::json::{self, Json};
-use bsched_serve::{Server, ServerConfig};
+use bsched_analyze::json::Json;
+use bsched_serve::{Client, Server, ServerConfig};
 
 /// Fault plans are process-global; tests that install one serialize.
 fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -16,39 +15,6 @@ fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-    }
-
-    fn recv(&mut self) -> Json {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server hung up instead of responding");
-        json::parse(line.trim()).unwrap_or_else(|| panic!("malformed response: {line:?}"))
-    }
-
-    fn round_trip(&mut self, line: &str) -> Json {
-        self.send(line);
-        self.recv()
     }
 }
 
@@ -71,8 +37,8 @@ const DAXPY: &str = r#"{"op":"schedule","id":"rt1","kernel":"kernel daxpy { arra
 #[test]
 fn schedule_round_trip_carries_schedule_eval_and_diagnostics() {
     let server = small_server();
-    let mut client = Client::connect(&server);
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&v), "ok", "{v:?}");
     assert_eq!(v.get("id").and_then(Json::as_str), Some("rt1"));
     assert_eq!(v.get("cached").and_then(Json::as_bool), Some(false));
@@ -97,11 +63,11 @@ fn schedule_round_trip_carries_schedule_eval_and_diagnostics() {
 #[test]
 fn identical_request_is_served_from_cache() {
     let server = small_server();
-    let mut client = Client::connect(&server);
-    let first = client.round_trip(DAXPY);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let first = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&first), "ok");
     assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
-    let second = client.round_trip(DAXPY);
+    let second = client.round_trip(DAXPY).expect("round trip");
     assert_eq!(status(&second), "ok");
     assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
     // The payload is byte-identical modulo envelope metadata.
@@ -109,7 +75,7 @@ fn identical_request_is_served_from_cache() {
         format!("{:?}", first.get("eval")),
         format!("{:?}", second.get("eval"))
     );
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     let hits = stats
         .get("stats")
         .and_then(|s| s.get("cache_hits"))
@@ -123,11 +89,11 @@ fn identical_request_is_served_from_cache() {
 #[test]
 fn tune_flag_installs_a_background_tuned_schedule() {
     let server = small_server();
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // High-variance system on a small kernel: the policy search is fast
     // and reliably finds a non-default winner.
     let req = r#"{"op":"schedule","id":"t1","kernel":"kernel daxpy { arrays x, y; y[0] = 3.0 * x[0] + y[0]; }","system":"N(3,2)","runs":3,"analyze":false,"tune":true}"#;
-    let first = client.round_trip(req);
+    let first = client.round_trip(req).expect("round trip");
     assert_eq!(status(&first), "ok", "{first:?}");
     assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
     let first_sched = first
@@ -141,7 +107,7 @@ fn tune_flag_installs_a_background_tuned_schedule() {
     // winner lands in the cache.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let stats = client.round_trip("/stats");
+        let stats = client.round_trip("/stats").expect("round trip");
         let installs = stats
             .get("stats")
             .and_then(|s| s.get("tuned_installs"))
@@ -159,7 +125,7 @@ fn tune_flag_installs_a_background_tuned_schedule() {
 
     // The identical request now hits the cache — and the payload it gets
     // is the *tuned* schedule installed under the original key.
-    let second = client.round_trip(req);
+    let second = client.round_trip(req).expect("round trip");
     assert_eq!(status(&second), "ok", "{second:?}");
     assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
     let second_sched = second
@@ -179,7 +145,7 @@ fn tune_flag_installs_a_background_tuned_schedule() {
     // A request *without* the tune flag keeps its own key and is still
     // served the untuned schedule — the entries never mix.
     let plain = r#"{"op":"schedule","id":"t2","kernel":"kernel daxpy { arrays x, y; y[0] = 3.0 * x[0] + y[0]; }","system":"N(3,2)","runs":3,"analyze":false}"#;
-    let v = client.round_trip(plain);
+    let v = client.round_trip(plain).expect("round trip");
     assert_eq!(status(&v), "ok");
     assert_eq!(
         v.get("schedule")
@@ -203,15 +169,17 @@ fn over_capacity_burst_gets_typed_overloaded_responses() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     const BURST: usize = 6;
     for i in 0..BURST {
-        client.send(&DAXPY.replace("rt1", &format!("b{i}")));
+        client
+            .send(&DAXPY.replace("rt1", &format!("b{i}")))
+            .expect("send");
     }
     let mut ok = 0;
     let mut overloaded = 0;
     for _ in 0..BURST {
-        let v = client.recv();
+        let v = client.recv().expect("response");
         match status(&v) {
             "ok" => ok += 1,
             "overloaded" => {
@@ -228,7 +196,7 @@ fn over_capacity_burst_gets_typed_overloaded_responses() {
         overloaded >= 1,
         "a {BURST}-deep burst against capacity 1 must shed load"
     );
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     assert_eq!(
         stats
             .get("stats")
@@ -245,8 +213,8 @@ fn injected_serve_reject_sheds_load_without_a_full_queue() {
     let _guard = fault_lock();
     bsched_faults::install("serve-reject".parse().expect("plan"));
     let server = small_server();
-    let mut client = Client::connect(&server);
-    let v = client.round_trip(DAXPY);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let v = client.round_trip(DAXPY).expect("round trip");
     bsched_faults::clear();
     assert_eq!(status(&v), "overloaded", "{v:?}");
     server.begin_shutdown();
@@ -261,14 +229,16 @@ fn expired_deadline_yields_a_typed_timeout() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // A heavyweight stand-in at maximum runs cannot finish in 1ms.
-    let v = client.round_trip(
-        r#"{"op":"schedule","id":"t","benchmark":"mdg","system":"L80(2,5)","runs":10000}"#,
-    );
+    let v = client
+        .round_trip(
+            r#"{"op":"schedule","id":"t","benchmark":"mdg","system":"L80(2,5)","runs":10000}"#,
+        )
+        .expect("round trip");
     assert_eq!(status(&v), "timeout", "{v:?}");
     assert_eq!(v.get("deadline_ms").and_then(Json::as_u64), Some(1));
-    let stats = client.round_trip("/stats");
+    let stats = client.round_trip("/stats").expect("round trip");
     assert_eq!(
         stats
             .get("stats")
@@ -283,13 +253,13 @@ fn expired_deadline_yields_a_typed_timeout() {
 #[test]
 fn malformed_and_failing_requests_get_typed_errors() {
     let server = small_server();
-    let mut client = Client::connect(&server);
-    let v = client.round_trip("this is not json");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let v = client.round_trip("this is not json").expect("round trip");
     assert_eq!(status(&v), "error");
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("parse"));
     let v = client.round_trip(
         r#"{"op":"schedule","id":"bad","kernel":"kernel k { arrays a; b[0] = 1; }","system":"fixed(2)"}"#,
-    );
+    ).expect("round trip");
     assert_eq!(status(&v), "error", "{v:?}");
     assert_eq!(v.get("id").and_then(Json::as_str), Some("bad"));
     assert!(v.get("kind").and_then(Json::as_str).is_some());
@@ -301,11 +271,13 @@ fn malformed_and_failing_requests_get_typed_errors() {
 #[test]
 fn stats_and_ping_answer_inline() {
     let server = small_server();
-    let mut client = Client::connect(&server);
-    let pong = client.round_trip(r#"{"op":"ping","id":"p"}"#);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let pong = client
+        .round_trip(r#"{"op":"ping","id":"p"}"#)
+        .expect("round trip");
     assert_eq!(status(&pong), "ok");
     assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
-    let stats = client.round_trip(r#"{"op":"stats"}"#);
+    let stats = client.round_trip(r#"{"op":"stats"}"#).expect("round trip");
     let obj = stats.get("stats").expect("stats object");
     for key in [
         "requests",
@@ -350,19 +322,23 @@ fn shutdown_op_drains_in_flight_work_before_join_returns() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // Three slow requests in flight, then shutdown.
     for i in 0..3 {
-        client.send(&DAXPY.replace("rt1", &format!("d{i}")));
+        client
+            .send(&DAXPY.replace("rt1", &format!("d{i}")))
+            .expect("send");
     }
-    let draining = client.round_trip(r#"{"op":"shutdown","id":"s"}"#);
+    let draining = client
+        .round_trip(r#"{"op":"shutdown","id":"s"}"#)
+        .expect("round trip");
     bsched_faults::clear();
     assert_eq!(draining.get("draining").and_then(Json::as_bool), Some(true));
     let started = Instant::now();
     // Every in-flight response still arrives, then the server exits.
     let mut seen = Vec::new();
     for _ in 0..3 {
-        let v = client.recv();
+        let v = client.recv().expect("response");
         assert_eq!(status(&v), "ok", "{v:?}");
         seen.push(v.get("id").and_then(Json::as_str).unwrap_or("").to_owned());
     }
@@ -381,26 +357,22 @@ fn shutdown_op_drains_in_flight_work_before_join_returns() {
 #[test]
 fn connection_caught_mid_line_at_drain_gets_a_typed_overloaded() {
     let server = small_server();
-    let mut client = Client::connect(&server);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // Half a schedule request: bytes on the wire, no terminating newline.
     client
-        .writer
+        .stream()
         .write_all(br#"{"op":"schedule","id":"half"#)
         .expect("send partial");
-    client.writer.flush().expect("flush partial");
+    client.stream().flush().expect("flush partial");
     // Let the IO thread read the fragment into the connection buffer.
     std::thread::sleep(Duration::from_millis(100));
     server.begin_shutdown();
-    let v = client.recv();
+    let v = client.recv().expect("response");
     assert_eq!(status(&v), "overloaded", "{v:?}");
     assert_eq!(v.get("retry").and_then(Json::as_bool), Some(true));
     // After the notice the server closes the connection cleanly.
-    let mut line = String::new();
-    assert_eq!(
-        client.reader.read_line(&mut line).expect("read eof"),
-        0,
-        "expected EOF after the drain notice, got {line:?}"
-    );
+    let line = client.recv_line().expect("read eof");
+    assert_eq!(line, None, "expected EOF after the drain notice");
     server.join();
 }
 
@@ -416,18 +388,20 @@ fn responses_can_arrive_out_of_order_and_ids_disambiguate() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(&server);
-    client.send(&DAXPY.replace("rt1", "slow"));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.send(&DAXPY.replace("rt1", "slow")).expect("send");
     // Give the slow request time to claim the limit=1 fault before the
     // fast one races it to the fault point.
     std::thread::sleep(Duration::from_millis(50));
-    client.send(
-        &DAXPY
-            .replace("rt1", "fast")
-            .replace("\"runs\":3", "\"runs\":4"),
-    );
-    let first = client.recv();
-    let second = client.recv();
+    client
+        .send(
+            &DAXPY
+                .replace("rt1", "fast")
+                .replace("\"runs\":3", "\"runs\":4"),
+        )
+        .expect("send");
+    let first = client.recv().expect("response");
+    let second = client.recv().expect("response");
     bsched_faults::clear();
     assert_eq!(first.get("id").and_then(Json::as_str), Some("fast"));
     assert_eq!(second.get("id").and_then(Json::as_str), Some("slow"));

@@ -10,68 +10,9 @@ use std::time::{Duration, Instant};
 
 use bsched_analyze::json::{self, Json};
 use bsched_serve::{
-    is_chunk_line, is_stream_end, reassemble_stream, split_stream, Router, RouterConfig, Server,
-    ServerConfig,
+    blank_service_us, is_chunk_line, is_stream_end, reassemble_stream, split_stream, Client,
+    Router, RouterConfig, Server, ServerConfig,
 };
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-    }
-
-    fn recv_line(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server hung up instead of responding");
-        line.trim_end().to_owned()
-    }
-
-    /// Reads one full stream off the wire: every chunk line up to and
-    /// including the terminal summary line.
-    fn recv_stream(&mut self) -> (Vec<String>, String) {
-        let mut chunks = Vec::new();
-        loop {
-            let line = self.recv_line();
-            if is_stream_end(&line) {
-                return (chunks, line);
-            }
-            assert!(is_chunk_line(&line), "unexpected line mid-stream: {line}");
-            chunks.push(line);
-        }
-    }
-}
-
-/// Blanks the wall-clock `service_us` field so two responses for the
-/// same cached request compare byte-for-byte.
-fn normalize(line: &str) -> String {
-    const NEEDLE: &str = "\"service_us\":";
-    let mut out = String::with_capacity(line.len());
-    let mut rest = line;
-    while let Some(at) = rest.find(NEEDLE) {
-        let tail = &rest[at + NEEDLE.len()..];
-        let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
-        out.push_str(&rest[..at + NEEDLE.len()]);
-        out.push('0');
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
-}
 
 fn small_server() -> Server {
     Server::start(ServerConfig {
@@ -90,23 +31,22 @@ const STREAMED: &str =
 #[test]
 fn streamed_response_reassembles_bit_identical_to_the_plain_one() {
     let server = small_server();
-    let mut client = Client::connect(server.local_addr());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
     // First request computes and fills the cache; the second (plain)
     // is the cache-hit reference the streamed replay must match.
-    client.send(PLAIN);
-    let _ = client.recv_line();
-    client.send(PLAIN);
-    let plain = client.recv_line();
-    client.send(STREAMED);
-    let (chunks, terminal) = client.recv_stream();
+    client.round_trip(PLAIN).expect("round trip");
+    client.send(PLAIN).expect("send");
+    let plain = client.recv_line().expect("read").expect("response line");
+    client.send(STREAMED).expect("send");
+    let (chunks, terminal) = client.recv_stream().expect("stream");
     assert!(!chunks.is_empty(), "a multi-block response must chunk");
     for (i, chunk) in chunks.iter().enumerate() {
         assert!(chunk.contains(&format!("\"seq\":{i}")), "bad seq: {chunk}");
     }
     let reassembled = reassemble_stream(&chunks, &terminal).expect("reassemble");
     assert_eq!(
-        normalize(&reassembled),
-        normalize(&plain),
+        blank_service_us(&reassembled),
+        blank_service_us(&plain),
         "streamed bytes differ from the plain response"
     );
     server.begin_shutdown();
@@ -116,13 +56,15 @@ fn streamed_response_reassembles_bit_identical_to_the_plain_one() {
 #[test]
 fn stream_and_plain_interleave_on_one_pipelined_connection() {
     let server = small_server();
-    let mut client = Client::connect(server.local_addr());
-    client.send(STREAMED);
-    client.send(
-        &PLAIN
-            .replace("\"id\":\"s1\"", "\"id\":\"pb\"")
-            .replace("mdg", "adm"),
-    );
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.send(STREAMED).expect("send");
+    client
+        .send(
+            &PLAIN
+                .replace("\"id\":\"s1\"", "\"id\":\"pb\"")
+                .replace("mdg", "adm"),
+        )
+        .expect("send");
     let mut chunks = Vec::new();
     let mut terminal = None;
     let mut plain = None;
@@ -130,7 +72,7 @@ fn stream_and_plain_interleave_on_one_pipelined_connection() {
     // whole stream is written as one blob, so its lines never split
     // around the plain response.
     while terminal.is_none() || plain.is_none() {
-        let line = client.recv_line();
+        let line = client.recv_line().expect("read").expect("response line");
         if is_chunk_line(&line) {
             chunks.push(line);
         } else if is_stream_end(&line) {
@@ -154,14 +96,14 @@ fn stream_and_plain_interleave_on_one_pipelined_connection() {
 fn client_disconnect_mid_stream_leaves_the_server_healthy() {
     let server = small_server();
     {
-        let mut doomed = Client::connect(server.local_addr());
-        doomed.send(STREAMED);
+        let mut doomed = Client::connect(server.local_addr()).expect("connect");
+        doomed.send(STREAMED).expect("send");
         // Vanish without reading a byte of the stream.
     }
     std::thread::sleep(Duration::from_millis(150));
-    let mut client = Client::connect(server.local_addr());
-    client.send(PLAIN);
-    let v = json::parse(&client.recv_line()).expect("parses");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.send(PLAIN).expect("send");
+    let v = client.recv().expect("response");
     assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
     server.begin_shutdown();
     server.join();
@@ -174,9 +116,9 @@ fn oversized_request_line_gets_a_typed_too_large_error_then_close() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(server.local_addr());
-    client.send(&"x".repeat(4096));
-    let v = json::parse(&client.recv_line()).expect("parses");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.send(&"x".repeat(4096)).expect("send");
+    let v = client.recv().expect("response");
     assert_eq!(
         v.get("status").and_then(Json::as_str),
         Some("error"),
@@ -184,15 +126,11 @@ fn oversized_request_line_gets_a_typed_too_large_error_then_close() {
     );
     assert_eq!(v.get("kind").and_then(Json::as_str), Some("too_large"));
     assert_eq!(v.get("limit_bytes").and_then(Json::as_u64), Some(1024));
-    let mut line = String::new();
-    assert_eq!(
-        client.reader.read_line(&mut line).expect("read eof"),
-        0,
-        "expected EOF after too_large, got {line:?}"
-    );
-    let mut probe = Client::connect(server.local_addr());
-    probe.send(r#"{"op":"stats"}"#);
-    let stats = json::parse(&probe.recv_line()).expect("stats parse");
+    let line = client.recv_line().expect("read eof");
+    assert_eq!(line, None, "expected EOF after too_large");
+    let mut probe = Client::connect(server.local_addr()).expect("connect");
+    probe.send(r#"{"op":"stats"}"#).expect("send");
+    let stats = probe.recv().expect("stats");
     assert_eq!(
         stats
             .get("stats")
@@ -238,10 +176,10 @@ fn slow_consumer_is_disconnected_once_its_backlog_exceeds_the_cap() {
         ..ServerConfig::default()
     })
     .expect("start server");
-    let mut client = Client::connect(server.local_addr());
-    shrink_rcvbuf(&client.writer);
-    client.send(PLAIN);
-    let warm = client.recv_line();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    shrink_rcvbuf(client.stream());
+    client.send(PLAIN).expect("send");
+    let warm = client.recv_line().expect("read").expect("response line");
 
     // Enough cached responses to overwhelm the cap and every kernel
     // buffer in between (tcp_wmem caps the server side at ~4 MiB).
@@ -257,14 +195,14 @@ fn slow_consumer_is_disconnected_once_its_backlog_exceeds_the_cap() {
     }
     // The server may cut the connection while the burst is still being
     // written; that is the expected outcome, not a test failure.
-    let _ = client.writer.write_all(&frame);
-    let _ = client.writer.flush();
+    let _ = client.stream().write_all(&frame);
+    let _ = client.stream().flush();
 
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let mut probe = Client::connect(server.local_addr());
-        probe.send(r#"{"op":"stats"}"#);
-        let stats = json::parse(&probe.recv_line()).expect("stats parse");
+        let mut probe = Client::connect(server.local_addr()).expect("connect");
+        probe.send(r#"{"op":"stats"}"#).expect("send");
+        let stats = probe.recv().expect("stats");
         let dropped = stats
             .get("stats")
             .and_then(|s| s.get("slow_consumers"))
@@ -318,13 +256,13 @@ fn shard_death_mid_stream_becomes_a_typed_stream_aborted_terminator() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
+    let mut client = Client::connect(router.local_addr()).expect("connect");
     client.send(
         r#"{"op":"schedule","id":"za","benchmark":"mdg","system":"L80(2,5)","runs":2,"stream":true}"#,
-    );
-    let first = client.recv_line();
+    ).expect("send");
+    let first = client.recv_line().expect("read").expect("response line");
     assert!(is_chunk_line(&first), "expected the relayed chunk: {first}");
-    let second = client.recv_line();
+    let second = client.recv_line().expect("read").expect("response line");
     assert!(
         is_stream_end(&second),
         "mid-stream death must still terminate the stream: {second}"
@@ -350,16 +288,15 @@ fn router_relays_streams_bit_identical_to_the_direct_path() {
         ..RouterConfig::default()
     })
     .expect("start router");
-    let mut client = Client::connect(router.local_addr());
-    client.send(PLAIN);
-    let _ = client.recv_line();
-    client.send(PLAIN);
-    let plain = client.recv_line();
-    client.send(STREAMED);
-    let (chunks, terminal) = client.recv_stream();
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    client.round_trip(PLAIN).expect("round trip");
+    client.send(PLAIN).expect("send");
+    let plain = client.recv_line().expect("read").expect("response line");
+    client.send(STREAMED).expect("send");
+    let (chunks, terminal) = client.recv_stream().expect("stream");
     assert!(!chunks.is_empty());
     let reassembled = reassemble_stream(&chunks, &terminal).expect("reassemble");
-    assert_eq!(normalize(&reassembled), normalize(&plain));
+    assert_eq!(blank_service_us(&reassembled), blank_service_us(&plain));
     router.begin_shutdown();
     router.join();
     for s in [a, b] {

@@ -75,7 +75,7 @@ echo "current:  ${current_ms}ms (best of $REPS, BSCHED_RUNS=$RUNS)" >&2
 echo "serve pass (loadgen, 2 passes + concurrency sweep)..." >&2
 cargo build --release -q -p bsched-serve
 ./target/release/bsched-loadgen \
-    --spawn --io-threads 2 --clients 8 --passes 2 --runs $RUNS \
+    --spawn --clients 8 --passes 2 --runs $RUNS \
     --burst 16 --sweep 1,2,4,8,16,32,64 \
     --expect-hit-rate 90 --out BENCH_serve.json
 echo "wrote BENCH_serve.json (incl. sweep curve)" >&2
@@ -92,8 +92,8 @@ echo "wrote BENCH_serve.json (incl. sweep curve)" >&2
 #   3. --scaleout measures the 1/2/3-shard aggregate-throughput curve on
 #      a service-time-bound mix (see EXPERIMENTS.md for why that makes
 #      the curve portable to small CI hosts).
-# The "fleet", "membership", and "scaleout" report sections are merged
-# into BENCH_serve.json so one file carries all the serving numbers.
+# The fleet run's report, with its "fleet", "membership", and
+# "scaleout" sections, is BENCH_fleet.json.
 # Exit code is the gate: any dropped request, a cold restart, or a
 # failed membership transition fails the bench.
 echo "fleet chaos pass (kill-one, add/drain membership, scale-out curve)..." >&2
@@ -105,37 +105,19 @@ fleet_dir=$(mktemp -d /tmp/bsched-fleet.XXXXXX)
     --add-shard-at 8 --drain-shard-at 16 --scaleout 1,2,3 \
     --expect-hit-rate 90 --out BENCH_fleet.json
 rm -rf "$fleet_dir"
-# Splice the fleet/membership/scaleout sections into BENCH_serve.json:
-# replace its closing brace with ,"fleet":{...},...} pulled from the
-# fleet run's report (everything after ,"fleet": up to the final brace).
-fleet_json=$(sed -n 's/.*,"fleet":\({.*\)}$/\1/p' BENCH_fleet.json)
-if [ -n "$fleet_json" ]; then
-    sed -i "s/}\$/,\"fleet\":${fleet_json}}/" BENCH_serve.json
-    rm -f BENCH_fleet.json
-    echo "merged fleet/membership/scaleout sections into BENCH_serve.json" >&2
-else
-    echo "warning: no fleet section found in BENCH_fleet.json; kept it separate" >&2
-fi
+echo "wrote BENCH_fleet.json" >&2
 
 # --- Autotuner pass -----------------------------------------------------
 # Search-based policy tuning over all eight stand-ins under the paper's
 # N(30,5) network. The tool writes BENCH_tune.json atomically
 # (temp+rename), and each stand-in's search runs under its own
 # crash-safe journal, so an interrupted pass resumes instead of
-# restarting. A compact "tune" section is then spliced into
-# BENCH_serve.json with the same last-line sed idiom as "fleet", so one
-# file still carries every serving-adjacent number.
+# restarting. BENCH_tune.json is the record.
 echo "tune pass (beam search over all stand-ins)..." >&2
 ./target/release/bsched tune --benchmarks --seed 42 --runs $RUNS \
     --journal results/.tune-journal --bench-out BENCH_tune.json
 rm -f results/.tune-journal*.jsonl
-tune_json=$(tr -s ' \n' ' ' < BENCH_tune.json | sed 's/^ //; s/ $//')
-if [ -n "$tune_json" ]; then
-    sed -i "\$ s|}\$|,\"tune\":${tune_json}}|" BENCH_serve.json
-    echo "merged tune section into BENCH_serve.json" >&2
-else
-    echo "warning: BENCH_tune.json is empty; skipped the serve-report splice" >&2
-fi
+echo "wrote BENCH_tune.json" >&2
 
 # Shallow clones and fresh checkouts may not carry the baseline commit;
 # fail with a clear message instead of a cryptic worktree error.

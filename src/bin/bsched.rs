@@ -479,7 +479,6 @@ fn route_cmd(args: &Args) -> Result<(), String> {
 /// Sends a single control op to a running router, prints the response
 /// line, and exits non-zero unless the router answered `status: ok`.
 fn control_cmd(args: &Args) -> Result<(), String> {
-    use std::io::Write;
     let router = args.flag("control").unwrap_or_default().to_owned();
     if router.is_empty() || !router.contains(':') {
         return Err("--control: give the router address (host:port)".to_owned());
@@ -508,19 +507,15 @@ fn control_cmd(args: &Args) -> Result<(), String> {
     if picked.next().is_some() {
         return Err("--control: give exactly one membership op".to_owned());
     }
-    let mut stream = std::net::TcpStream::connect(&router)
-        .map_err(|e| format!("--control: connect {router}: {e}"))?;
+    let mut client = balanced_scheduling::serve::Client::connect(router.as_str())
+        .map_err(|e| format!("--control: {e}"))?;
     // Draining waits for in-flight work (up to ~10s server-side), so
     // give the response read generous headroom.
-    stream
+    let response = client
         .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .map_err(|e| format!("--control: {e}"))?;
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .map_err(|e| format!("--control: send to {router}: {e}"))?;
-    let mut reader = std::io::BufReader::new(stream);
-    let response = balanced_scheduling::serve::read_line_bounded(&mut reader, 64 * 1024 * 1024)
-        .map_err(|e| format!("--control: read from {router}: {e}"))?
+        .and_then(|()| client.send(&line))
+        .and_then(|()| client.recv_line())
+        .map_err(|e| format!("--control: {router}: {e}"))?
         .ok_or_else(|| format!("--control: {router} closed without responding"))?;
     println!("{response}");
     if response.contains("\"status\":\"ok\"") {
