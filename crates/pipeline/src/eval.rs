@@ -1,12 +1,14 @@
 //! Measurement: the §4.3 simulation and bootstrap protocol.
 
+use std::borrow::Borrow;
+
 use bsched_cpusim::{simulate_block_traced, try_simulate_runs_stats, ProcessorModel};
 use bsched_memsim::LatencyModel;
 use bsched_stats::{bootstrap_means, paired_improvement, Improvement, Pcg32};
 use bsched_verify::{verify_timeline, ValidationLevel};
 
 use crate::error::PipelineError;
-use crate::pipeline::CompiledProgram;
+use crate::pipeline::{CompiledBlock, CompiledProgram};
 
 /// Measurement protocol parameters.
 #[derive(Debug, Clone, Copy)]
@@ -100,16 +102,19 @@ impl ProgramEval {
 }
 
 /// One block's contribution to the program-level statistics: the
-/// bootstrap means of its run times plus its mean interlock count. A
-/// pure function of `(block, index, config)` — every random stream is
+/// bootstrap means of its run times plus its mean interlock count.
+pub(crate) type BlockStats = (Vec<f64>, f64);
+
+/// Computes a block's [`BlockStats`]. A pure function of `(block, index,
+/// config)` for a stateless memory model — every random stream is
 /// counter-split from the master seed — so blocks can be computed in any
 /// order, on any thread, with identical results.
-fn block_stats(
-    cb: &crate::pipeline::CompiledBlock,
+pub(crate) fn block_stats(
+    cb: &CompiledBlock,
     index: usize,
     mem: &dyn LatencyModel,
     config: &EvalConfig,
-) -> Result<(Vec<f64>, f64), PipelineError> {
+) -> Result<BlockStats, PipelineError> {
     let sim_root = Pcg32::seed_from_u64(config.seed);
     let boot_root = Pcg32::seed_from_u64(config.seed ^ 0xB007_5742_u64);
     let block_rng = sim_root.split(index as u64);
@@ -150,16 +155,16 @@ fn block_stats(
 /// Folds per-block statistics into a [`ProgramEval`], always in block
 /// order so floating-point accumulation is identical however the
 /// per-block work was scheduled.
-fn combine(
+fn combine<'a>(
     program: &CompiledProgram,
-    per_block: Vec<(Vec<f64>, f64)>,
+    per_block: impl IntoIterator<Item = &'a BlockStats>,
     config: &EvalConfig,
 ) -> ProgramEval {
     let mut bootstrap_runtimes = vec![0.0; config.resamples];
     let mut mean_interlocks = 0.0;
     for (cb, (means, interlocks)) in program.blocks.iter().zip(per_block) {
         let freq = cb.block.frequency();
-        for (total, m) in bootstrap_runtimes.iter_mut().zip(&means) {
+        for (total, m) in bootstrap_runtimes.iter_mut().zip(means) {
             *total += m * freq;
         }
         mean_interlocks += interlocks * freq;
@@ -222,16 +227,39 @@ pub fn try_evaluate(
     mem: &dyn LatencyModel,
     config: &EvalConfig,
 ) -> Result<ProgramEval, PipelineError> {
-    match mem.as_sync() {
+    evaluate_blocks(program, mem, config, |i, cb, mem| {
+        block_stats(cb, i, mem, config)
+    })
+}
+
+/// Runs `stats` on every block of `program` — fanned out over the thread
+/// pool when `mem` can be shared between threads and more than one
+/// thread is available, otherwise on the calling thread — and folds the
+/// results in block order.
+pub(crate) fn evaluate_blocks<S: Borrow<BlockStats> + Send>(
+    program: &CompiledProgram,
+    mem: &dyn LatencyModel,
+    config: &EvalConfig,
+    stats: impl Fn(usize, &CompiledBlock, &dyn LatencyModel) -> Result<S, PipelineError> + Sync,
+) -> Result<ProgramEval, PipelineError> {
+    let per_block: Vec<S> = match mem.as_sync() {
         Some(sync_mem) if bsched_par::max_threads() > 1 => {
-            let per_block = bsched_par::parallel_map(&program.blocks, |i, cb| {
-                block_stats(cb, i, sync_mem, config)
-            });
-            let per_block = per_block.into_iter().collect::<Result<Vec<_>, _>>()?;
-            Ok(combine(program, per_block, config))
+            bsched_par::parallel_map(&program.blocks, |i, cb| stats(i, cb, sync_mem))
+                .into_iter()
+                .collect::<Result<_, _>>()?
         }
-        _ => try_evaluate_serial(program, mem, config),
-    }
+        _ => program
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(i, cb)| stats(i, cb, mem))
+            .collect::<Result<_, _>>()?,
+    };
+    Ok(combine(
+        program,
+        per_block.iter().map(Borrow::borrow),
+        config,
+    ))
 }
 
 /// [`try_evaluate`] restricted to the calling thread.
@@ -250,7 +278,7 @@ pub fn try_evaluate_serial(
         .enumerate()
         .map(|(i, cb)| block_stats(cb, i, mem, config))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(combine(program, per_block, config))
+    Ok(combine(program, &per_block, config))
 }
 
 /// Pairs a traditional-scheduler evaluation with a balanced one and

@@ -14,7 +14,9 @@
 //! [`Pipeline::compile`] performs the two scheduling passes around
 //! register allocation (§4.1); [`evaluate`] runs the §4.3 measurement
 //! protocol; [`compare`] pairs two evaluations into the percentage
-//! improvement the paper's tables report.
+//! improvement the paper's tables report. A [`StageMemo`] runs the same
+//! compile and measurement incrementally across many scheduling choices
+//! for one function (the autotuner's inner loop).
 //!
 //! # Example
 //!
@@ -50,6 +52,7 @@
 
 pub mod error;
 pub mod eval;
+pub mod memo;
 pub mod pipeline;
 pub mod policy;
 
@@ -58,6 +61,7 @@ pub use eval::{
     compare, evaluate, evaluate_serial, try_evaluate, try_evaluate_serial, EvalConfig, ProgramEval,
     DEFAULT_CYCLE_BUDGET,
 };
+pub use memo::{MemoProgram, StageMemo};
 pub use pipeline::{
     AllocationStrategy, AnalysisGate, CompiledBlock, CompiledProgram, Pipeline, SchedulerChoice,
 };

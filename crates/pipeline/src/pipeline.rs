@@ -1,16 +1,16 @@
 //! Compilation: two list-scheduling passes around register allocation.
 
+use std::sync::Arc;
+
 use bsched_analyze::{Analyzer, Severity};
-use bsched_core::{
-    AverageParallelismWeights, BalancedWeights, BlendedWeights, Direction, ListScheduler, Ratio,
-    Rounding, TraditionalWeights, WeightAssigner,
-};
-use bsched_dag::{build_dag, AliasModel, ChancesMethod};
-use bsched_ir::{BasicBlock, Function};
+use bsched_core::{Direction, ListScheduler, Ratio, Rounding, Schedule, Weights};
+use bsched_dag::{build_dag, AliasModel, ChancesMethod, CodeDag};
+use bsched_ir::{BasicBlock, Function, InstId};
 use bsched_regalloc::{allocate, allocate_usage_count, rename_registers, AllocatorConfig};
 use bsched_verify::{verify_allocation, verify_schedule, ValidationLevel};
 
 use crate::error::{AnalyzeError, PipelineError};
+use crate::memo::{through, StageMemo};
 use crate::policy::{PolicySpec, WeightFamily};
 
 /// Whether the static analyzer gates compilation (`bsched-analyze`).
@@ -144,23 +144,16 @@ impl SchedulerChoice {
         }
     }
 
-    fn assigner(&self) -> Box<dyn WeightAssigner> {
+    /// The weight family a choice schedules with: the memo key that lets
+    /// a tuned policy share weights with the plain choice it matches.
+    fn family(&self) -> WeightFamily {
         match self {
-            SchedulerChoice::Balanced { method } => {
-                Box::new(BalancedWeights::new().with_method(*method))
+            SchedulerChoice::Balanced { method } => WeightFamily::Balanced { method: *method },
+            SchedulerChoice::Traditional { latency } => {
+                WeightFamily::Traditional { latency: *latency }
             }
-            SchedulerChoice::Traditional { latency } => Box::new(TraditionalWeights::new(*latency)),
-            SchedulerChoice::Average => Box::new(AverageParallelismWeights::new()),
-            SchedulerChoice::Tuned(spec) => match spec.family {
-                WeightFamily::Balanced { method } => {
-                    Box::new(BalancedWeights::new().with_method(method))
-                }
-                WeightFamily::Traditional { latency } => Box::new(TraditionalWeights::new(latency)),
-                WeightFamily::Average => Box::new(AverageParallelismWeights::new()),
-                WeightFamily::Blend { latency, share } => {
-                    Box::new(BlendedWeights::new(latency, share))
-                }
-            },
+            SchedulerChoice::Average => WeightFamily::Average,
+            SchedulerChoice::Tuned(spec) => spec.family,
         }
     }
 
@@ -281,6 +274,19 @@ impl Default for Pipeline {
     }
 }
 
+/// The allocator's output on one pass-1 order, renamed when the pipeline
+/// renames after allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct Allocated {
+    block: BasicBlock,
+    spill_count: usize,
+}
+
+/// The two list-scheduling orders that fix a compiled block exactly,
+/// given the pipeline and the input block: pass 1's order over the input
+/// and pass 2's over the allocated block (empty without a second pass).
+pub(crate) type OrderPair = (Vec<InstId>, Vec<InstId>);
+
 impl Pipeline {
     /// Compiles one block: schedule → allocate → reschedule.
     ///
@@ -297,67 +303,122 @@ impl Pipeline {
         block: &BasicBlock,
         choice: &SchedulerChoice,
     ) -> Result<CompiledBlock, PipelineError> {
-        // Optional pre-scheduling gate: reject blocks the static
-        // analyzer can prove degenerate before spending any scheduling
-        // or simulation work on them.
-        if let Some(threshold) = self.analysis.blocking_severity() {
-            let diags = Analyzer::new(self.alias).analyze_block(block, None);
-            let blocking: Vec<_> = diags
-                .into_iter()
-                .filter(|d| d.severity >= threshold)
-                .collect();
-            if !blocking.is_empty() {
-                return Err(AnalyzeError {
-                    block: block.name().to_owned(),
-                    diagnostics: blocking,
-                }
-                .into());
-            }
-        }
+        self.compile_stages(block, choice, None)
+            .map(|(compiled, _)| compiled)
+    }
 
-        let assigner = choice.assigner();
+    /// The one compile body, run stage by stage. With `memo` — a
+    /// [`StageMemo`] and the block's index in its function — each stage
+    /// that does not depend on the whole candidate is looked up before it
+    /// is computed, and the block's [`OrderPair`] comes back as the key of
+    /// its simulation results; without, every stage is computed.
+    pub(crate) fn compile_stages(
+        &self,
+        block: &BasicBlock,
+        choice: &SchedulerChoice,
+        memo: Option<(&StageMemo, usize)>,
+    ) -> Result<(CompiledBlock, Option<OrderPair>), PipelineError> {
+        self.analysis_gate(block)?;
+        let family = choice.family();
+        let assigner = family.assigner();
         let scheduler = choice.scheduler(self.direction, self.rounding);
 
         // Pass 1: virtual registers, maximal freedom.
-        let dag1 = build_dag(block, self.alias);
-        let sched1 = scheduler.run(&dag1, assigner.as_ref());
-        debug_assert!(sched1.verify(&dag1).is_ok());
-        if self.validation >= ValidationLevel::Schedule {
-            verify_schedule(block, sched1.order(), self.alias)?;
-        }
-        let ordered = sched1.apply(block);
+        let dag1 = through(memo.map(|(m, b)| (&m.dags, b)), || {
+            Arc::new(build_dag(block, self.alias))
+        });
+        let weights1 = through(memo.map(|(m, b)| (&m.weights1, (b, family))), || {
+            Arc::new(assigner.assign(&dag1))
+        });
+        let sched1 = self.schedule_pass(block, &dag1, &weights1, &scheduler)?;
 
         // Register allocation on the pass-1 order.
-        let alloc = match self.allocation {
-            AllocationStrategy::BeladyScan => allocate(&ordered, &self.allocator)?,
-            AllocationStrategy::UsageCount => allocate_usage_count(&ordered, &self.allocator)?,
+        let alloc = through(
+            memo.map(|(m, b)| (&m.allocs, (b, sched1.order().to_vec()))),
+            || self.allocate_stage(&sched1.apply(block)).map(Arc::new),
+        )?;
+
+        // Pass 2: integrate spill code under physical-register deps. Its
+        // DAG is rebuilt every time: it is cheap next to what it would
+        // cost to keep one per pass-1 order.
+        let spill_count = alloc.spill_count;
+        let (final_block, order2) = if self.second_pass {
+            let dag2 = build_dag(&alloc.block, self.alias);
+            let weights2 = through(
+                memo.map(|(m, b)| (&m.weights2, (b, sched1.order().to_vec(), family))),
+                || Arc::new(assigner.assign(&dag2)),
+            );
+            let sched2 = self.schedule_pass(&alloc.block, &dag2, &weights2, &scheduler)?;
+            (sched2.apply(&alloc.block), sched2.order().to_vec())
+        } else {
+            (Arc::unwrap_or_clone(alloc).block, Vec::new())
         };
-        let allocated_block = if self.rename_after_alloc {
+
+        let compiled = CompiledBlock {
+            block: final_block,
+            spill_count,
+        };
+        Ok((compiled, memo.map(|_| (sched1.order().to_vec(), order2))))
+    }
+
+    /// Optional pre-scheduling gate: reject blocks the static analyzer
+    /// can prove degenerate before spending any scheduling or simulation
+    /// work on them.
+    fn analysis_gate(&self, block: &BasicBlock) -> Result<(), PipelineError> {
+        let Some(threshold) = self.analysis.blocking_severity() else {
+            return Ok(());
+        };
+        let diags = Analyzer::new(self.alias).analyze_block(block, None);
+        let blocking: Vec<_> = diags
+            .into_iter()
+            .filter(|d| d.severity >= threshold)
+            .collect();
+        if blocking.is_empty() {
+            Ok(())
+        } else {
+            Err(AnalyzeError {
+                block: block.name().to_owned(),
+                diagnostics: blocking,
+            }
+            .into())
+        }
+    }
+
+    /// One list-scheduling pass over `block` under precomputed weights,
+    /// checked against a freshly built DAG at [`ValidationLevel::Schedule`]
+    /// and above.
+    fn schedule_pass(
+        &self,
+        block: &BasicBlock,
+        dag: &CodeDag,
+        weights: &Weights,
+        scheduler: &ListScheduler,
+    ) -> Result<Schedule, PipelineError> {
+        let sched = scheduler.run_with_weights(dag, weights);
+        debug_assert!(sched.verify(dag).is_ok());
+        if self.validation >= ValidationLevel::Schedule {
+            verify_schedule(block, sched.order(), self.alias)?;
+        }
+        Ok(sched)
+    }
+
+    /// Register allocation on a pass-1-ordered block, then optional
+    /// renaming, value-flow checked at [`ValidationLevel::Full`].
+    fn allocate_stage(&self, ordered: &BasicBlock) -> Result<Allocated, PipelineError> {
+        let alloc = match self.allocation {
+            AllocationStrategy::BeladyScan => allocate(ordered, &self.allocator)?,
+            AllocationStrategy::UsageCount => allocate_usage_count(ordered, &self.allocator)?,
+        };
+        let spill_count = alloc.spill_count();
+        let block = if self.rename_after_alloc {
             rename_registers(&alloc.block, &self.allocator)
         } else {
-            alloc.block.clone()
+            alloc.block
         };
         if self.validation >= ValidationLevel::Full {
-            verify_allocation(&ordered, &allocated_block, &self.allocator)?;
+            verify_allocation(ordered, &block, &self.allocator)?;
         }
-
-        // Pass 2: integrate spill code under physical-register deps.
-        let final_block = if self.second_pass {
-            let dag2 = build_dag(&allocated_block, self.alias);
-            let sched2 = scheduler.run(&dag2, assigner.as_ref());
-            debug_assert!(sched2.verify(&dag2).is_ok());
-            if self.validation >= ValidationLevel::Schedule {
-                verify_schedule(&allocated_block, sched2.order(), self.alias)?;
-            }
-            sched2.apply(&allocated_block)
-        } else {
-            allocated_block
-        };
-
-        Ok(CompiledBlock {
-            block: final_block,
-            spill_count: alloc.spill_count(),
-        })
+        Ok(Allocated { block, spill_count })
     }
 
     /// Compiles every block of `func`.
@@ -370,16 +431,32 @@ impl Pipeline {
         func: &Function,
         choice: &SchedulerChoice,
     ) -> Result<CompiledProgram, PipelineError> {
-        let blocks = func
-            .blocks()
-            .iter()
-            .map(|b| self.compile_block(b, choice))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CompiledProgram {
+        self.compile_function(func, choice, None)
+            .map(|(program, _)| program)
+    }
+
+    /// Compiles every block of `func` through [`compile_stages`](Self::compile_stages),
+    /// returning each block's [`OrderPair`] when compiling through `memo`
+    /// (and none without).
+    pub(crate) fn compile_function(
+        &self,
+        func: &Function,
+        choice: &SchedulerChoice,
+        memo: Option<&StageMemo>,
+    ) -> Result<(CompiledProgram, Vec<OrderPair>), PipelineError> {
+        let mut blocks = Vec::with_capacity(func.blocks().len());
+        let mut orders = Vec::new();
+        for (index, block) in func.blocks().iter().enumerate() {
+            let (compiled, pair) = self.compile_stages(block, choice, memo.map(|m| (m, index)))?;
+            blocks.push(compiled);
+            orders.extend(pair);
+        }
+        let program = CompiledProgram {
             name: func.name().to_owned(),
             scheduler: choice.name(),
             blocks,
-        })
+        };
+        Ok((program, orders))
     }
 }
 

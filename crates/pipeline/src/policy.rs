@@ -20,14 +20,17 @@
 use std::fmt;
 
 use bsched_analyze::json::{self, Json};
-use bsched_core::{Ratio, Rounding, TieBreakChain};
+use bsched_core::{
+    AverageParallelismWeights, BalancedWeights, BlendedWeights, Ratio, Rounding, TieBreakChain,
+    TraditionalWeights, WeightAssigner,
+};
 use bsched_dag::ChancesMethod;
 
 /// Magic/version tag of the JSON policy artifact.
 pub const POLICY_ARTIFACT_VERSION: &str = "bsched-policy-v1";
 
 /// The weight-function family a policy schedules with.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightFamily {
     /// The paper's balanced weights.
     Balanced {
@@ -48,6 +51,20 @@ pub enum WeightFamily {
         /// Balanced weight in the combination, in `[0, 1]`.
         share: Ratio,
     },
+}
+
+impl WeightFamily {
+    /// The weight assigner this family schedules with.
+    pub(crate) fn assigner(self) -> Box<dyn WeightAssigner> {
+        match self {
+            WeightFamily::Balanced { method } => {
+                Box::new(BalancedWeights::new().with_method(method))
+            }
+            WeightFamily::Traditional { latency } => Box::new(TraditionalWeights::new(latency)),
+            WeightFamily::Average => Box::new(AverageParallelismWeights::new()),
+            WeightFamily::Blend { latency, share } => Box::new(BlendedWeights::new(latency, share)),
+        }
+    }
 }
 
 /// One fully specified scheduling policy.

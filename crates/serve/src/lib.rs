@@ -28,7 +28,7 @@
 //! queueing unboundedly — shedding load is a response, not a hang. Two
 //! fault-injection sites extend the chaos harness to the serving path:
 //! `serve-reject` (admission rejects as if full) and `slow-worker`
-//! (workers sleep before evaluating).
+//! (workers sleep before evaluating; keyed by request id).
 //!
 //! The request evaluation itself — resolve the kernel, compile, analyze,
 //! simulate — lives here in [`evaluate_request`] so the server, tests,

@@ -367,7 +367,12 @@ fn run_schedule(
     req: &ScheduleRequest,
     admitted_at: Instant,
 ) -> String {
-    if let Some(fault) = fault_point!(Site::SlowWorker) {
+    // The request id is the fault cell context, so a plan can stall one
+    // request (e.g. `slow-worker:key=slow,limit=1`) and no other request
+    // can use up its limit.
+    let slow =
+        bsched_faults::with_cell_context(id.unwrap_or(""), 0, || fault_point!(Site::SlowWorker));
+    if let Some(fault) = slow {
         thread::sleep(Duration::from_millis(fault.arg));
     }
     if req.stall_us > 0 {

@@ -380,8 +380,13 @@ fn connection_caught_mid_line_at_drain_gets_a_typed_overloaded() {
 fn responses_can_arrive_out_of_order_and_ids_disambiguate() {
     let _guard = fault_lock();
     // First request stalls 300ms; second is a cache-miss but fast. With
-    // two workers the fast one overtakes the slow one.
-    bsched_faults::install("slow-worker:limit=1,arg=300".parse().expect("plan"));
+    // two workers the fast one overtakes the slow one. The plan is keyed
+    // by request id, so only the request with id "slow" can fire it.
+    bsched_faults::install(
+        "slow-worker:key=slow,limit=1,arg=300"
+            .parse()
+            .expect("plan"),
+    );
     let server = Server::start(ServerConfig {
         workers: 2,
         queue_capacity: 8,
@@ -390,8 +395,7 @@ fn responses_can_arrive_out_of_order_and_ids_disambiguate() {
     .expect("start server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.send(&DAXPY.replace("rt1", "slow")).expect("send");
-    // Give the slow request time to claim the limit=1 fault before the
-    // fast one races it to the fault point.
+    // Let the slow request reach its worker before the fast one is sent.
     std::thread::sleep(Duration::from_millis(50));
     client
         .send(

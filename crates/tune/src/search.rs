@@ -5,10 +5,13 @@
 //! through the full two-pass [`Pipeline`], pruned against the
 //! incumbent's score via the [`model`](crate::model) lower bound, and
 //! otherwise measured with the §4.3 protocol (`runs` seeded simulations,
-//! bootstrap mean). Every candidate runs under the optional per-candidate
-//! wall-clock timeout; a stuck candidate (e.g. the `tune-stall` fault
-//! site) is quarantined as [`CandidateOutcome::TimedOut`] and the search
-//! continues.
+//! bootstrap mean). Compile and measurement run incrementally through
+//! one [`StageMemo`] per search, so a candidate pays only for the stages
+//! no earlier candidate shared with it; scores are bit-identical to a
+//! fresh compile and evaluation. Every candidate runs under the optional
+//! per-candidate wall-clock timeout; a stuck candidate (e.g. the
+//! `tune-stall` fault site) is quarantined as
+//! [`CandidateOutcome::TimedOut`] and the search continues.
 //!
 //! Determinism: batches are evaluated with
 //! [`parallel_map_with`](bsched_par::parallel_map_with) under the
@@ -29,7 +32,7 @@ use bsched_faults::{fault_point, Site};
 use bsched_ir::Function;
 use bsched_memsim::{LatencyModel, MemorySystem};
 use bsched_par::{parallel_map_with, run_with_timeout};
-use bsched_pipeline::{try_evaluate, EvalConfig, Pipeline, PolicySpec, SchedulerChoice};
+use bsched_pipeline::{EvalConfig, Pipeline, PolicySpec, SchedulerChoice, StageMemo};
 use bsched_stats::Pcg32;
 
 use crate::journal::{fingerprint_mix, CandidateOutcome, TuneJournal};
@@ -186,12 +189,10 @@ impl fmt::Display for TuneError {
 impl std::error::Error for TuneError {}
 
 /// Everything a candidate evaluation needs, cheaply cloneable into the
-/// watchdog thread.
+/// watchdog thread: the search's [`StageMemo`] holds the function,
+/// pipeline, memory system and protocol.
 struct Ctx {
-    function: Arc<Function>,
-    system: MemorySystem,
-    pipeline: Pipeline,
-    eval: EvalConfig,
+    memo: Arc<StageMemo>,
     timeout: Option<Duration>,
 }
 
@@ -200,14 +201,21 @@ enum EvalResult {
     Pruned,
 }
 
-/// Compiles, bound-checks, and (if it survives) measures one candidate.
-/// Pure given `(spec, incumbent)` and the context — both drivers rely on
-/// this for thread-count-independent results.
+/// Compiles, bound-checks, and (if it survives) measures one candidate,
+/// incrementally through the search's memo. Pure given `(spec,
+/// incumbent)` and the context — both drivers rely on this for
+/// thread-count-independent results.
 fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec, incumbent: Option<f64>) -> EvalResult {
-    let function = Arc::clone(&ctx.function);
-    let system = ctx.system;
-    let pipeline = ctx.pipeline;
-    let eval = ctx.eval;
+    // Fault sites inside the memoized stages (allocation, simulation)
+    // decide per candidate context, so under a fault plan a stage's
+    // result is not a function of its key alone. Each candidate then
+    // gets a memo of its own, and a plan fires exactly for the
+    // candidates it names.
+    let memo = if bsched_faults::active() {
+        Arc::new(ctx.memo.fresh())
+    } else {
+        Arc::clone(&ctx.memo)
+    };
     // The candidate's canonical string is the fault cell context, so a
     // plan can target one candidate (e.g. `tune-stall:key=family=average`)
     // and the quarantine test can prove the rest of the search survives.
@@ -218,16 +226,21 @@ fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec, incumbent: Option<f64>) -> Ev
                 std::thread::sleep(Duration::from_millis(fault.arg));
             }
             let choice = SchedulerChoice::Tuned(spec);
-            let compiled = match pipeline.compile(&function, &choice) {
+            let compiled = match memo.compile(&choice) {
                 Ok(c) => c,
                 Err(e) => return EvalResult::Outcome(CandidateOutcome::Failed(e.to_string())),
             };
             if let Some(best) = incumbent {
-                if schedule_lower_bound(&compiled, eval.issue_width, pipeline.alias) >= best {
+                let bound = schedule_lower_bound(
+                    compiled.program(),
+                    memo.eval_config().issue_width,
+                    memo.pipeline().alias,
+                );
+                if bound >= best {
                     return EvalResult::Pruned;
                 }
             }
-            match try_evaluate(&compiled, &system, &eval) {
+            match memo.evaluate(&compiled) {
                 Ok(e) => EvalResult::Outcome(CandidateOutcome::Score(e.mean_runtime)),
                 Err(e) => EvalResult::Outcome(CandidateOutcome::Failed(e.to_string())),
             }
@@ -499,6 +512,36 @@ pub fn tune(
     system: &MemorySystem,
     cfg: &TuneConfig,
 ) -> Result<TuneReport, TuneError> {
+    search(
+        function,
+        system,
+        cfg,
+        Arc::new(stage_memo(function, system, cfg)),
+    )
+}
+
+/// The memo one search evaluates every candidate through.
+fn stage_memo(function: &Function, system: &MemorySystem, cfg: &TuneConfig) -> StageMemo {
+    let pipeline = Pipeline {
+        alias: cfg.alias,
+        ..Pipeline::default()
+    };
+    let eval = EvalConfig {
+        runs: cfg.runs,
+        processor: cfg.processor,
+        seed: cfg.seed,
+        ..EvalConfig::default()
+    };
+    StageMemo::new(pipeline, function.clone(), *system, eval)
+}
+
+/// [`tune`] through a given memo.
+fn search(
+    function: &Function,
+    system: &MemorySystem,
+    cfg: &TuneConfig,
+    memo: Arc<StageMemo>,
+) -> Result<TuneReport, TuneError> {
     if function.blocks().is_empty() {
         return Err(TuneError::EmptyFunction);
     }
@@ -520,18 +563,7 @@ pub fn tune(
         None => None,
     };
     let ctx = Ctx {
-        function: Arc::new(function.clone()),
-        system: *system,
-        pipeline: Pipeline {
-            alias: cfg.alias,
-            ..Pipeline::default()
-        },
-        eval: EvalConfig {
-            runs: cfg.runs,
-            processor: cfg.processor,
-            seed: cfg.seed,
-            ..EvalConfig::default()
-        },
+        memo,
         timeout: cfg.candidate_timeout,
     };
     let mut search = SearchState {
@@ -613,6 +645,28 @@ mod tests {
         assert_eq!(shape(&original), shape(&edited));
         assert_eq!(fp(&original), fp(&function(DAXPY)));
         assert_ne!(fp(&original), fp(&edited));
+    }
+
+    #[test]
+    fn beam_search_builds_each_dag_once_and_simulates_each_order_pair_once() {
+        let func = function(DAXPY);
+        let system: MemorySystem = "N(30,5)".parse().unwrap();
+        let cfg = TuneConfig {
+            runs: 5,
+            threads: 1,
+            ..TuneConfig::default()
+        };
+        let memo = Arc::new(stage_memo(&func, &system, &cfg));
+        let report = search(&func, &system, &cfg, Arc::clone(&memo)).unwrap();
+        let counts = memo.counts();
+        let blocks = func.blocks().len();
+        assert_eq!(counts.dags.computed, blocks, "{counts:?}");
+        assert_eq!(counts.dags.entries, blocks, "{counts:?}");
+        assert_eq!(counts.stats.computed, counts.stats.entries, "{counts:?}");
+        // Reuse is real: candidates that land on an already-simulated
+        // order pair cost no simulation at all.
+        let measured = report.evaluated * blocks;
+        assert!(counts.stats.entries < measured, "{counts:?} vs {measured}");
     }
 
     #[test]
