@@ -9,8 +9,9 @@
 //! the cell line codec and the environment hook.
 //!
 //! The fingerprint covers everything that determines cell values (master
-//! seed, runs, fault plan, and the shape of the job list); a mismatch is
-//! reported on stderr by [`from_env`].
+//! seed, runs, fault plan, the shape of the job list, and the validation
+//! level, analysis gate and cycle budget that decide whether a cell
+//! fails); a mismatch is reported on stderr by [`from_env`].
 
 use bsched_analyze::journal::{hex, unhex, Record};
 use bsched_analyze::json::{self, Json};
@@ -40,8 +41,9 @@ pub enum JournalEntry {
 /// Opens the journal named by `BSCHED_JOURNAL`, if set. I/O failures
 /// are reported to stderr and disable journaling rather than abort the
 /// run; a fingerprint mismatch (the journal came from a run with a
-/// different seed, run count, job list, or fault plan) reports how many
-/// recorded cells were discarded.
+/// different seed, run count, job list, fault plan, validation level,
+/// analysis gate or cycle budget) reports how many recorded cells were
+/// discarded.
 #[must_use]
 pub fn from_env(fingerprint: &str) -> Option<Journal> {
     let path = std::env::var("BSCHED_JOURNAL").ok()?;
@@ -53,7 +55,8 @@ pub fn from_env(fingerprint: &str) -> Option<Journal> {
             if j.discarded() > 0 {
                 eprintln!(
                     "warning: BSCHED_JOURNAL={path}: fingerprint changed (seed, runs, \
-                     job list, or fault plan differ); discarded {} recorded cell{} \
+                     job list, fault plan, validation, analysis or cycle budget differ); \
+                     discarded {} recorded cell{} \
                      instead of resuming",
                     j.discarded(),
                     if j.discarded() == 1 { "" } else { "s" }

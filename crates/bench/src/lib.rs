@@ -12,16 +12,18 @@
 //! | `table5`  | Table 5 — the N(30,5) pathology |
 //! | `figure2` | Fig. 2 — the three example schedules |
 //! | `figure3` | Fig. 3 — interlocks vs actual latency for those schedules |
+//! | `ablation` | DESIGN.md §5 ablations — whole-workload runtime per variant |
+//! | `scaling` | §3 complexity claim — median wall time per block size |
 //!
 //! Run them with `cargo run --release -p bsched-bench --bin table2`.
-//! Every binary honours `BSCHED_RUNS` (simulation runs per block,
-//! default 30) and `BSCHED_SEED` (master seed, default matches
+//! The table and figure binaries honour `BSCHED_RUNS` (simulation runs
+//! per block, default 30) and `BSCHED_SEED` (master seed, default matches
 //! `EvalConfig::default`), so results are reproducible and a quick smoke
 //! run is one environment variable away. `BSCHED_THREADS` caps the
-//! worker threads used by [`run_cells`] and the per-block parallelism in
-//! `evaluate` — any value produces identical output, because all
-//! randomness is counter-split from the master seed and results are
-//! folded in deterministic order.
+//! worker threads used by [`run_cells_reported`] and the per-block
+//! parallelism in `evaluate` — any value produces identical output,
+//! because all randomness is counter-split from the master seed and
+//! results are folded in deterministic order.
 
 #![warn(missing_docs)]
 
@@ -31,14 +33,15 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use bsched_analyze::journal::fingerprint_mix;
+use bsched_analyze::json;
 use bsched_analyze::FailureKind;
 use bsched_core::Ratio;
 use bsched_cpusim::ProcessorModel;
 use bsched_faults::{fault_point, Site};
 use bsched_memsim::{CacheModel, LatencyModel, MemorySystem, MixedModel, NetworkModel};
 use bsched_pipeline::{
-    compare, evaluate, try_evaluate, CompiledProgram, EvalConfig, Pipeline, PipelineError,
-    ProgramEval, SchedulerChoice,
+    compare, try_evaluate, CompiledProgram, EvalConfig, Pipeline, PipelineError, ProgramEval,
+    SchedulerChoice,
 };
 use bsched_stats::Improvement;
 use bsched_workload::Benchmark;
@@ -154,7 +157,7 @@ pub fn run_cell(bench: &Benchmark, row: &SystemRow, processor: ProcessorModel) -
             &SchedulerChoice::traditional(row.optimistic),
         )
         .expect("compile traditional");
-    run_cell_compiled(&balanced, &traditional, row, processor)
+    try_run_cell_compiled(&balanced, &traditional, row, processor).expect("evaluate cell")
 }
 
 /// Evaluates one comparison cell from already-compiled programs.
@@ -162,27 +165,7 @@ pub fn run_cell(bench: &Benchmark, row: &SystemRow, processor: ProcessorModel) -
 /// Compilation does not depend on the memory system or processor model
 /// being simulated, so callers sweeping one benchmark across many
 /// systems (every table binary) can compile once and evaluate many
-/// times; [`run_cells`] does exactly that.
-#[must_use]
-pub fn run_cell_compiled(
-    balanced: &CompiledProgram,
-    traditional: &CompiledProgram,
-    row: &SystemRow,
-    processor: ProcessorModel,
-) -> Cell {
-    let cfg = eval_config(processor);
-    let b_eval = evaluate(balanced, &row.system, &cfg);
-    let t_eval = evaluate(traditional, &row.system, &cfg);
-    Cell {
-        improvement: compare(&t_eval, &b_eval),
-        traditional_spill_percent: traditional.spill_percent(),
-        balanced_spill_percent: balanced.spill_percent(),
-        traditional: t_eval,
-        balanced: b_eval,
-    }
-}
-
-/// [`run_cell_compiled`] with validation findings surfaced as errors.
+/// times; [`run_cells_reported`] does exactly that.
 ///
 /// # Errors
 ///
@@ -217,40 +200,6 @@ pub struct CellJob<'a> {
     pub row: &'a SystemRow,
     /// Processor model to simulate under.
     pub processor: ProcessorModel,
-}
-
-/// One cell's result from [`run_cells_checked`]: the evaluated cell, or
-/// the reason this cell (and only this cell) could not be produced.
-#[derive(Debug, Clone)]
-pub enum CellOutcome {
-    /// The cell evaluated normally.
-    Ok(Cell),
-    /// The cell failed — a panic, a compile error, or a validation
-    /// finding — and failed again on a serial retry.
-    Failed {
-        /// Human-readable reason, rendered from the error or panic.
-        reason: String,
-    },
-}
-
-impl CellOutcome {
-    /// The cell, if it evaluated normally.
-    #[must_use]
-    pub fn as_ok(&self) -> Option<&Cell> {
-        match self {
-            CellOutcome::Ok(cell) => Some(cell),
-            CellOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// The failure reason, if the cell failed.
-    #[must_use]
-    pub fn failure(&self) -> Option<&str> {
-        match self {
-            CellOutcome::Ok(_) => None,
-            CellOutcome::Failed { reason } => Some(reason),
-        }
-    }
 }
 
 /// Renders a failure reason as a table cell: `FAILED(<reason>)`,
@@ -406,7 +355,10 @@ fn timeout_from_env() -> Option<Duration> {
 }
 
 /// Fingerprint of everything that determines cell values this run: the
-/// journal refuses to resume across a change in any of these.
+/// journal refuses to resume across a change in any of these. That
+/// includes the settings that decide whether a cell fails — the
+/// validation level, the analysis gate and the per-run cycle budget — so
+/// a clean journal never stands in for a stricter rerun.
 fn run_fingerprint(keys: &[String]) -> String {
     let cfg = eval_config(ProcessorModel::Unlimited);
     // FNV-1a over the ordered, newline-terminated key list captures the
@@ -415,60 +367,18 @@ fn run_fingerprint(keys: &[String]) -> String {
         fingerprint_mix(fingerprint_mix(h, key.as_bytes()), b"\n")
     });
     let plan = bsched_faults::installed_plan().map_or_else(|| "none".to_owned(), |p| p.to_string());
+    let budget = cfg
+        .cycle_budget
+        .map_or_else(|| "off".to_owned(), |b| b.to_string());
     format!(
-        "v1;seed={};runs={};cells={};shape={shape:016x};faults={plan}",
+        "v1;seed={};runs={};cells={};shape={shape:016x};faults={plan};validate={:?};\
+         analyze={:?};cycle_budget={budget}",
         cfg.seed,
         cfg.runs,
-        keys.len()
+        keys.len(),
+        cfg.validation,
+        Pipeline::default().analysis,
     )
-}
-
-/// Runs every job, in parallel across `BSCHED_THREADS` workers (default:
-/// all cores), returning cells in job order.
-///
-/// Each cell is a pure function of its job — compilation is
-/// deterministic and every simulation stream is counter-split from the
-/// master seed — so this is bit-identical to calling [`run_cell`] in a
-/// loop, and `BSCHED_THREADS=1` does exactly that. Table binaries fan
-/// out here, across cells; the per-block parallelism inside
-/// [`evaluate`](bsched_pipeline::evaluate) detects the nesting and stays
-/// serial.
-///
-/// # Panics
-///
-/// Panics on the first failed cell; harness code that wants graceful
-/// degradation uses [`run_cells_checked`] instead.
-#[must_use]
-pub fn run_cells(jobs: &[CellJob<'_>]) -> Vec<Cell> {
-    run_cells_checked(jobs)
-        .into_iter()
-        .map(|outcome| match outcome {
-            CellOutcome::Ok(cell) => cell,
-            CellOutcome::Failed { reason } => panic!("cell failed: {reason}"),
-        })
-        .collect()
-}
-
-/// [`run_cells`] with per-cell fault isolation: a panic, compile error,
-/// or validation finding in one cell is retried with backoff and, if it
-/// persists, reported as [`CellOutcome::Failed`] — every other cell
-/// still evaluates. Thin compatibility wrapper over
-/// [`run_cells_reported`], which also exposes retry/quarantine/resume
-/// detail.
-#[must_use]
-pub fn run_cells_checked(jobs: &[CellJob<'_>]) -> Vec<CellOutcome> {
-    run_cells_reported(jobs)
-        .into_iter()
-        .map(|report| match (report.cell, report.status) {
-            (Some(cell), _) => CellOutcome::Ok(cell),
-            (None, CellStatus::Failed { reason, .. } | CellStatus::Quarantined { reason }) => {
-                CellOutcome::Failed { reason }
-            }
-            (None, status) => CellOutcome::Failed {
-                reason: format!("cell produced no value in status {status:?}"),
-            },
-        })
-        .collect()
 }
 
 /// The full watchdog/recovery harness: runs every job with per-cell
@@ -816,60 +726,23 @@ pub fn report_cell_reports(reports: &[CellReport]) -> usize {
     failures
 }
 
-/// Prints every failed cell to stderr (benchmark, system, processor and
-/// reason) and returns the failure count; table binaries exit non-zero
-/// when it is positive.
-pub fn report_cell_failures(jobs: &[CellJob<'_>], outcomes: &[CellOutcome]) -> usize {
-    let mut failures = 0;
-    for (job, outcome) in jobs.iter().zip(outcomes) {
-        if let Some(reason) = outcome.failure() {
-            failures += 1;
-            eprintln!(
-                "FAILED cell: {} under {} on {}: {reason}",
-                job.bench.name(),
-                job.row.label(),
-                job.processor,
-            );
-        }
-    }
-    if failures > 0 {
-        eprintln!(
-            "{failures} of {} cells failed; the rest are reported above",
-            jobs.len()
-        );
-    }
-    failures
-}
-
 /// Serialises a table as a JSON object (`{"title", "header", "rows"}`)
 /// for external plotting tools. Strings are escaped per RFC 8259.
 #[must_use]
 pub fn table_to_json(title: &str, header: &[String], rows: &[Vec<String>]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
     let list = |cells: &[String]| {
         format!(
             "[{}]",
-            cells.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
+            cells
+                .iter()
+                .map(|c| json::string(c))
+                .collect::<Vec<_>>()
+                .join(",")
         )
     };
     format!(
         "{{\"title\":{},\"header\":{},\"rows\":[{}]}}",
-        esc(title),
+        json::string(title),
         list(header),
         rows.iter().map(|r| list(r)).collect::<Vec<_>>().join(",")
     )
@@ -962,12 +835,13 @@ mod tests {
             })
             .collect();
         std::env::set_var("BSCHED_THREADS", "1");
-        let serial = run_cells(&jobs);
+        let serial = run_cells_reported(&jobs);
         std::env::remove_var("BSCHED_THREADS");
-        let parallel = run_cells(&jobs);
+        let parallel = run_cells_reported(&jobs);
         std::env::remove_var("BSCHED_RUNS");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
+            let (s, p) = (s.cell().expect("clean cell"), p.cell().expect("clean cell"));
             assert_eq!(s.improvement.mean_percent, p.improvement.mean_percent);
             assert_eq!(
                 s.traditional.bootstrap_runtimes,
@@ -1006,18 +880,18 @@ mod tests {
                 processor: ProcessorModel::Unlimited,
             })
             .collect();
-        let outcomes = run_cells_checked(&jobs);
+        let reports = run_cells_reported(&jobs);
         std::env::remove_var("BSCHED_RUNS");
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].as_ok().is_some(), "good cell must survive");
-        assert!(outcomes[2].as_ok().is_some(), "good cell must survive");
-        let reason = outcomes[1].failure().expect("bad cell must fail");
+        assert_eq!(reports.len(), 3);
+        assert!(reports[0].cell().is_some(), "good cell must survive");
+        assert!(reports[2].cell().is_some(), "good cell must survive");
+        let reason = reports[1].failure_reason().expect("bad cell must fail");
         assert!(
             reason.contains("physical registers"),
             "reason should name the allocator's complaint: {reason}"
         );
         assert!(failure_label(reason).starts_with("FAILED("));
-        assert_eq!(report_cell_failures(&jobs, &outcomes), 1);
+        assert_eq!(report_cell_reports(&reports), 1);
     }
 
     #[test]
@@ -1044,28 +918,29 @@ mod tests {
                 .with(FaultSpec::always(Site::EvalPanic).with_key(benchmarks[2].name())),
         );
         std::env::set_var("BSCHED_THREADS", "1");
-        let serial = run_cells_checked(&jobs);
+        let serial = run_cells_reported(&jobs);
         std::env::set_var("BSCHED_THREADS", "4");
         bsched_faults::install(
             FaultPlan::seeded(7)
                 .with(FaultSpec::always(Site::EvalPanic).with_key(benchmarks[2].name())),
         );
-        let parallel = run_cells_checked(&jobs);
+        let parallel = run_cells_reported(&jobs);
         bsched_faults::clear();
         std::env::remove_var("BSCHED_THREADS");
         std::env::remove_var("BSCHED_BACKOFF_MS");
         std::env::remove_var("BSCHED_RUNS");
         assert_eq!(serial.len(), parallel.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            match (s, p) {
-                (CellOutcome::Ok(s), CellOutcome::Ok(p)) => {
+            match (s.cell(), p.cell()) {
+                (Some(s), Some(p)) => {
                     assert_eq!(
                         s.improvement.mean_percent, p.improvement.mean_percent,
                         "surviving cell {i} differs between serial and parallel"
                     );
                     assert_eq!(s.balanced.bootstrap_runtimes, p.balanced.bootstrap_runtimes);
                 }
-                (CellOutcome::Failed { reason: s }, CellOutcome::Failed { reason: p }) => {
+                (None, None) => {
+                    let (s, p) = (s.failure_reason().unwrap(), p.failure_reason().unwrap());
                     assert_eq!(i, 2, "only the injected cell may fail");
                     assert_eq!(s, p);
                     assert!(s.contains("injected failure"), "{s}");
@@ -1327,6 +1202,34 @@ mod tests {
             after_plan.iter().all(|r| !r.resumed),
             "a fault-plan change must discard the journal whole"
         );
+
+        // So does every setting that decides whether a cell fails: a
+        // clean journal must not stand in for a stricter rerun. Each
+        // variable moves to a value other than the ambient one (CI runs
+        // this suite under BSCHED_VALIDATE=full) and is restored after.
+        for (var, [value, fallback]) in [
+            ("BSCHED_VALIDATE", ["full", "off"]),
+            ("BSCHED_ANALYZE", ["check", "off"]),
+            ("BSCHED_CYCLE_BUDGET", ["50", "off"]),
+        ] {
+            let ambient = std::env::var(var).ok();
+            let value = if ambient.as_deref() == Some(value) {
+                fallback
+            } else {
+                value
+            };
+            let _ = run_cells_reported(&jobs);
+            std::env::set_var(var, value);
+            let after = run_cells_reported(&jobs);
+            match &ambient {
+                Some(v) => std::env::set_var(var, v),
+                None => std::env::remove_var(var),
+            }
+            assert!(
+                after.iter().all(|r| !r.resumed),
+                "a {var}={value} change must discard the journal whole"
+            );
+        }
 
         // The discard itself is observable: a journal opened under a
         // different fingerprint reports how many cells it threw away.

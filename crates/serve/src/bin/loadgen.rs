@@ -1,5 +1,9 @@
-//! `bsched-loadgen` — drive a `bsched serve` daemon with concurrent
-//! clients and record throughput/latency/cache behaviour.
+//! `bsched-loadgen` — drive a `bsched serve` daemon (or a fleet behind
+//! the router) with concurrent clients and check that every request is
+//! answered, that the cache serves repeats, and that the fleet survives
+//! its chaos scenarios. Serving speed is measured by the repository
+//! benchmark (`benchmark/`); the one timing recorded here is the
+//! router's `--scaleout` curve, which that benchmark does not cover.
 //!
 //! The request mix is the eight Perfect Club stand-ins under the
 //! balanced scheduler on `L80(2,5)`. Each pass sends every request
@@ -7,7 +11,7 @@
 //! passes are how the content-addressed cache shows up in the numbers —
 //! the second pass should be nearly all hits.
 //!
-//! Every scenario (passes, burst, sweep, kill, membership, scale-out)
+//! Every scenario (passes, burst, kill, membership, scale-out)
 //! talks through the shared [`Client`], and every concurrent one runs
 //! through the one fan-out, [`drive`].
 //!
@@ -38,9 +42,6 @@ OPTIONS:
     --runs N               simulation runs per request     [default: 10]
     --burst N              afterwards, pipeline N extra requests at once and
                            report how many were shed as overloaded
-    --sweep C1,C2,...      afterwards, warm the cache then replay the mix at
-                           each client-concurrency level, recording a
-                           throughput/latency curve (e.g. --sweep 1,2,4,8,16)
     --expect-hit-rate PCT  fail unless 2nd-pass cache hit rate >= PCT
     --out FILE             write the JSON report here      [default: stdout]
     --workers N            (with --spawn) worker threads   [default: 4]
@@ -87,7 +88,6 @@ struct Args {
     passes: usize,
     runs: u32,
     burst: usize,
-    sweep: Vec<usize>,
     expect_hit_rate: Option<f64>,
     out: Option<String>,
     workers: usize,
@@ -109,7 +109,6 @@ fn parse_args() -> Result<Args, String> {
         passes: 2,
         runs: 10,
         burst: 0,
-        sweep: Vec::new(),
         expect_hit_rate: None,
         out: None,
         workers: 4,
@@ -132,9 +131,6 @@ fn parse_args() -> Result<Args, String> {
             "--passes" => args.passes = parse_num(&value("--passes")?, "--passes")?,
             "--runs" => args.runs = parse_num(&value("--runs")?, "--runs")?,
             "--burst" => args.burst = parse_num(&value("--burst")?, "--burst")?,
-            "--sweep" => {
-                args.sweep = parse_counts(&value("--sweep")?, "--sweep", "concurrency levels")?;
-            }
             "--expect-hit-rate" => {
                 let raw = value("--expect-hit-rate")?;
                 let pct: f64 = raw
@@ -195,7 +191,7 @@ fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: bad number {raw:?}"))
 }
 
-/// A comma-separated list of positive counts (`--sweep`, `--scaleout`).
+/// A comma-separated list of positive counts (`--scaleout`).
 fn parse_counts(raw: &str, flag: &str, what: &str) -> Result<Vec<usize>, String> {
     let counts: Vec<usize> = raw
         .split(',')
@@ -311,21 +307,6 @@ impl Outcome {
             self.dropped,
             self.malformed,
         )
-    }
-
-    /// `wall_s`, `throughput_rps` and the `p<N>_us` latency percentiles
-    /// for each N in `percentiles` (latencies must be sorted).
-    fn render_timing(&self, wall: Duration, percentiles: &[u32]) -> String {
-        let mut out = format!(
-            "\"wall_s\":{:.6},\"throughput_rps\":{:.3}",
-            wall.as_secs_f64(),
-            self.throughput(wall)
-        );
-        for &p in percentiles {
-            let at = percentile(&self.latencies_us, f64::from(p) / 100.0);
-            out.push_str(&format!(",\"p{p}_us\":{at}"));
-        }
-        out
     }
 
     /// `A/N answered in Ws (T req/s)` for the stderr progress lines.
@@ -518,12 +499,13 @@ fn run_pass(addr: &str, args: &Args, pass: usize) -> Result<(String, Outcome, f6
         per_client[i % args.clients].push(req);
     }
     let hits_before = stat_u64(&fetch_stats(addr)?, "cache_hits");
-    let (outcome, wall) = drive(addr, &per_client);
+    let (outcome, _) = drive(addr, &per_client);
     let hits_after = stat_u64(&fetch_stats(addr)?, "cache_hits");
     let rate = hit_rate(hits_after.saturating_sub(hits_before), total);
     eprintln!(
-        "pass {pass}: {}, ok={} cached={} errors={} overloaded={} timeouts={} hit_rate={:.0}%",
-        outcome.summary(total, wall),
+        "pass {pass}: {}/{total} answered, ok={} cached={} errors={} overloaded={} timeouts={} \
+         hit_rate={:.0}%",
+        outcome.answered(),
         outcome.ok,
         outcome.cached,
         outcome.errors,
@@ -532,11 +514,10 @@ fn run_pass(addr: &str, args: &Args, pass: usize) -> Result<(String, Outcome, f6
         rate * 100.0
     );
     let report = format!(
-        "{{\"pass\":{pass},\"requests\":{total},\"answered\":{},{},{},\
+        "{{\"pass\":{pass},\"requests\":{total},\"answered\":{},{},\
          \"cache_hit_rate\":{rate:.4}}}",
         outcome.answered(),
         outcome.render_counts(("cached", outcome.cached)),
-        outcome.render_timing(wall, &[50, 95, 99]),
     );
     Ok((report, outcome, rate))
 }
@@ -572,41 +553,6 @@ fn run_burst(addr: &str, args: &Args) -> Result<String, String> {
         "{{\"requests\":{n},\"ok\":{ok},\"overloaded\":{overloaded},\
          \"other\":{other},\"dropped\":{dropped}}}"
     ))
-}
-
-/// The concurrency sweep: warm the cache with one serial pass of the
-/// mix, then replay the full mix once per connection at each
-/// concurrency level, so the curve measures the serving path (framing,
-/// admission, cache, completion plumbing) rather than first-touch
-/// compilation. Returns the curve and the merged outcome of its points.
-fn run_sweep(addr: &str, args: &Args) -> Result<(String, Outcome), String> {
-    let warmed =
-        run_client(addr, &request_mix(args.runs, 0)).map_err(|e| format!("sweep warm-up: {e}"))?;
-    if warmed.dropped > 0 || warmed.malformed > 0 {
-        return Err("sweep warm-up pass lost responses".to_owned());
-    }
-    let mut points = Vec::new();
-    let mut all = Outcome::default();
-    for (at, &concurrency) in args.sweep.iter().enumerate() {
-        // Unique pass tag per level keeps request ids unambiguous in
-        // logs; cache keys ignore ids, so hits still land.
-        let mix = request_mix(args.runs, at + 1);
-        let requests = mix.len() * concurrency;
-        let (outcome, wall) = drive(addr, &vec![mix; concurrency]);
-        eprintln!(
-            "sweep c={concurrency}: {}, p99={}us",
-            outcome.summary(requests, wall),
-            percentile(&outcome.latencies_us, 0.99),
-        );
-        points.push(format!(
-            "{{\"concurrency\":{concurrency},\"requests\":{requests},\"answered\":{},{},{}}}",
-            outcome.answered(),
-            outcome.render_counts(("cached", outcome.cached)),
-            outcome.render_timing(wall, &[50, 95, 99]),
-        ));
-        all.merge(outcome);
-    }
-    Ok((format!("[{}]", points.join(",")), all))
 }
 
 /// A spawned fleet: N shard daemons (child processes, each with its own
@@ -1213,9 +1159,13 @@ fn run_scaleout(args: &Args) -> Result<(String, Outcome), String> {
         );
         points.push(format!(
             "{{\"shards\":{shards},\"clients\":{SCALE_CLIENTS},\"requests\":{requests},\
-             \"stall_us\":{STALL_US},{},{}}}",
+             \"stall_us\":{STALL_US},{},\"wall_s\":{:.6},\"throughput_rps\":{:.3},\
+             \"p50_us\":{},\"p99_us\":{}}}",
             outcome.render_counts(("cached", outcome.cached)),
-            outcome.render_timing(wall, &[50, 99]),
+            wall.as_secs_f64(),
+            outcome.throughput(wall),
+            percentile(&outcome.latencies_us, 0.50),
+            percentile(&outcome.latencies_us, 0.99),
         ));
         all.merge(outcome);
     }
@@ -1254,7 +1204,7 @@ fn run() -> Result<i32, String> {
         (None, None) => args.addr.clone().expect("validated: one source is given"),
     };
 
-    // Responses lost by the load runs (passes, sweep, scale-out); the
+    // Responses lost by the load runs (passes, scale-out); the
     // chaos scenarios gate their own.
     let mut lost = Outcome::default();
     let mut failures = Vec::new();
@@ -1270,11 +1220,6 @@ fn run() -> Result<i32, String> {
     let mut sections = String::new();
     if args.burst > 0 {
         sections.push_str(&format!(",\"burst\":{}", run_burst(&addr, &args)?));
-    }
-    if !args.sweep.is_empty() {
-        let (curve, outcome) = run_sweep(&addr, &args)?;
-        sections.push_str(&format!(",\"sweep\":{curve}"));
-        lost.merge(outcome);
     }
     if args.kill_shard {
         let fleet_ref = fleet

@@ -412,3 +412,57 @@ fn responses_can_arrive_out_of_order_and_ids_disambiguate() {
     server.begin_shutdown();
     server.join();
 }
+
+#[test]
+fn sixteen_concurrent_connections_are_all_answered() {
+    // Holds the fault lock so no other test's plan can shed or stall
+    // these requests.
+    let _guard = fault_lock();
+    const CLIENTS: usize = 16;
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let addr = server.local_addr();
+    let stand_ins = bsched_workload::perfect_club();
+    // Every client sends the whole stand-in mix, one request at a time,
+    // so all 16 connections have a request in flight together.
+    let answers: Vec<Vec<(String, Json)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let stand_ins = &stand_ins;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    stand_ins
+                        .iter()
+                        .map(|bench| {
+                            let id = format!("c{c}-{}", bench.name());
+                            let line = format!(
+                                "{{\"op\":\"schedule\",\"id\":\"{id}\",\"benchmark\":\"{}\",\
+                                 \"system\":\"L80(2,5)\",\"scheduler\":\"balanced\",\"runs\":2,\
+                                 \"analyze\":false}}",
+                                bench.name()
+                            );
+                            let response = client.round_trip(&line).expect("answered");
+                            (id, response)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let answered: usize = answers.iter().map(Vec::len).sum();
+    assert_eq!(answered, CLIENTS * stand_ins.len(), "dropped responses");
+    assert_eq!(answered, 128);
+    for (id, response) in answers.iter().flatten() {
+        assert_eq!(status(response), "ok", "{id}: {response:?}");
+        assert_eq!(
+            response.get("id").and_then(Json::as_str),
+            Some(id.as_str()),
+            "response answered the wrong request"
+        );
+    }
+    server.begin_shutdown();
+    server.join();
+}

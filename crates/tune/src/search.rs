@@ -469,8 +469,15 @@ fn top_k(specs: &[PolicySpec], scores: &[Option<f64>], k: usize) -> Vec<PolicySp
 
 /// Derives the journal fingerprint: everything that determines candidate
 /// scores or the shape of the search — each block's instructions as
-/// well as its name, length and frequency, and the installed fault plan.
-fn fingerprint(function: &Function, system: &MemorySystem, cfg: &TuneConfig) -> String {
+/// well as its name, length and frequency, the installed fault plan, and
+/// the memo's validation levels, analysis gate and cycle budget (which
+/// decide whether a candidate fails).
+fn fingerprint(
+    function: &Function,
+    system: &MemorySystem,
+    cfg: &TuneConfig,
+    memo: &StageMemo,
+) -> String {
     let mut acc = fingerprint_mix(0, function.name().as_bytes());
     for block in function.blocks() {
         acc = fingerprint_mix(acc, block.name().as_bytes());
@@ -491,6 +498,14 @@ fn fingerprint(function: &Function, system: &MemorySystem, cfg: &TuneConfig) -> 
     acc = fingerprint_mix(acc, &(cfg.iterations as u64).to_le_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.processor).as_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.alias).as_bytes());
+    let (pipeline, eval) = (memo.pipeline(), memo.eval_config());
+    let gates = (
+        pipeline.validation,
+        pipeline.analysis,
+        eval.validation,
+        eval.cycle_budget,
+    );
+    acc = fingerprint_mix(acc, format!("{gates:?}").as_bytes());
     format!("{acc:016x}")
 }
 
@@ -548,7 +563,7 @@ fn search(
     let space = CandidateSpace::for_system(system);
     let journal = match &cfg.journal {
         Some(path) => {
-            let j = TuneJournal::open(path, &fingerprint(function, system, cfg))
+            let j = TuneJournal::open(path, &fingerprint(function, system, cfg, &memo))
                 .map_err(TuneError::Journal)?;
             if j.discarded() > 0 {
                 eprintln!(
@@ -626,13 +641,29 @@ mod tests {
         Function::new("daxpy", blocks)
     }
 
+    /// Serialises the tests that compare fingerprints against the one
+    /// that installs a (process-global) fault plan, which the fingerprint
+    /// covers.
+    fn plan_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn fp(function: &Function) -> String {
         let system: MemorySystem = "N(30,5)".parse().unwrap();
-        fingerprint(function, &system, &TuneConfig::default())
+        let cfg = TuneConfig::default();
+        fingerprint(
+            function,
+            &system,
+            &cfg,
+            &stage_memo(function, &system, &cfg),
+        )
     }
 
     #[test]
     fn fingerprint_covers_instructions() {
+        let _guard = plan_lock();
         let original = function(DAXPY);
         let edited = function(&DAXPY.replace("+ y[0]", "+ y[1]"));
         // Same shape — names, lengths, frequencies — different code.
@@ -670,16 +701,67 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_the_installed_fault_plan() {
+    fn fingerprint_covers_the_fault_plan_and_failure_gates() {
+        use bsched_pipeline::AnalysisGate;
+        use bsched_verify::ValidationLevel;
+        let _guard = plan_lock();
         let func = function(DAXPY);
+        let system: MemorySystem = "N(30,5)".parse().unwrap();
+        let cfg = TuneConfig::default();
+        let base = stage_memo(&func, &system, &cfg);
+        let with = |pipeline: Pipeline, eval: EvalConfig| {
+            let memo = StageMemo::new(pipeline, func.clone(), system, eval);
+            fingerprint(&func, &system, &cfg, &memo)
+        };
+        // Every gate pinned off, so the baseline does not depend on the
+        // ambient BSCHED_* settings.
+        let pipeline = Pipeline {
+            validation: ValidationLevel::Off,
+            analysis: AnalysisGate::Off,
+            ..*base.pipeline()
+        };
+        let eval = EvalConfig {
+            validation: ValidationLevel::Off,
+            cycle_budget: None,
+            ..*base.eval_config()
+        };
         bsched_faults::clear();
-        let clean = fp(&func);
+        let clean = with(pipeline, eval);
         // An empty plan fires nothing, so installing it cannot perturb
         // other tests; it still names different run conditions.
         bsched_faults::install(bsched_faults::FaultPlan::seeded(7));
-        let planned = fp(&func);
+        let planned = with(pipeline, eval);
         bsched_faults::clear();
-        assert_ne!(clean, planned);
-        assert_eq!(clean, fp(&func));
+        assert_eq!(clean, with(pipeline, eval));
+        let changed = [
+            planned,
+            with(
+                Pipeline {
+                    validation: ValidationLevel::Full,
+                    ..pipeline
+                },
+                EvalConfig {
+                    validation: ValidationLevel::Full,
+                    ..eval
+                },
+            ),
+            with(
+                Pipeline {
+                    analysis: AnalysisGate::Check,
+                    ..pipeline
+                },
+                eval,
+            ),
+            with(
+                pipeline,
+                EvalConfig {
+                    cycle_budget: Some(50),
+                    ..eval
+                },
+            ),
+        ];
+        for fp in changed {
+            assert_ne!(clean, fp);
+        }
     }
 }
