@@ -8,13 +8,13 @@
 //! place.
 
 use std::fmt::Display;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use bsched_analyze::json::{self, Json};
 
-use crate::protocol::{is_chunk_line, is_stream_end, read_line_bounded};
+use crate::protocol::{is_chunk_line, is_stream_end, read_line_bounded, write_line};
 
 /// Largest response line a client accepts: the cap only stops a
 /// misbehaving peer from growing the buffer without bound.
@@ -27,7 +27,6 @@ const CONNECT_ATTEMPTS: u32 = 8;
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    frame: Vec<u8>,
 }
 
 impl Client {
@@ -50,7 +49,6 @@ impl Client {
                     return Ok(Client {
                         reader: BufReader::new(stream.try_clone()?),
                         writer: stream,
-                        frame: Vec::new(),
                     })
                 }
                 Err(e) => last = e,
@@ -84,20 +82,15 @@ impl Client {
         &self.writer
     }
 
-    /// Writes `line` and its newline in one syscall: splitting the
-    /// newline into its own segment trips client-side Nagle against the
-    /// server's delayed ACK (~40 ms stall on an incomplete line). A
-    /// `line` holding several `\n`-separated requests pipelines them.
+    /// Writes `line` and its newline in one write (see
+    /// `protocol::write_line` for why one). A `line` holding several
+    /// `\n`-separated requests pipelines them.
     ///
     /// # Errors
     ///
     /// The write failed (typically: the peer hung up).
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.frame.clear();
-        self.frame.extend_from_slice(line.as_bytes());
-        self.frame.push(b'\n');
-        self.writer.write_all(&self.frame)?;
-        self.writer.flush()
+        write_line(&mut self.writer, line)
     }
 
     /// Reads one response line without its newline; `Ok(None)` is a

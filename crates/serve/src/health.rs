@@ -14,7 +14,7 @@
 //! wire protocol's own `{"op":"ping"}` — a shard is healthy when it
 //! speaks the protocol, not merely when it accepts TCP.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -227,7 +227,7 @@ pub fn ping_shard(addr: &str, cfg: &HealthConfig) -> bool {
     };
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(cfg.read_timeout));
-    if stream.write_all(b"{\"op\":\"ping\"}\n").is_err() {
+    if crate::protocol::write_line(&mut stream, "{\"op\":\"ping\"}").is_err() {
         return false;
     }
     let mut line = String::new();
@@ -248,13 +248,14 @@ pub fn connect_with_deadline(addr: &str, timeout: Duration) -> std::io::Result<T
     TcpStream::connect_timeout(&resolved, timeout)
 }
 
-/// Runs the prober loop until `stop` is set: each tick probes every
+/// Runs the prober loop until `stop` is set or SIGTERM/SIGINT arrives
+/// (see `stopping`): each tick probes every
 /// shard and feeds the outcome into its [`ShardState`]. The
 /// `shard-down` fault (keyed by `shard<index>|<addr>` cell context)
 /// turns a probe into a failure without touching the socket, so chaos
 /// plans can take a shard "down" deterministically.
 pub fn prober_loop(shards: &[Arc<ShardState>], cfg: &HealthConfig, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
+    while !stopping(stop) {
         probe_tick(shards, cfg);
         sleep_sliced(cfg.interval, stop);
     }
@@ -269,7 +270,7 @@ pub fn prober_loop_dynamic(
     cfg: &HealthConfig,
     stop: &AtomicBool,
 ) {
-    while !stop.load(Ordering::Relaxed) {
+    while !stopping(stop) {
         let snapshot = members.lock().unwrap().clone();
         probe_tick(&snapshot, cfg);
         sleep_sliced(cfg.interval, stop);
@@ -291,11 +292,19 @@ fn probe_tick(shards: &[Arc<ShardState>], cfg: &HealthConfig) {
     }
 }
 
+/// The prober's drain condition, the same as the router's accept loop:
+/// the owner's stop flag, or a SIGTERM/SIGINT the signal handler saw.
+/// Without the signal half a signalled router's accept loop exits but
+/// `Router::join` waits on the prober forever.
+fn stopping(stop: &AtomicBool) -> bool {
+    stop.load(Ordering::Relaxed) || crate::server::signalled()
+}
+
 /// Sleeps in small slices so shutdown is prompt even with a long probe
 /// interval.
 fn sleep_sliced(total: Duration, stop: &AtomicBool) {
     let mut remaining = total;
-    while remaining > Duration::ZERO && !stop.load(Ordering::Relaxed) {
+    while remaining > Duration::ZERO && !stopping(stop) {
         let slice = remaining.min(Duration::from_millis(20));
         thread::sleep(slice);
         remaining = remaining.saturating_sub(slice);

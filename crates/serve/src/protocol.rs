@@ -570,6 +570,22 @@ pub fn read_line_bounded<R: std::io::BufRead>(
     }
 }
 
+/// Writes `line` and its newline with one `write_all` of one buffer,
+/// then flushes. Two writes would send the newline as its own segment,
+/// which Nagle holds until the peer's delayed ACK (~40 ms per line on
+/// a socket without `TCP_NODELAY`).
+///
+/// # Errors
+///
+/// The write failed (typically: the peer hung up).
+pub(crate) fn write_line<W: std::io::Write>(writer: &mut W, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
+}
+
 fn line_too_long(cap: usize) -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -580,6 +596,34 @@ fn line_too_long(cap: usize) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl std::io::Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_issues_exactly_one_write_per_line() {
+        let mut out = Recorder::default();
+        write_line(&mut out, "{\"op\":\"ping\"}").unwrap();
+        write_line(&mut out, "").unwrap();
+        assert_eq!(
+            out.writes,
+            vec![b"{\"op\":\"ping\"}\n".to_vec(), b"\n".to_vec()]
+        );
+    }
 
     #[test]
     fn parses_a_full_schedule_request() {

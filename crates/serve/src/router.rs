@@ -57,7 +57,7 @@
 //! thousands — and its real latency is the downstream evaluation, not
 //! connection multiplexing.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,7 +74,7 @@ use crate::health::{
 use crate::prepare_request;
 use crate::protocol::{
     error_response, id_fragment, is_chunk_line, is_stream_end, parse_request, read_line_bounded,
-    request_id, stream_aborted_response, Request,
+    request_id, stream_aborted_response, write_line, Request,
 };
 
 /// Inbound cap on client request lines, matching the daemon's default.
@@ -298,12 +298,6 @@ fn serve_connection(stream: TcpStream, inner: &Arc<RouterInner>) {
             break;
         }
     }
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Routes one raw request line, writing the response line(s) — plural
@@ -570,8 +564,7 @@ fn forward_open(
     let mut stream = connect_with_deadline(&shard.addr, inner.cfg.health.connect_timeout)?;
     stream.set_read_timeout(Some(inner.cfg.forward_timeout))?;
     stream.set_write_timeout(Some(inner.cfg.forward_timeout))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    write_line(&mut stream, line)?;
     Ok(BufReader::new(stream))
 }
 
@@ -729,7 +722,7 @@ fn send_shutdown(addr: &str, health: &HealthConfig) -> bool {
     };
     let _ = stream.set_read_timeout(Some(health.read_timeout));
     let _ = stream.set_write_timeout(Some(health.read_timeout));
-    if stream.write_all(b"{\"op\":\"shutdown\"}\n").is_err() {
+    if write_line(&mut stream, "{\"op\":\"shutdown\"}").is_err() {
         return false;
     }
     let mut reader = BufReader::new(stream);
@@ -884,7 +877,7 @@ fn fetch_shard_stats(shard: &ShardState, health: &HealthConfig) -> Option<json::
     let mut stream = connect_with_deadline(&shard.addr, health.connect_timeout).ok()?;
     stream.set_read_timeout(Some(deadline)).ok()?;
     stream.set_write_timeout(Some(deadline)).ok()?;
-    stream.write_all(b"{\"op\":\"stats\"}\n").ok()?;
+    write_line(&mut stream, "{\"op\":\"stats\"}").ok()?;
     let mut reader = BufReader::new(stream);
     let line = read_line_bounded(&mut reader, MAX_SHARD_LINE)
         .ok()

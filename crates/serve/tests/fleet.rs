@@ -175,6 +175,33 @@ fn router_forwards_to_shards_and_merges_stats() {
 }
 
 #[test]
+fn pings_through_a_router_do_not_stall_per_line() {
+    let shard = small_server();
+    let router = Router::start(RouterConfig {
+        shards: vec![shard.local_addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    // A line written as text, then newline, in two writes waits ~40 ms
+    // for the client's delayed ACK (Nagle): 50 pings would take ~2 s.
+    let started = Instant::now();
+    for _ in 0..50 {
+        let pong = client.round_trip(r#"{"op":"ping"}"#).expect("round trip");
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 pings through the router took {elapsed:?}"
+    );
+    router.begin_shutdown();
+    router.join();
+    shard.begin_shutdown();
+    shard.join();
+}
+
+#[test]
 fn router_fails_over_from_a_dead_shard_with_a_degraded_response() {
     let a = small_server();
     let b = small_server();

@@ -8,9 +8,6 @@
 //! ([`bsched_analyze::journal`]): a fingerprinted header, atomic
 //! whole-file rewrites, and whole-file discard on a fingerprint
 //! mismatch. This module holds only the outcome line codec.
-//!
-//! Pruned candidates are *not* journaled: pruning depends on the
-//! incumbent at evaluation time, which the resumed search rediscovers.
 
 use bsched_analyze::journal::{hex, unhex, Journal, Record};
 use bsched_analyze::json::{self, Json};

@@ -5,19 +5,17 @@
 //! their convex blends, block-average), how fractional weights round,
 //! and how ready-list ties break. This crate searches that space for the
 //! policy that minimises a kernel's measured mean runtime under a given
-//! memory system, following the candidate-space / performance-model /
-//! search-driver separation of search-based compilation:
+//! memory system, keeping the candidate space apart from the search
+//! that walks it, as search-based compilers do:
 //!
 //! * [`CandidateSpace`] — the declarative cross product of staged
 //!   decisions (weight family × rounding × tie-break chain). It always
 //!   contains the paper's balanced scheduler, so a tuned policy can
 //!   never lose to it under the same protocol.
-//! * [`model`] — admissible static lower bounds (issue slots, critical
-//!   path) that prune candidates which provably cannot beat the
-//!   incumbent, before paying for simulation.
-//! * [`tune`] with [`Driver::Beam`] or [`Driver::Mcts`] — deterministic
-//!   search under an explicit seed and thread budget, with per-candidate
-//!   wall-clock quarantine and a crash-safe resumable [`TuneJournal`].
+//! * [`tune`] — stage-synchronous beam search, deterministic under an
+//!   explicit seed and thread budget, that measures every candidate it
+//!   visits with the §4.3 protocol, with per-candidate wall-clock
+//!   quarantine and a crash-safe resumable [`TuneJournal`].
 //!
 //! The winner is a plain [`PolicySpec`](bsched_pipeline::PolicySpec):
 //! first-class everywhere a
@@ -43,10 +41,9 @@
 #![warn(missing_docs)]
 
 pub mod journal;
-pub mod model;
 pub mod search;
 pub mod space;
 
 pub use journal::{CandidateOutcome, TuneJournal};
-pub use search::{tune, Driver, TuneConfig, TuneError, TuneReport};
+pub use search::{tune, TuneConfig, TuneError, TuneReport};
 pub use space::CandidateSpace;

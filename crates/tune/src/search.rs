@@ -1,10 +1,8 @@
-//! The search drivers: beam search and Monte-Carlo tree search over the
-//! staged candidate space.
+//! The search: stage-synchronous beam search over the staged candidate
+//! space.
 //!
-//! Both drivers share one evaluation harness: a candidate is compiled
-//! through the full two-pass [`Pipeline`], pruned against the
-//! incumbent's score via the [`model`](crate::model) lower bound, and
-//! otherwise measured with the §4.3 protocol (`runs` seeded simulations,
+//! A candidate is compiled through the full two-pass [`Pipeline`] and
+//! measured with the §4.3 protocol (`runs` seeded simulations,
 //! bootstrap mean). Compile and measurement run incrementally through
 //! one [`StageMemo`] per search, so a candidate pays only for the stages
 //! no earlier candidate shared with it; scores are bit-identical to a
@@ -15,10 +13,10 @@
 //!
 //! Determinism: batches are evaluated with
 //! [`parallel_map_with`](bsched_par::parallel_map_with) under the
-//! config's explicit thread budget, incumbent snapshots advance only at
-//! batch boundaries, and candidate evaluation is a pure function of
-//! `(candidate, incumbent, seed)` — so a `(driver, seed)` pair yields a
-//! bit-identical winner and score at any thread count.
+//! config's explicit thread budget, results are merged in batch order,
+//! and candidate evaluation is a pure function of `(candidate, seed)` —
+//! so a seed yields a bit-identical winner and score at any thread
+//! count.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,65 +31,19 @@ use bsched_ir::Function;
 use bsched_memsim::{LatencyModel, MemorySystem};
 use bsched_par::{parallel_map_with, run_with_timeout};
 use bsched_pipeline::{EvalConfig, Pipeline, PolicySpec, SchedulerChoice, StageMemo};
-use bsched_stats::Pcg32;
 
 use crate::journal::{fingerprint_mix, CandidateOutcome, TuneJournal};
-use crate::model::schedule_lower_bound;
 use crate::space::CandidateSpace;
-
-/// Which search driver walks the space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Driver {
-    /// Stage-synchronous beam search: evaluate every stage-1 completion,
-    /// keep the best `beam_width`, extend through stages 2 and 3.
-    #[default]
-    Beam,
-    /// Monte-Carlo tree search over the same three decision stages with
-    /// UCB1 selection; seed-dependent tie-breaking explores the space.
-    Mcts,
-}
-
-impl Driver {
-    /// Stable kebab-case driver name (CLI spelling and artifact field).
-    #[must_use]
-    pub fn id(self) -> &'static str {
-        match self {
-            Driver::Beam => "beam",
-            Driver::Mcts => "mcts",
-        }
-    }
-
-    /// Looks a driver up by its [`id`](Driver::id).
-    #[must_use]
-    pub fn from_id(id: &str) -> Option<Driver> {
-        match id {
-            "beam" => Some(Driver::Beam),
-            "mcts" => Some(Driver::Mcts),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Driver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.id())
-    }
-}
 
 /// Search parameters. The defaults match the committed `BENCH_tune.json`
 /// configuration.
 #[derive(Debug, Clone)]
 pub struct TuneConfig {
-    /// Which driver walks the space.
-    pub driver: Driver,
-    /// Master seed: feeds candidate evaluation (every candidate sees the
-    /// same latency draws, so comparisons are paired) and the MCTS
-    /// tie-break stream.
+    /// Master seed for candidate evaluation: every candidate sees the
+    /// same latency draws, so comparisons are paired.
     pub seed: u64,
-    /// Beam survivors kept per stage (beam driver).
+    /// Beam survivors kept per stage.
     pub beam_width: usize,
-    /// Playouts (MCTS driver).
-    pub iterations: usize,
     /// Simulated runs per block per candidate (§4.3 uses 30).
     pub runs: u32,
     /// Thread budget for batch evaluation. Explicit rather than
@@ -112,10 +64,8 @@ pub struct TuneConfig {
 impl Default for TuneConfig {
     fn default() -> Self {
         Self {
-            driver: Driver::Beam,
             seed: EvalConfig::default().seed,
             beam_width: 3,
-            iterations: 96,
             runs: 30,
             threads: bsched_par::max_threads(),
             processor: ProcessorModel::Unlimited,
@@ -140,7 +90,9 @@ pub struct TuneReport {
     pub baseline_score: f64,
     /// Candidates fully measured this run.
     pub evaluated: usize,
-    /// Candidates discarded by the lower-bound model without simulation.
+    /// Always 0: the search measures every candidate it visits. Kept
+    /// because external digests of a report (the benchmark's pinned
+    /// tune digest) hash `evaluated/pruned/skipped`.
     pub pruned: usize,
     /// Candidates quarantined (timeout or typed failure).
     pub skipped: usize,
@@ -196,16 +148,10 @@ struct Ctx {
     timeout: Option<Duration>,
 }
 
-enum EvalResult {
-    Outcome(CandidateOutcome),
-    Pruned,
-}
-
-/// Compiles, bound-checks, and (if it survives) measures one candidate,
-/// incrementally through the search's memo. Pure given `(spec,
-/// incumbent)` and the context — both drivers rely on this for
-/// thread-count-independent results.
-fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec, incumbent: Option<f64>) -> EvalResult {
+/// Compiles and measures one candidate, incrementally through the
+/// search's memo. Pure given `spec` and the context, which is what makes
+/// results independent of the thread count.
+fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec) -> CandidateOutcome {
     // Fault sites inside the memoized stages (allocation, simulation)
     // decide per candidate context, so under a fault plan a stage's
     // result is not a function of its key alone. Each candidate then
@@ -220,36 +166,22 @@ fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec, incumbent: Option<f64>) -> Ev
     // plan can target one candidate (e.g. `tune-stall:key=family=average`)
     // and the quarantine test can prove the rest of the search survives.
     let canon = spec.canonical();
-    let body = move || -> EvalResult {
+    let body = move || -> CandidateOutcome {
         bsched_faults::with_cell_context(&canon, 0, || {
             if let Some(fault) = fault_point!(Site::TuneStall) {
                 std::thread::sleep(Duration::from_millis(fault.arg));
             }
-            let choice = SchedulerChoice::Tuned(spec);
-            let compiled = match memo.compile(&choice) {
-                Ok(c) => c,
-                Err(e) => return EvalResult::Outcome(CandidateOutcome::Failed(e.to_string())),
-            };
-            if let Some(best) = incumbent {
-                let bound = schedule_lower_bound(
-                    compiled.program(),
-                    memo.eval_config().issue_width,
-                    memo.pipeline().alias,
-                );
-                if bound >= best {
-                    return EvalResult::Pruned;
-                }
-            }
-            match memo.evaluate(&compiled) {
-                Ok(e) => EvalResult::Outcome(CandidateOutcome::Score(e.mean_runtime)),
-                Err(e) => EvalResult::Outcome(CandidateOutcome::Failed(e.to_string())),
+            let measured = memo
+                .compile(&SchedulerChoice::Tuned(spec))
+                .and_then(|compiled| memo.evaluate(&compiled));
+            match measured {
+                Ok(e) => CandidateOutcome::Score(e.mean_runtime),
+                Err(e) => CandidateOutcome::Failed(e.to_string()),
             }
         })
     };
     match ctx.timeout {
-        Some(limit) => {
-            run_with_timeout(limit, body).unwrap_or(EvalResult::Outcome(CandidateOutcome::TimedOut))
-        }
+        Some(limit) => run_with_timeout(limit, body).unwrap_or(CandidateOutcome::TimedOut),
         None => body(),
     }
 }
@@ -257,11 +189,10 @@ fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec, incumbent: Option<f64>) -> Ev
 struct SearchState {
     ctx: Ctx,
     journal: Option<TuneJournal>,
-    /// Canonical policy → score (`None` = pruned / quarantined).
+    /// Canonical policy → score (`None` = quarantined).
     memo: BTreeMap<String, Option<f64>>,
     best: Option<(f64, PolicySpec)>,
     evaluated: usize,
-    pruned: usize,
     skipped: usize,
     resumed: usize,
 }
@@ -277,12 +208,10 @@ impl SearchState {
         }
     }
 
-    /// Evaluates a batch of candidates with one incumbent snapshot,
-    /// returning a score per input slot. Memoized and journal-resumed
-    /// candidates cost nothing; duplicates within the batch are measured
-    /// once.
+    /// Evaluates a batch of candidates, returning a score per input
+    /// slot. Memoized and journal-resumed candidates cost nothing;
+    /// duplicates within the batch are measured once.
     fn evaluate_batch(&mut self, specs: &[PolicySpec], threads: usize) -> Vec<Option<f64>> {
-        let incumbent = self.best.map(|(score, _)| score);
         let mut fresh: Vec<PolicySpec> = Vec::new();
         let mut queued: BTreeMap<String, ()> = BTreeMap::new();
         for spec in specs {
@@ -308,30 +237,22 @@ impl SearchState {
 
         let ctx = &self.ctx;
         let results = parallel_map_with(threads.max(1), &fresh, |_, spec| {
-            evaluate_candidate(ctx, *spec, incumbent)
+            evaluate_candidate(ctx, *spec)
         });
-        for (spec, result) in fresh.iter().zip(results) {
+        for (spec, outcome) in fresh.iter().zip(results) {
             let canon = spec.canonical();
-            match result {
-                EvalResult::Pruned => {
-                    self.pruned += 1;
-                    self.memo.insert(canon, None);
+            if let Some(journal) = &self.journal {
+                journal.record(&canon, &outcome);
+            }
+            match outcome {
+                CandidateOutcome::Score(s) => {
+                    self.evaluated += 1;
+                    self.note_score(*spec, s);
+                    self.memo.insert(canon, Some(s));
                 }
-                EvalResult::Outcome(outcome) => {
-                    if let Some(journal) = &self.journal {
-                        journal.record(&canon, &outcome);
-                    }
-                    match outcome {
-                        CandidateOutcome::Score(s) => {
-                            self.evaluated += 1;
-                            self.note_score(*spec, s);
-                            self.memo.insert(canon, Some(s));
-                        }
-                        CandidateOutcome::TimedOut | CandidateOutcome::Failed(_) => {
-                            self.skipped += 1;
-                            self.memo.insert(canon, None);
-                        }
-                    }
+                CandidateOutcome::TimedOut | CandidateOutcome::Failed(_) => {
+                    self.skipped += 1;
+                    self.memo.insert(canon, None);
                 }
             }
         }
@@ -347,10 +268,8 @@ impl SearchState {
         let default_rounding = space.roundings()[0];
         let default_ties = space.tie_chains()[0];
 
-        // The baseline evaluates alone first so it is the incumbent every
-        // later candidate must beat for the pruning model to engage.
-        self.evaluate_batch(&[PolicySpec::balanced_default()], 1);
-
+        // Stage-1 candidate zero is the balanced baseline, so it is
+        // measured (and journaled) first and wins every tie.
         let stage1: Vec<PolicySpec> = space
             .families()
             .iter()
@@ -386,74 +305,6 @@ impl SearchState {
             .collect();
         self.evaluate_batch(&stage3, cfg.threads);
     }
-
-    /// UCB1 Monte-Carlo tree search over family → rounding → ties.
-    fn mcts(&mut self, space: &CandidateSpace, cfg: &TuneConfig) {
-        self.evaluate_batch(&[PolicySpec::balanced_default()], 1);
-        let Some((baseline_score, _)) = self.best else {
-            return; // baseline failed; tune() surfaces the error
-        };
-        let (nf, nr, nt) = (
-            space.families().len(),
-            space.roundings().len(),
-            space.tie_chains().len(),
-        );
-        let mut family_arms = vec![Arm::default(); nf];
-        let mut rounding_arms = vec![vec![Arm::default(); nr]; nf];
-        let mut tie_arms = vec![vec![vec![Arm::default(); nt]; nr]; nf];
-        let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x6d63_7473);
-        for _ in 0..cfg.iterations {
-            let f = select_arm(&family_arms, &mut rng);
-            let r = select_arm(&rounding_arms[f], &mut rng);
-            let t = select_arm(&tie_arms[f][r], &mut rng);
-            let spec = PolicySpec {
-                family: space.families()[f],
-                rounding: space.roundings()[r],
-                ties: space.tie_chains()[t],
-            };
-            let score = self.evaluate_batch(&[spec], 1)[0];
-            // Reward > 1 beats the baseline; quarantined/pruned playouts
-            // earn 0 so their subtree decays.
-            let reward = score.map_or(0.0, |s| baseline_score / s.max(1.0));
-            family_arms[f].add(reward);
-            rounding_arms[f][r].add(reward);
-            tie_arms[f][r][t].add(reward);
-        }
-    }
-}
-
-/// One UCB1 bandit arm.
-#[derive(Debug, Clone, Copy, Default)]
-struct Arm {
-    visits: u32,
-    total: f64,
-}
-
-impl Arm {
-    fn add(&mut self, reward: f64) {
-        self.visits += 1;
-        self.total += reward;
-    }
-}
-
-/// UCB1 selection: unvisited arms first (lowest index), then the
-/// highest upper confidence bound with seed-dependent tie-breaking.
-fn select_arm(arms: &[Arm], rng: &mut Pcg32) -> usize {
-    if let Some(unvisited) = arms.iter().position(|a| a.visits == 0) {
-        return unvisited;
-    }
-    let parent: u32 = arms.iter().map(|a| a.visits).sum();
-    let ln_parent = f64::from(parent.max(1)).ln();
-    let ucb =
-        |a: &Arm| a.total / f64::from(a.visits) + (2.0 * ln_parent / f64::from(a.visits)).sqrt();
-    let best = arms.iter().map(ucb).fold(f64::NEG_INFINITY, f64::max);
-    let tied: Vec<usize> = arms
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| ucb(a) >= best)
-        .map(|(i, _)| i)
-        .collect();
-    tied[(rng.next_u32() as usize) % tied.len()]
 }
 
 /// Keeps the `k` best-scoring candidates, ties resolved by batch order.
@@ -493,9 +344,7 @@ fn fingerprint(
     acc = fingerprint_mix(acc, system.name().as_bytes());
     acc = fingerprint_mix(acc, &cfg.seed.to_le_bytes());
     acc = fingerprint_mix(acc, &u64::from(cfg.runs).to_le_bytes());
-    acc = fingerprint_mix(acc, cfg.driver.id().as_bytes());
     acc = fingerprint_mix(acc, &(cfg.beam_width as u64).to_le_bytes());
-    acc = fingerprint_mix(acc, &(cfg.iterations as u64).to_le_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.processor).as_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.alias).as_bytes());
     let (pipeline, eval) = (memo.pipeline(), memo.eval_config());
@@ -587,14 +436,10 @@ fn search(
         memo: BTreeMap::new(),
         best: None,
         evaluated: 0,
-        pruned: 0,
         skipped: 0,
         resumed: 0,
     };
-    match cfg.driver {
-        Driver::Beam => search.beam(&space, cfg),
-        Driver::Mcts => search.mcts(&space, cfg),
-    }
+    search.beam(&space, cfg);
     let baseline = PolicySpec::balanced_default();
     let baseline_score = search
         .memo
@@ -613,7 +458,7 @@ fn search(
         baseline,
         baseline_score,
         evaluated: search.evaluated,
-        pruned: search.pruned,
+        pruned: 0,
         skipped: search.skipped,
         resumed: search.resumed,
         space_size: space.len(),

@@ -1,4 +1,4 @@
-//! Driver-level guarantees: determinism across thread budgets, seed
+//! Search-level guarantees: determinism across thread budgets, seed
 //! reproducibility, journal resumption, and the space-wide safety
 //! property that every candidate policy compiles to verifier-clean
 //! schedules.
@@ -7,7 +7,7 @@ use bsched_ir::Function;
 use bsched_memsim::MemorySystem;
 use bsched_pipeline::{Pipeline, PolicySpec, SchedulerChoice};
 use bsched_stats::Pcg32;
-use bsched_tune::{tune, CandidateSpace, Driver, TuneConfig, TuneReport};
+use bsched_tune::{tune, CandidateSpace, TuneConfig, TuneReport};
 use bsched_verify::ValidationLevel;
 use bsched_workload::kernels::{daxpy, stencil3};
 use bsched_workload::{lower_kernel, GeneratorConfig};
@@ -18,12 +18,10 @@ fn small_function() -> Function {
     Function::new("tune-e2e", blocks)
 }
 
-fn quick_config(driver: Driver, threads: usize) -> TuneConfig {
+fn quick_config(threads: usize) -> TuneConfig {
     TuneConfig {
-        driver,
         seed: 42,
         beam_width: 2,
-        iterations: 12,
         runs: 2,
         threads,
         ..TuneConfig::default()
@@ -44,8 +42,8 @@ fn fingerprint(report: &TuneReport) -> (String, u64, usize, usize, usize) {
 fn beam_is_bit_identical_across_thread_budgets() {
     let func = small_function();
     let system: MemorySystem = "N(30,5)".parse().unwrap();
-    let serial = tune(&func, &system, &quick_config(Driver::Beam, 1)).unwrap();
-    let parallel = tune(&func, &system, &quick_config(Driver::Beam, 7)).unwrap();
+    let serial = tune(&func, &system, &quick_config(1)).unwrap();
+    let parallel = tune(&func, &system, &quick_config(7)).unwrap();
     assert_eq!(fingerprint(&serial), fingerprint(&parallel));
     assert_eq!(
         serial.baseline_score.to_bits(),
@@ -54,40 +52,27 @@ fn beam_is_bit_identical_across_thread_budgets() {
 }
 
 #[test]
-fn mcts_is_bit_identical_across_thread_budgets() {
-    let func = small_function();
-    let system: MemorySystem = "N(30,5)".parse().unwrap();
-    let serial = tune(&func, &system, &quick_config(Driver::Mcts, 1)).unwrap();
-    let parallel = tune(&func, &system, &quick_config(Driver::Mcts, 7)).unwrap();
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
-}
-
-#[test]
 fn same_seed_reproduces_policy_and_score() {
     let func = small_function();
     let system: MemorySystem = "N(30,5)".parse().unwrap();
-    for driver in [Driver::Beam, Driver::Mcts] {
-        let a = tune(&func, &system, &quick_config(driver, 3)).unwrap();
-        let b = tune(&func, &system, &quick_config(driver, 3)).unwrap();
-        assert_eq!(a.best.canonical(), b.best.canonical(), "{driver}");
-        assert_eq!(a.best_score.to_bits(), b.best_score.to_bits(), "{driver}");
-    }
+    let a = tune(&func, &system, &quick_config(3)).unwrap();
+    let b = tune(&func, &system, &quick_config(3)).unwrap();
+    assert_eq!(a.best.canonical(), b.best.canonical());
+    assert_eq!(a.best_score.to_bits(), b.best_score.to_bits());
 }
 
 #[test]
 fn tuned_never_loses_to_the_balanced_baseline() {
     let func = small_function();
     let system: MemorySystem = "N(30,5)".parse().unwrap();
-    for driver in [Driver::Beam, Driver::Mcts] {
-        let report = tune(&func, &system, &quick_config(driver, 4)).unwrap();
-        assert!(
-            report.best_score <= report.baseline_score,
-            "{driver}: tuned {} > balanced {}",
-            report.best_score,
-            report.baseline_score
-        );
-        assert_eq!(report.baseline, PolicySpec::balanced_default());
-    }
+    let report = tune(&func, &system, &quick_config(4)).unwrap();
+    assert!(
+        report.best_score <= report.baseline_score,
+        "tuned {} > balanced {}",
+        report.best_score,
+        report.baseline_score
+    );
+    assert_eq!(report.baseline, PolicySpec::balanced_default());
 }
 
 #[test]
@@ -99,7 +84,7 @@ fn journal_resumes_without_changing_the_result() {
     let _ = std::fs::remove_file(&path);
     let cfg = TuneConfig {
         journal: Some(path.clone()),
-        ..quick_config(Driver::Beam, 2)
+        ..quick_config(2)
     };
     let first = tune(&func, &system, &cfg).unwrap();
     assert_eq!(first.resumed, 0);

@@ -13,7 +13,7 @@ use bsched_faults::{FaultPlan, FaultSpec, Site};
 use bsched_ir::Function;
 use bsched_memsim::MemorySystem;
 use bsched_pipeline::{try_evaluate_serial, EvalConfig, Pipeline, PolicySpec, SchedulerChoice};
-use bsched_tune::{tune, CandidateOutcome, Driver, TuneConfig, TuneReport};
+use bsched_tune::{tune, CandidateOutcome, TuneConfig, TuneReport};
 use bsched_workload::kernels::daxpy;
 use bsched_workload::lower_kernel;
 
@@ -39,7 +39,6 @@ fn stalled_candidate_is_quarantined_not_fatal() {
     let func = Function::new("stall", vec![lower_kernel(&daxpy(), 1.0)]);
     let system: MemorySystem = "N(3,2)".parse().unwrap();
     let cfg = TuneConfig {
-        driver: Driver::Beam,
         seed: 7,
         beam_width: 2,
         runs: 2,
@@ -78,7 +77,6 @@ fn keyed_faults_in_shared_stages_hit_only_their_candidates() {
         std::env::temp_dir().join(format!("bsched-keyed-faults-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let cfg = |threads, journal| TuneConfig {
-        driver: Driver::Beam,
         runs: 5,
         threads,
         journal,

@@ -52,8 +52,8 @@ const USAGE: &str = "usage:
                   [--probe-timeout-ms N] [--forward-timeout-ms N]
   bsched serve    --control ROUTER_ADDR (--add-shard HOST:PORT |
                   --drain-shard HOST:PORT [--no-stop] | --members)
-  bsched tune     <kernel.bsk> [--system SYS] [--driver beam|mcts] [--seed N]
-                  [--beam N] [--iterations N] [--runs N] [--threads N]
+  bsched tune     <kernel.bsk> [--system SYS] [--seed N] [--beam N]
+                  [--runs N] [--threads N] [--processor P] [--alias fortran|c]
                   [--timeout-ms N] [--journal PATH] [--out POLICY.json]
   bsched tune     --benchmarks [--bench-out BENCH_tune.json] [--system SYS] [...]
 
@@ -76,6 +76,48 @@ const BOOLEAN_FLAGS: [&str; 5] = [
     "no-stop",
 ];
 
+/// Flags that take a value. `--name` outside this list and
+/// [`BOOLEAN_FLAGS`] is an error, so a misspelt flag never silently
+/// falls back to its default.
+const VALUE_FLAGS: [&str; 36] = [
+    "add-shard",
+    "alias",
+    "allow",
+    "beam",
+    "bench-out",
+    "cache-cap",
+    "cache-log",
+    "control",
+    "deadline-ms",
+    "deny",
+    "drain-shard",
+    "failure-threshold",
+    "faults",
+    "format",
+    "forward-timeout-ms",
+    "io-threads",
+    "journal",
+    "listen",
+    "max-line-bytes",
+    "optimistic",
+    "out",
+    "probe-interval-ms",
+    "probe-timeout-ms",
+    "processor",
+    "queue-cap",
+    "root",
+    "route",
+    "runs",
+    "scheduler",
+    "seed",
+    "system",
+    "threads",
+    "timeout-ms",
+    "warn",
+    "workers",
+    "write-cap-bytes",
+];
+
 /// Minimal `--flag value` argument scanner.
 struct Args {
     positional: Vec<String>,
@@ -92,6 +134,9 @@ impl Args {
                 if BOOLEAN_FLAGS.contains(&name) {
                     flags.push((name.to_owned(), String::new()));
                     continue;
+                }
+                if !VALUE_FLAGS.contains(&name) {
+                    return Err(format!("unknown flag --{name}\n{USAGE}"));
                 }
                 let value = it
                     .next()
@@ -525,19 +570,15 @@ fn control_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Shared `tune` parameter parsing (`--driver`, `--beam`, …).
+/// Shared `tune` parameter parsing (`--beam`, `--runs`, …).
 fn tune_config_of(args: &Args) -> Result<balanced_scheduling::tune::TuneConfig, String> {
-    use balanced_scheduling::tune::{Driver, TuneConfig};
+    use balanced_scheduling::tune::TuneConfig;
     let mut cfg = TuneConfig {
         seed: seed_of(args)?,
         processor: processor_of(args)?,
         alias: alias_of(args)?,
         ..TuneConfig::default()
     };
-    if let Some(raw) = args.flag("driver") {
-        cfg.driver =
-            Driver::from_id(raw).ok_or_else(|| format!("unknown driver {raw:?} (beam|mcts)"))?;
-    }
     let parse_count = |name: &str, fallback: usize| -> Result<usize, String> {
         match args.flag(name) {
             None => Ok(fallback),
@@ -549,7 +590,6 @@ fn tune_config_of(args: &Args) -> Result<balanced_scheduling::tune::TuneConfig, 
         }
     };
     cfg.beam_width = parse_count("beam", cfg.beam_width)?;
-    cfg.iterations = parse_count("iterations", cfg.iterations)?;
     cfg.threads = parse_count("threads", cfg.threads)?;
     if let Some(raw) = args.flag("runs") {
         cfg.runs = raw
@@ -592,7 +632,7 @@ fn policy_artifact(
     report.best.to_artifact_json(&[
         ("kernel", json::string(kernel)),
         ("system", json::string(&system.name())),
-        ("driver", json::string(cfg.driver.id())),
+        ("driver", json::string("beam")),
         ("seed", cfg.seed.to_string()),
         ("score", format!("{:.6}", report.best_score)),
         ("balanced", format!("{:.6}", report.baseline_score)),
@@ -630,10 +670,10 @@ fn tune_cmd(args: &Args) -> Result<(), String> {
     let func = Function::new(name.clone(), blocks);
     let report = tune(&func, &system, &cfg).map_err(|e| format!("tune: {e}"))?;
     println!("system            {}", system.name());
-    println!("driver            {} (seed {})", cfg.driver, cfg.seed);
+    println!("driver            beam (seed {})", cfg.seed);
     println!(
-        "space             {} candidates: {} measured, {} pruned, {} quarantined, {} resumed",
-        report.space_size, report.evaluated, report.pruned, report.skipped, report.resumed
+        "space             {} candidates: {} measured, {} quarantined, {} resumed",
+        report.space_size, report.evaluated, report.skipped, report.resumed
     );
     println!("balanced          {:.1} cycles", report.baseline_score);
     println!(
@@ -681,7 +721,7 @@ fn tune_benchmarks_cmd(
         );
         rows.push(format!(
             "    {{\"name\":{},\"balanced\":{:.6},\"tuned\":{:.6},\"improvement_percent\":{:.4},\
-             \"beats_balanced\":{},\"policy\":{},\"evaluated\":{},\"pruned\":{},\"skipped\":{}}}",
+             \"beats_balanced\":{},\"policy\":{},\"evaluated\":{},\"skipped\":{}}}",
             json::string(bench.name()),
             report.baseline_score,
             report.best_score,
@@ -689,7 +729,6 @@ fn tune_benchmarks_cmd(
             beat,
             json::string(&report.best.canonical()),
             report.evaluated,
-            report.pruned,
             report.skipped
         ));
     }
@@ -700,7 +739,7 @@ fn tune_benchmarks_cmd(
          \"seed\": {},\n  \"runs\": {},\n  \"beam_width\": {},\n  \"tuned_wins\": {wins},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         json::string(&system.name()),
-        json::string(base_cfg.driver.id()),
+        json::string("beam"),
         base_cfg.seed,
         base_cfg.runs,
         base_cfg.beam_width,
@@ -887,6 +926,28 @@ mod tests {
     }
 
     #[test]
+    fn every_flag_in_the_usage_text_is_accepted() {
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if let Some(name) = word.strip_prefix("--").filter(|n| !n.is_empty()) {
+                assert!(
+                    BOOLEAN_FLAGS.contains(&name) || VALUE_FLAGS.contains(&name),
+                    "--{name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_an_error() {
+        for flag in ["--seeed", "--driver", "--iterations"] {
+            let argv = vec![flag.to_owned(), "7".to_owned()];
+            let err = Args::parse(&argv).err().expect(flag);
+            assert!(err.starts_with(&format!("unknown flag {flag}\n")), "{err}");
+            assert!(err.contains(USAGE), "{err}");
+        }
+    }
+
+    #[test]
     fn scheduler_specs() {
         assert_eq!(
             scheduler_of(&args_of(&[])).unwrap(),
@@ -935,14 +996,10 @@ mod tests {
     #[test]
     fn tune_config_flags() {
         let cfg = tune_config_of(&args_of(&[
-            "--driver",
-            "mcts",
             "--seed",
             "11",
             "--beam",
             "4",
-            "--iterations",
-            "50",
             "--runs",
             "6",
             "--threads",
@@ -953,10 +1010,8 @@ mod tests {
             "j.jsonl",
         ]))
         .unwrap();
-        assert_eq!(cfg.driver, balanced_scheduling::tune::Driver::Mcts);
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.beam_width, 4);
-        assert_eq!(cfg.iterations, 50);
         assert_eq!(cfg.runs, 6);
         assert_eq!(cfg.threads, 2);
         assert_eq!(
@@ -968,7 +1023,6 @@ mod tests {
             Some(std::path::Path::new("j.jsonl"))
         );
 
-        assert!(tune_config_of(&args_of(&["--driver", "anneal"])).is_err());
         assert!(tune_config_of(&args_of(&["--beam", "0"])).is_err());
         assert!(tune_config_of(&args_of(&["--timeout-ms", "soon"])).is_err());
     }
