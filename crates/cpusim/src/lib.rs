@@ -18,6 +18,22 @@
 //! * [`ProcessorModel::MaxLength`]`(8)` — LEN-8: a load outstanding for
 //!   eight cycles blocks the processor until its data returns (Tera-style).
 //!
+//! The §6 extensions issue up to `width` instructions per cycle
+//! ([`simulate_block_wide`], traced by [`simulate_block_wide_traced`])
+//! and give FP opcodes fixed multi-cycle latencies
+//! ([`simulate_block_custom`]).
+//!
+//! # Cost model
+//!
+//! The §4.3 protocol simulates every block 30 times, so the batch entry
+//! points ([`try_simulate_runs_stats`], [`simulate_runs_stats`]) decode
+//! the block once — operands renumbered into a dense per-block register
+//! index, addresses and opcode latencies precomputed — and replay that
+//! plan per run against a flat scoreboard and buffers reused across the
+//! batch. Every entry point shares the one run loop, so a batch's runs
+//! are bit-identical to single-run calls on the same `rng.split(run)`
+//! streams.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +66,7 @@ pub use processor::ProcessorModel;
 pub use result::{InterlockBreakdown, SimResult};
 pub use sim::{
     simulate_block, simulate_block_custom, simulate_block_traced, simulate_block_wide,
-    simulate_runs, simulate_runs_stats, simulate_runs_wide, try_simulate_runs_stats, IssueEvent,
-    RunStats,
+    simulate_block_wide_traced, simulate_runs, simulate_runs_stats, simulate_runs_wide,
+    try_simulate_runs_stats, IssueEvent, RunStats,
 };
 pub use timeline::render_timeline;

@@ -1,9 +1,17 @@
 //! The cycle-level simulation loop.
+//!
+//! Every entry point splits the work in two. A `Simulator` decodes the
+//! block once per call: each non-vnop instruction's id, load flag,
+//! simulated address and fixed opcode latency, and its operands as
+//! indices into a dense per-block register numbering. `Simulator::run`
+//! then replays that plan once per run against a `Vec<u64>` scoreboard
+//! and buffers reused across the batch, so the §4.3 protocol's 30 runs
+//! of a block decode it once and hash or allocate nothing per run.
 
 use std::collections::HashMap;
 
 use bsched_faults::{fault_point, Site};
-use bsched_ir::{BasicBlock, InstId, OpLatencies, Reg};
+use bsched_ir::{BasicBlock, Inst, InstId, OpLatencies, Reg};
 use bsched_memsim::LatencyModel;
 use bsched_stats::Pcg32;
 
@@ -33,13 +41,6 @@ impl IssueEvent {
     }
 }
 
-/// An in-flight load.
-#[derive(Debug, Clone, Copy)]
-struct Outstanding {
-    issued: u64,
-    completes: u64,
-}
-
 /// Simulates one execution of `block` in its current instruction order.
 ///
 /// The model (§4.3): single-issue, in-order, one instruction per cycle;
@@ -63,7 +64,7 @@ pub fn simulate_block(
     model: ProcessorModel,
     rng: &mut Pcg32,
 ) -> SimResult {
-    simulate_inner(block, mem, model, 1, rng, None).0
+    simulate_block_wide(block, mem, model, 1, rng).0
 }
 
 /// Like [`simulate_block`], also returning the per-instruction trace.
@@ -74,8 +75,7 @@ pub fn simulate_block_traced(
     model: ProcessorModel,
     rng: &mut Pcg32,
 ) -> (SimResult, Vec<IssueEvent>) {
-    let mut trace = Vec::with_capacity(block.len());
-    let (result, _) = simulate_inner(block, mem, model, 1, rng, Some(&mut trace));
+    let (result, _, trace) = simulate_block_wide_traced(block, mem, model, 1, rng);
     (result, trace)
 }
 
@@ -103,6 +103,29 @@ pub fn simulate_block_wide(
     simulate_block_custom(block, mem, model, width, OpLatencies::unit(), rng)
 }
 
+/// [`simulate_block_wide`] plus the per-instruction trace: the same run
+/// loop, so `(result, elapsed)` equal that function's output for the same
+/// `rng`, and several events may share an issue cycle.
+///
+/// # Panics
+///
+/// Panics if `width` is zero.
+#[must_use]
+pub fn simulate_block_wide_traced(
+    block: &BasicBlock,
+    mem: &dyn LatencyModel,
+    model: ProcessorModel,
+    width: u32,
+    rng: &mut Pcg32,
+) -> (SimResult, u64, Vec<IssueEvent>) {
+    let mut sim = Simulator::new(block, mem, model, width, OpLatencies::unit());
+    let mut trace = Vec::with_capacity(sim.insts.len());
+    let (result, elapsed) = sim
+        .run(rng, Some(&mut trace), u64::MAX)
+        .expect("an unlimited budget cannot be exceeded");
+    (result, elapsed, trace)
+}
+
 /// The fully configurable simulation entry point: issue `width`, plus
 /// fixed multi-cycle latencies for non-load opcodes (§6's asynchronous
 /// FP units — an `fdiv`'s result becomes available `op_latencies`
@@ -120,8 +143,9 @@ pub fn simulate_block_custom(
     op_latencies: OpLatencies,
     rng: &mut Pcg32,
 ) -> (SimResult, u64) {
-    assert!(width >= 1, "issue width must be at least 1");
-    simulate_inner_custom(block, mem, model, width, op_latencies, rng, None)
+    Simulator::new(block, mem, model, width, op_latencies)
+        .run(rng, None, u64::MAX)
+        .expect("an unlimited budget cannot be exceeded")
 }
 
 /// Runs `runs` independent simulations (fresh latency draws each run,
@@ -204,19 +228,9 @@ pub fn simulate_runs_stats(
     runs: u32,
     rng: &Pcg32,
 ) -> RunStats {
-    assert!(width >= 1, "issue width must be at least 1");
-    let mut elapsed = Vec::with_capacity(runs as usize);
-    let mut interlocks = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        let mut run_rng = rng.split(u64::from(r));
-        let (result, cycles) = simulate_block_wide(block, mem, model, width, &mut run_rng);
-        elapsed.push(cycles as f64);
-        interlocks.push(result.interlocks as f64);
-    }
-    RunStats {
-        elapsed,
-        interlocks,
-    }
+    Simulator::new(block, mem, model, width, OpLatencies::unit())
+        .batch(runs, rng, u64::MAX, false)
+        .expect("an unlimited, uncancellable batch cannot fail")
 }
 
 /// Watchdog-guarded [`simulate_runs_stats`]: identical samples on the
@@ -245,229 +259,316 @@ pub fn try_simulate_runs_stats(
     budget: Option<u64>,
     rng: &Pcg32,
 ) -> Result<RunStats, SimError> {
-    assert!(width >= 1, "issue width must be at least 1");
-    let budget = budget.unwrap_or(u64::MAX);
-    let mut elapsed = Vec::with_capacity(runs as usize);
-    let mut interlocks = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        if bsched_faults::cancelled() {
-            return Err(SimError::Cancelled);
-        }
-        let mut run_rng = rng.split(u64::from(r));
-        let (result, cycles) = simulate_inner_guarded(
-            block,
-            mem,
-            model,
-            width,
-            OpLatencies::unit(),
-            &mut run_rng,
-            None,
-            budget,
-        )?;
-        elapsed.push(cycles as f64);
-        interlocks.push(result.interlocks as f64);
-    }
-    Ok(RunStats {
-        elapsed,
-        interlocks,
-    })
+    Simulator::new(block, mem, model, width, OpLatencies::unit()).batch(
+        runs,
+        rng,
+        budget.unwrap_or(u64::MAX),
+        true,
+    )
 }
 
 /// Maps a symbolic memory location to a flat simulated address: each
 /// region gets a 16 GiB band, offsets (possibly negative, e.g. `a[-1]`)
 /// land inside it. Unknown offsets map to `None` so address-aware models
 /// treat them as unpredictable.
-fn address_of(inst: &bsched_ir::Inst) -> Option<u64> {
+fn address_of(inst: &Inst) -> Option<u64> {
     let access = inst.mem()?;
     let offset = access.loc().offset()?;
     let base = (u64::from(access.loc().region().raw()) + 1) << 34;
     Some(base.wrapping_add_signed(offset))
 }
 
-fn simulate_inner(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    width: u32,
-    rng: &mut Pcg32,
-    trace: Option<&mut Vec<IssueEvent>>,
-) -> (SimResult, u64) {
-    simulate_inner_custom(block, mem, model, width, OpLatencies::unit(), rng, trace)
+/// An in-flight load.
+#[derive(Debug, Clone, Copy)]
+struct Outstanding {
+    issued: u64,
+    completes: u64,
 }
 
-fn simulate_inner_custom(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    width: u32,
-    op_latencies: OpLatencies,
-    rng: &mut Pcg32,
-    trace: Option<&mut Vec<IssueEvent>>,
-) -> (SimResult, u64) {
-    simulate_inner_guarded(block, mem, model, width, op_latencies, rng, trace, u64::MAX)
-        .expect("an unlimited budget cannot be exceeded")
+/// One non-vnop instruction, decoded once per [`Simulator`].
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    id: InstId,
+    is_load: bool,
+    /// The load's simulated address (`None` for non-loads too).
+    address: Option<u64>,
+    /// Result latency of a non-load.
+    latency: u64,
+    /// `operands[start..uses_end]` are the uses,
+    /// `operands[uses_end..defs_end]` the defs, as dense register indices.
+    start: u32,
+    uses_end: u32,
+    defs_end: u32,
 }
 
-/// The single simulation loop. `budget` bounds one run's issue clock:
-/// the moment an instruction's issue cycle passes it the run aborts with
-/// [`SimError::BudgetExceeded`]. Every public infallible entry point
-/// calls this with `budget = u64::MAX`, which can never trip.
-#[allow(clippy::too_many_arguments)]
-fn simulate_inner_guarded(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
+/// A block decoded for repeated simulation, plus the per-run buffers its
+/// runs share.
+struct Simulator<'a> {
+    mem: &'a dyn LatencyModel,
     model: ProcessorModel,
     width: u32,
-    op_latencies: OpLatencies,
-    rng: &mut Pcg32,
-    mut trace: Option<&mut Vec<IssueEvent>>,
-    budget: u64,
-) -> Result<(SimResult, u64), SimError> {
-    mem.begin_run();
-    // Hoisted so the fault hooks cost one relaxed load per run, not one
-    // per instruction, when no plan is installed.
-    let faults_on = bsched_faults::active();
-    let mut reg_ready: HashMap<Reg, u64> = HashMap::new();
-    let mut outstanding: Vec<Outstanding> = Vec::new();
-    let mut breakdown = InterlockBreakdown::default();
-    let mut cycle: u64 = 0;
-    let mut slots_used: u32 = 0;
-    let mut instructions: u64 = 0;
+    insts: Vec<Decoded>,
+    operands: Vec<u32>,
+    /// Register scoreboard: the cycle each dense register becomes ready.
+    reg_ready: Vec<u64>,
+    registers: usize,
+    /// In-flight loads; tracked only under MAX-k and LEN-k.
+    outstanding: Vec<Outstanding>,
+    /// MAX-k scratch: completion cycles of the in-flight loads.
+    completions: Vec<u64>,
+}
 
-    for (id, inst) in block.iter_ids() {
-        if inst.opcode().is_vnop() {
-            continue;
-        }
-        let earliest = cycle;
-
-        // Operand readiness (register scoreboard).
-        let operand_ready = inst
-            .uses()
-            .iter()
-            .map(|u| reg_ready.get(u).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        let mut issue = earliest.max(operand_ready);
-        breakdown.operand += issue - earliest;
-
-        // Injected processor stall: the machine simply loses `arg`
-        // cycles before this issue (watchdog fodder — large stalls trip
-        // the cycle budget below).
-        if faults_on {
-            if let Some(fault) = fault_point!(Site::SimStall) {
-                let stall = fault.arg.clamp(1, 1 << 50);
-                issue = issue.saturating_add(stall);
-                breakdown.operand = breakdown.operand.saturating_add(stall);
-            }
-        }
-
-        // Processor-model constraints.
-        match model {
-            ProcessorModel::Unlimited => {}
-            ProcessorModel::MaxOutstanding(k) => {
-                if inst.is_load() {
-                    outstanding.retain(|o| o.completes > issue);
-                    if outstanding.len() >= k as usize {
-                        // Block until enough outstanding loads complete.
-                        let mut completions: Vec<u64> =
-                            outstanding.iter().map(|o| o.completes).collect();
-                        completions.sort_unstable();
-                        let free_at = completions[outstanding.len() - k as usize];
-                        if free_at > issue {
-                            breakdown.max_outstanding += free_at - issue;
-                            issue = free_at;
-                        }
-                        outstanding.retain(|o| o.completes > issue);
-                    }
-                }
-            }
-            ProcessorModel::MaxLength(k) => {
-                // The processor cannot execute past `issued + k` while a
-                // load is still outstanding: each such load creates a
-                // blocked interval [issued + k, completes).
-                loop {
-                    let barrier = outstanding
-                        .iter()
-                        .filter(|o| issue >= o.issued + u64::from(k) && issue < o.completes)
-                        .map(|o| o.completes)
-                        .max();
-                    match barrier {
-                        Some(c) if c > issue => {
-                            breakdown.max_length += c - issue;
-                            issue = c;
-                        }
-                        _ => break,
-                    }
-                }
-                outstanding.retain(|o| o.completes > issue);
-            }
-        }
-
-        if issue > budget {
-            return Err(SimError::BudgetExceeded {
-                budget,
-                cycle: issue,
-            });
-        }
-
-        // Issue.
-        let complete = if inst.is_load() {
-            let mut latency = mem.sample_at(address_of(inst), rng).max(1);
-            // Adversarial jitter stays inside the model's declared
-            // support, so the timeline validator's bounds still hold —
-            // the *number* changes, never the invariant.
-            if faults_on {
-                if let Some(fault) = fault_point!(Site::LatencyJitter) {
-                    latency = bsched_faults::jitter_latency(
-                        latency,
-                        fault.arg,
-                        mem.min_latency(),
-                        mem.max_latency(),
-                    );
-                }
-            }
-            let complete = issue.saturating_add(latency);
-            outstanding.push(Outstanding {
-                issued: issue,
-                completes: complete,
-            });
-            complete
-        } else {
-            issue + u64::from(op_latencies.latency(inst.opcode()))
+impl<'a> Simulator<'a> {
+    /// Decodes `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    fn new(
+        block: &BasicBlock,
+        mem: &'a dyn LatencyModel,
+        model: ProcessorModel,
+        width: u32,
+        op_latencies: OpLatencies,
+    ) -> Self {
+        assert!(width >= 1, "issue width must be at least 1");
+        let mut dense: HashMap<Reg, u32> = HashMap::new();
+        let mut index = |r: Reg| {
+            let next = dense.len() as u32;
+            *dense.entry(r).or_insert(next)
         };
-        for &d in inst.defs() {
-            reg_ready.insert(d, complete);
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(IssueEvent {
+        let mut insts = Vec::with_capacity(block.len());
+        let mut operands = Vec::new();
+        for (id, inst) in block.iter_ids() {
+            if inst.opcode().is_vnop() {
+                continue;
+            }
+            let start = operands.len() as u32;
+            operands.extend(inst.uses().iter().map(|&r| index(r)));
+            let uses_end = operands.len() as u32;
+            operands.extend(inst.defs().iter().map(|&r| index(r)));
+            let is_load = inst.is_load();
+            insts.push(Decoded {
                 id,
-                issue_cycle: issue,
-                complete_cycle: complete,
-                stall_cycles: issue - earliest,
+                is_load,
+                address: if is_load { address_of(inst) } else { None },
+                latency: u64::from(op_latencies.latency(inst.opcode())),
+                start,
+                uses_end,
+                defs_end: operands.len() as u32,
             });
         }
-        instructions += 1;
-        // Advance the issue clock: `width` slots per cycle.
-        if issue > cycle {
-            cycle = issue;
-            slots_used = 0;
-        }
-        slots_used += 1;
-        if slots_used >= width {
-            cycle += 1;
-            slots_used = 0;
+        let registers = dense.len();
+        Self {
+            mem,
+            model,
+            width,
+            insts,
+            operands,
+            reg_ready: Vec::with_capacity(registers),
+            registers,
+            outstanding: Vec::new(),
+            completions: Vec::new(),
         }
     }
 
-    let elapsed = cycle + u64::from(slots_used > 0);
-    Ok((
-        SimResult {
-            instructions,
-            interlocks: breakdown.total(),
-            breakdown,
-        },
-        elapsed,
-    ))
+    /// Runs `runs` simulations, run `r` on `rng.split(r)`. With
+    /// `cancellable`, the thread's cancellation token is checked before
+    /// every run.
+    fn batch(
+        &mut self,
+        runs: u32,
+        rng: &Pcg32,
+        budget: u64,
+        cancellable: bool,
+    ) -> Result<RunStats, SimError> {
+        let mut elapsed = Vec::with_capacity(runs as usize);
+        let mut interlocks = Vec::with_capacity(runs as usize);
+        for r in 0..runs {
+            if cancellable && bsched_faults::cancelled() {
+                return Err(SimError::Cancelled);
+            }
+            let mut run_rng = rng.split(u64::from(r));
+            let (result, cycles) = self.run(&mut run_rng, None, budget)?;
+            elapsed.push(cycles as f64);
+            interlocks.push(result.interlocks as f64);
+        }
+        Ok(RunStats {
+            elapsed,
+            interlocks,
+        })
+    }
+
+    /// The single simulation loop: one execution of the decoded block.
+    /// `budget` bounds the run's issue clock: the moment an instruction's
+    /// issue cycle passes it the run aborts with
+    /// [`SimError::BudgetExceeded`]. The infallible entry points pass
+    /// `u64::MAX`, which can never trip.
+    fn run(
+        &mut self,
+        rng: &mut Pcg32,
+        mut trace: Option<&mut Vec<IssueEvent>>,
+        budget: u64,
+    ) -> Result<(SimResult, u64), SimError> {
+        let Self {
+            mem,
+            model,
+            width,
+            insts,
+            operands,
+            reg_ready,
+            registers,
+            outstanding,
+            completions,
+        } = self;
+        let (mem, model, width) = (*mem, *model, *width);
+        mem.begin_run();
+        // Hoisted so the fault hooks cost one relaxed load per run, not one
+        // per instruction, when no plan is installed.
+        let faults_on = bsched_faults::active();
+        let track_outstanding = model != ProcessorModel::Unlimited;
+        reg_ready.clear();
+        reg_ready.resize(*registers, 0);
+        outstanding.clear();
+        let mut breakdown = InterlockBreakdown::default();
+        let mut cycle: u64 = 0;
+        let mut slots_used: u32 = 0;
+        let mut instructions: u64 = 0;
+
+        for inst in insts.iter() {
+            let earliest = cycle;
+
+            // Operand readiness (register scoreboard).
+            let operand_ready = operands[inst.start as usize..inst.uses_end as usize]
+                .iter()
+                .map(|&u| reg_ready[u as usize])
+                .max()
+                .unwrap_or(0);
+            let mut issue = earliest.max(operand_ready);
+            breakdown.operand += issue - earliest;
+
+            // Injected processor stall: the machine simply loses `arg`
+            // cycles before this issue (watchdog fodder — large stalls trip
+            // the cycle budget below).
+            if faults_on {
+                if let Some(fault) = fault_point!(Site::SimStall) {
+                    let stall = fault.arg.clamp(1, 1 << 50);
+                    issue = issue.saturating_add(stall);
+                    breakdown.operand = breakdown.operand.saturating_add(stall);
+                }
+            }
+
+            // Processor-model constraints.
+            match model {
+                ProcessorModel::Unlimited => {}
+                ProcessorModel::MaxOutstanding(k) => {
+                    if inst.is_load {
+                        outstanding.retain(|o| o.completes > issue);
+                        if outstanding.len() >= k as usize {
+                            // Block until enough outstanding loads complete:
+                            // the (len − k)-th earliest completion frees a slot.
+                            completions.clear();
+                            completions.extend(outstanding.iter().map(|o| o.completes));
+                            let nth = outstanding.len() - k as usize;
+                            let free_at = *completions.select_nth_unstable(nth).1;
+                            if free_at > issue {
+                                breakdown.max_outstanding += free_at - issue;
+                                issue = free_at;
+                            }
+                            outstanding.retain(|o| o.completes > issue);
+                        }
+                    }
+                }
+                ProcessorModel::MaxLength(k) => {
+                    // The processor cannot execute past `issued + k` while a
+                    // load is still outstanding: each such load creates a
+                    // blocked interval [issued + k, completes).
+                    loop {
+                        let barrier = outstanding
+                            .iter()
+                            .filter(|o| issue >= o.issued + u64::from(k) && issue < o.completes)
+                            .map(|o| o.completes)
+                            .max();
+                        match barrier {
+                            Some(c) if c > issue => {
+                                breakdown.max_length += c - issue;
+                                issue = c;
+                            }
+                            _ => break,
+                        }
+                    }
+                    outstanding.retain(|o| o.completes > issue);
+                }
+            }
+
+            if issue > budget {
+                return Err(SimError::BudgetExceeded {
+                    budget,
+                    cycle: issue,
+                });
+            }
+
+            // Issue.
+            let complete = if inst.is_load {
+                let mut latency = mem.sample_at(inst.address, rng).max(1);
+                // Adversarial jitter stays inside the model's declared
+                // support, so the timeline validator's bounds still hold —
+                // the *number* changes, never the invariant.
+                if faults_on {
+                    if let Some(fault) = fault_point!(Site::LatencyJitter) {
+                        latency = bsched_faults::jitter_latency(
+                            latency,
+                            fault.arg,
+                            mem.min_latency(),
+                            mem.max_latency(),
+                        );
+                    }
+                }
+                let complete = issue.saturating_add(latency);
+                if track_outstanding {
+                    outstanding.push(Outstanding {
+                        issued: issue,
+                        completes: complete,
+                    });
+                }
+                complete
+            } else {
+                issue + inst.latency
+            };
+            for &d in &operands[inst.uses_end as usize..inst.defs_end as usize] {
+                reg_ready[d as usize] = complete;
+            }
+            if let Some(t) = trace.as_deref_mut() {
+                t.push(IssueEvent {
+                    id: inst.id,
+                    issue_cycle: issue,
+                    complete_cycle: complete,
+                    stall_cycles: issue - earliest,
+                });
+            }
+            instructions += 1;
+            // Advance the issue clock: `width` slots per cycle.
+            if issue > cycle {
+                cycle = issue;
+                slots_used = 0;
+            }
+            slots_used += 1;
+            if slots_used >= width {
+                cycle += 1;
+                slots_used = 0;
+            }
+        }
+
+        let elapsed = cycle + u64::from(slots_used > 0);
+        Ok((
+            SimResult {
+                instructions,
+                interlocks: breakdown.total(),
+                breakdown,
+            },
+            elapsed,
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -793,6 +894,27 @@ mod tests {
             w1.cycles(),
             "width-1 elapsed matches the paper's accounting"
         );
+    }
+
+    #[test]
+    fn wide_trace_shares_issue_cycles() {
+        let mut b = BlockBuilder::new("wide");
+        for k in 0..5 {
+            let _ = b.fconst(&format!("c{k}"), f64::from(k));
+        }
+        let block = b.finish();
+        let mut rng = Pcg32::seed_from_u64(0);
+        let (r, elapsed, events) = simulate_block_wide_traced(
+            &block,
+            &FixedLatency::new(1),
+            ProcessorModel::Unlimited,
+            2,
+            &mut rng,
+        );
+        let cycles: Vec<u64> = events.iter().map(|e| e.issue_cycle).collect();
+        assert_eq!(cycles, vec![0, 0, 1, 1, 2]);
+        assert_eq!(elapsed, 3, "a half-used last cycle still counts");
+        assert_eq!(r.instructions, 5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::borrow::Borrow;
 
-use bsched_cpusim::{simulate_block_traced, try_simulate_runs_stats, ProcessorModel};
+use bsched_cpusim::{simulate_block_wide_traced, try_simulate_runs_stats, ProcessorModel};
 use bsched_memsim::LatencyModel;
 use bsched_stats::{bootstrap_means, paired_improvement, Improvement, Pcg32};
 use bsched_verify::{verify_timeline, ValidationLevel};
@@ -131,18 +131,24 @@ pub(crate) fn block_stats(
         config.cycle_budget,
         &block_rng,
     )?;
-    if config.validation >= ValidationLevel::Full && config.issue_width == 1 && config.runs > 0 {
+    if config.validation >= ValidationLevel::Full && config.runs > 0 {
         // Replay run 0 with tracing (`split` is pure, so the extra
         // simulation reuses run 0's exact latency stream and perturbs
         // nothing) and check the timeline against the model's declared
         // latency support and the min-latency critical path.
         let mut run_rng = block_rng.split(0);
-        let (result, events) =
-            simulate_block_traced(&cb.block, mem, config.processor, &mut run_rng);
+        let (_, elapsed, events) = simulate_block_wide_traced(
+            &cb.block,
+            mem,
+            config.processor,
+            config.issue_width,
+            &mut run_rng,
+        );
         verify_timeline(
             &cb.block,
             &events,
-            result.cycles(),
+            elapsed,
+            config.issue_width,
             mem.min_latency(),
             mem.max_latency(),
         )?;

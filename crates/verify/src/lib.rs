@@ -10,9 +10,9 @@
 //!    spill stores and reloads pair up through real stack slots, and no
 //!    register index escapes the configured file ([`verify_allocation`]);
 //! 3. the simulator's issue **timeline** is sane — monotone issue cycles,
-//!    every sampled load latency inside the memory model's declared
-//!    support, and total time no smaller than the min-latency critical
-//!    path ([`verify_timeline`]).
+//!    no more issues in a cycle than the issue width, every sampled load
+//!    latency inside the memory model's declared support, and total time
+//!    no smaller than the min-latency critical path ([`verify_timeline`]).
 //!
 //! The validators recompute everything from first principles (they build
 //! their own DAG, run their own dataflow) so a bug in the scheduler,

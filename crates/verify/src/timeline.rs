@@ -20,9 +20,16 @@ use crate::error::VerifyError;
 /// hard lower bound on any legitimate elapsed time for the same block.
 #[must_use]
 pub fn min_latency_elapsed(block: &BasicBlock, min_load_latency: u64) -> u64 {
+    min_latency_elapsed_at(block, 1, min_load_latency)
+}
+
+/// [`min_latency_elapsed`] on an in-order machine issuing up to `width`
+/// instructions per cycle.
+fn min_latency_elapsed_at(block: &BasicBlock, width: u32, min_load_latency: u64) -> u64 {
     let load_latency = min_load_latency.max(1);
     let mut ready: HashMap<Reg, u64> = HashMap::new();
     let mut cycle: u64 = 0;
+    let mut slots_used: u32 = 0;
     for inst in block.insts() {
         if inst.opcode().is_vnop() {
             continue;
@@ -38,23 +45,32 @@ pub fn min_latency_elapsed(block: &BasicBlock, min_load_latency: u64) -> u64 {
         for &d in inst.defs() {
             ready.insert(d, complete);
         }
-        cycle = issue + 1;
+        if issue > cycle {
+            cycle = issue;
+            slots_used = 0;
+        }
+        slots_used += 1;
+        if slots_used >= width {
+            cycle += 1;
+            slots_used = 0;
+        }
     }
-    cycle
+    cycle + u64::from(slots_used > 0)
 }
 
-/// Checks a single-issue simulation trace of `block` for internal
-/// consistency:
+/// Checks a simulation trace of `block` on a `width`-issue processor for
+/// internal consistency:
 ///
 /// * the trace covers exactly the block's non-vnop instructions, in
 ///   order;
-/// * issue cycles are strictly increasing (one instruction per cycle);
+/// * issue cycles never decrease, and at most `width` instructions issue
+///   in any one cycle (at width 1, issue cycles strictly increase);
 /// * every load's latency lies within the memory model's declared
 ///   support `[min_load_latency.max(1), max_load_latency]`, and every
 ///   other instruction completes the cycle after it issues;
-/// * `elapsed` is the cycle after the last issue, and is at least
-///   [`min_latency_elapsed`] — the simulator cannot report a runtime
-///   faster than the min-latency critical path.
+/// * `elapsed` is the cycle after the last issue, and is at least the
+///   min-latency critical path at `width` ([`min_latency_elapsed`] at
+///   width 1) — the simulator cannot report a runtime faster than that.
 ///
 /// `max_load_latency` is `None` for unbounded models (e.g. a normal
 /// distribution's upper tail).
@@ -62,18 +78,25 @@ pub fn min_latency_elapsed(block: &BasicBlock, min_load_latency: u64) -> u64 {
 /// # Errors
 ///
 /// Returns [`VerifyError::Timeline`] describing the first inconsistency.
+///
+/// # Panics
+///
+/// Panics if `width` is zero.
 pub fn verify_timeline(
     block: &BasicBlock,
     events: &[IssueEvent],
     elapsed: u64,
+    width: u32,
     min_load_latency: u64,
     max_load_latency: Option<u64>,
 ) -> Result<(), VerifyError> {
+    assert!(width >= 1, "issue width must be at least 1");
     let timeline = |detail: String| VerifyError::Timeline { detail };
     let min_load_latency = min_load_latency.max(1);
 
     let mut events_iter = events.iter();
     let mut last_issue = None;
+    let mut issued_this_cycle: u32 = 0;
     for (id, inst) in block.iter_ids() {
         if inst.opcode().is_vnop() {
             continue;
@@ -87,15 +110,25 @@ pub fn verify_timeline(
                 event.id
             )));
         }
-        if let Some(prev) = last_issue {
-            if event.issue_cycle <= prev {
+        let cycle = event.issue_cycle;
+        match last_issue {
+            Some(prev) if cycle < prev => {
                 return Err(timeline(format!(
-                    "{id} issues at cycle {}, not after the previous issue at {prev}",
-                    event.issue_cycle
+                    "{id} issues at cycle {cycle}, before the previous issue at {prev}"
                 )));
             }
+            Some(prev) if cycle == prev => {
+                issued_this_cycle += 1;
+                if issued_this_cycle > width {
+                    return Err(timeline(format!(
+                        "{id} issues at cycle {cycle}, not after the previous issue at \
+                         {prev}, though all {width} issue slots of that cycle are taken"
+                    )));
+                }
+            }
+            _ => issued_this_cycle = 1,
         }
-        last_issue = Some(event.issue_cycle);
+        last_issue = Some(cycle);
 
         let latency = event.complete_cycle.saturating_sub(event.issue_cycle);
         if inst.is_load() {
@@ -130,7 +163,7 @@ pub fn verify_timeline(
             "elapsed {elapsed} cycles, but the last issue implies {expected_elapsed}"
         )));
     }
-    let floor = min_latency_elapsed(block, min_load_latency);
+    let floor = min_latency_elapsed_at(block, width, min_load_latency);
     if elapsed < floor {
         return Err(timeline(format!(
             "elapsed {elapsed} cycles, below the min-latency critical path of {floor}"
@@ -142,7 +175,7 @@ pub fn verify_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsched_cpusim::{simulate_block_traced, ProcessorModel};
+    use bsched_cpusim::{simulate_block_traced, simulate_block_wide_traced, ProcessorModel};
     use bsched_ir::{BlockBuilder, InstId};
     use bsched_memsim::FixedLatency;
     use bsched_stats::Pcg32;
@@ -174,9 +207,9 @@ mod tests {
     fn real_traces_verify() {
         for latency in [1, 4, 20] {
             let (block, events, elapsed) = trace(latency);
-            verify_timeline(&block, &events, elapsed, latency, Some(latency)).unwrap();
+            verify_timeline(&block, &events, elapsed, 1, latency, Some(latency)).unwrap();
             // Looser declared bounds also pass.
-            verify_timeline(&block, &events, elapsed, 1, None).unwrap();
+            verify_timeline(&block, &events, elapsed, 1, 1, None).unwrap();
         }
     }
 
@@ -193,9 +226,9 @@ mod tests {
     #[test]
     fn latency_outside_declared_support_is_rejected() {
         let (block, events, elapsed) = trace(4);
-        let err = verify_timeline(&block, &events, elapsed, 5, None).unwrap_err();
+        let err = verify_timeline(&block, &events, elapsed, 1, 5, None).unwrap_err();
         assert!(err.to_string().contains("below the model minimum"), "{err}");
-        let err = verify_timeline(&block, &events, elapsed, 1, Some(3)).unwrap_err();
+        let err = verify_timeline(&block, &events, elapsed, 1, 1, Some(3)).unwrap_err();
         assert!(err.to_string().contains("above the model maximum"), "{err}");
     }
 
@@ -206,16 +239,16 @@ mod tests {
         // Non-monotone issue.
         let mut bad = events.clone();
         bad[2].issue_cycle = bad[1].issue_cycle;
-        let err = verify_timeline(&block, &bad, elapsed, 1, None).unwrap_err();
+        let err = verify_timeline(&block, &bad, elapsed, 1, 1, None).unwrap_err();
         assert!(err.to_string().contains("not after"), "{err}");
 
         // Wrong instruction order.
         let mut bad = events.clone();
         bad.swap(1, 2);
-        assert!(verify_timeline(&block, &bad, elapsed, 1, None).is_err());
+        assert!(verify_timeline(&block, &bad, elapsed, 1, 1, None).is_err());
 
         // Missing / extra events.
-        assert!(verify_timeline(&block, &events[..3], elapsed, 1, None).is_err());
+        assert!(verify_timeline(&block, &events[..3], elapsed, 1, 1, None).is_err());
         let mut bad = events.clone();
         bad.push(IssueEvent {
             id: InstId::from_usize(9),
@@ -223,16 +256,16 @@ mod tests {
             complete_cycle: elapsed + 2,
             stall_cycles: 0,
         });
-        assert!(verify_timeline(&block, &bad, elapsed, 1, None).is_err());
+        assert!(verify_timeline(&block, &bad, elapsed, 1, 1, None).is_err());
 
         // A non-load pretending to be multi-cycle.
         let mut bad = events.clone();
         bad[0].complete_cycle = bad[0].issue_cycle + 3;
-        let err = verify_timeline(&block, &bad, elapsed, 1, None).unwrap_err();
+        let err = verify_timeline(&block, &bad, elapsed, 1, 1, None).unwrap_err();
         assert!(err.to_string().contains("instead of 1"), "{err}");
 
         // Elapsed time inconsistent with the last issue.
-        let err = verify_timeline(&block, &events, elapsed + 1, 1, None).unwrap_err();
+        let err = verify_timeline(&block, &events, elapsed + 1, 1, 1, None).unwrap_err();
         assert!(err.to_string().contains("last issue implies"), "{err}");
     }
 
@@ -244,7 +277,7 @@ mod tests {
         // With declared min 4, the λ=1 trace violates the per-load bound
         // first; squeeze the check down to the critical-path comparison
         // by handing it a consistent-looking fast trace.
-        let err = verify_timeline(&block, &events, elapsed, 4, None).unwrap_err();
+        let err = verify_timeline(&block, &events, elapsed, 1, 4, None).unwrap_err();
         assert!(err.to_string().contains("below the model minimum"), "{err}");
         // And a trace whose per-event data is fine but whose elapsed
         // claim undercuts the critical path is caught by the floor.
@@ -255,7 +288,86 @@ mod tests {
     #[test]
     fn empty_block_trace_verifies() {
         let block = BasicBlock::new("e", vec![]);
-        verify_timeline(&block, &[], 0, 3, Some(3)).unwrap();
-        assert!(verify_timeline(&block, &[], 1, 3, Some(3)).is_err());
+        verify_timeline(&block, &[], 0, 1, 3, Some(3)).unwrap();
+        assert!(verify_timeline(&block, &[], 1, 1, 3, Some(3)).is_err());
+    }
+
+    /// Four independent constants: a width-2 machine issues them two a
+    /// cycle.
+    fn wide_trace() -> (BasicBlock, Vec<IssueEvent>, u64) {
+        let mut b = BlockBuilder::new("wide");
+        for k in 0..4 {
+            let _ = b.fconst(&format!("c{k}"), f64::from(k));
+        }
+        let block = b.finish();
+        let mut rng = Pcg32::seed_from_u64(0);
+        let (_, elapsed, events) = simulate_block_wide_traced(
+            &block,
+            &FixedLatency::new(1),
+            ProcessorModel::Unlimited,
+            2,
+            &mut rng,
+        );
+        (block, events, elapsed)
+    }
+
+    #[test]
+    fn dual_issue_traces_verify_at_their_width_only() {
+        let (block, events, elapsed) = wide_trace();
+        let cycles: Vec<u64> = events.iter().map(|e| e.issue_cycle).collect();
+        assert_eq!(cycles, vec![0, 0, 1, 1]);
+        assert_eq!(elapsed, 2);
+        verify_timeline(&block, &events, elapsed, 2, 1, Some(1)).unwrap();
+        let err = verify_timeline(&block, &events, elapsed, 1, 1, Some(1)).unwrap_err();
+        assert!(err.to_string().contains("issue slots"), "{err}");
+        // The width-2 floor is half the width-1 one for this block.
+        assert_eq!(min_latency_elapsed_at(&block, 2, 1), 2);
+        assert_eq!(min_latency_elapsed(&block, 1), 4);
+    }
+
+    #[test]
+    fn three_issues_in_one_width_2_cycle_are_rejected() {
+        let (block, events, elapsed) = wide_trace();
+        let mut bad = events.clone();
+        bad[2].issue_cycle = 0;
+        bad[2].complete_cycle = 1;
+        let err = verify_timeline(&block, &bad, elapsed, 2, 1, None).unwrap_err();
+        assert!(err.to_string().contains("all 2 issue slots"), "{err}");
+
+        // Issue cycles running backwards.
+        let mut bad = events;
+        bad[3].issue_cycle = 0;
+        bad[3].complete_cycle = 1;
+        let err = verify_timeline(&block, &bad, elapsed, 2, 1, None).unwrap_err();
+        assert!(
+            err.to_string().contains("before the previous issue"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn dual_issue_trace_faster_than_the_width_2_critical_path_is_rejected() {
+        // demo_block at λ = 1 and width 2: base@0, both loads wait for
+        // it and issue @1, the add @2 — elapsed 3. A trace that issues
+        // the first load beside base and the add beside the second load
+        // keeps every cycle within 2 slots but claims elapsed 2.
+        let block = demo_block();
+        let mut rng = Pcg32::seed_from_u64(0);
+        let (_, elapsed, events) = simulate_block_wide_traced(
+            &block,
+            &FixedLatency::new(1),
+            ProcessorModel::Unlimited,
+            2,
+            &mut rng,
+        );
+        assert_eq!(elapsed, 3);
+        verify_timeline(&block, &events, elapsed, 2, 1, Some(1)).unwrap();
+        let mut bad = events;
+        for (e, cycle) in bad.iter_mut().zip([0, 0, 1, 1]) {
+            e.issue_cycle = cycle;
+            e.complete_cycle = cycle + 1;
+        }
+        let err = verify_timeline(&block, &bad, 2, 2, 1, None).unwrap_err();
+        assert!(err.to_string().contains("critical path of 3"), "{err}");
     }
 }

@@ -1,6 +1,10 @@
 //! Property-based tests over randomly generated blocks: invariants that
 //! must hold for *any* straight-line program, not just the workload.
 
+use std::cell::Cell;
+
+use balanced_scheduling::cpusim::simulate_block_wide;
+use balanced_scheduling::memsim::LatencyModel;
 use balanced_scheduling::prelude::*;
 use balanced_scheduling::sched::compute_priorities;
 use balanced_scheduling::stats::SplitMix64;
@@ -18,8 +22,129 @@ fn arb_config() -> impl Strategy<Value = GeneratorConfig> {
     )
 }
 
+/// A latency model that plays a script: the `i`-th load a run issues
+/// takes `latencies[i]` cycles.
+struct Scripted {
+    latencies: Vec<u64>,
+    next: Cell<usize>,
+}
+
+impl Scripted {
+    fn new(latencies: Vec<u64>) -> Self {
+        Self {
+            latencies,
+            next: Cell::new(0),
+        }
+    }
+}
+
+impl LatencyModel for Scripted {
+    fn name(&self) -> String {
+        "scripted".to_owned()
+    }
+
+    fn sample(&self, _rng: &mut Pcg32) -> u64 {
+        let i = self.next.get();
+        self.next.set(i + 1);
+        self.latencies[i]
+    }
+
+    fn begin_run(&self) {
+        self.next.set(0);
+    }
+
+    fn optimistic_latency(&self) -> f64 {
+        1.0
+    }
+
+    fn effective_latency(&self) -> f64 {
+        1.0
+    }
+}
+
+/// Elapsed cycles of `block` when its loads take `latencies`, in issue
+/// order.
+fn scripted_elapsed(
+    block: &BasicBlock,
+    latencies: &[u64],
+    model: ProcessorModel,
+    width: u32,
+) -> u64 {
+    let mem = Scripted::new(latencies.to_vec());
+    simulate_block_wide(block, &mem, model, width, &mut Pcg32::seed_from_u64(0)).1
+}
+
+/// LEN-k is *not* monotone in one load's latency, so a "monotone bound"
+/// cannot cover it. Minimized from a random block: raising the first
+/// load's latency from 1 to 5 makes the whole block one cycle faster.
+///
+/// Under LEN-4 the fourth load `l3` would issue at 5 and block cycles
+/// [9, 11) until its data returns at 11; `l4`, stalled behind `l1`'s and
+/// `l2`'s windows until 9, walks into that one too and issues at 11
+/// (elapsed 12). A slow `l0` blocks `l3` itself until 6, `l1`'s and
+/// `l2`'s windows hold it to 9, so its own window moves to [13, 15) —
+/// and `l4` now issues at 10, before it (elapsed 11).
+#[test]
+fn len_k_is_not_monotone_in_one_load_latency() {
+    let mut b = BlockBuilder::new("len_anomaly");
+    let base = b.def_int("base");
+    for (name, offset) in [("l0", 0), ("l1", 8)] {
+        let _ = b.load(name, base, offset);
+    }
+    let _ = b.def_int("pad");
+    for (name, offset) in [("l2", 16), ("l3", 24), ("l4", 32)] {
+        let _ = b.load(name, base, offset);
+    }
+    let block = b.finish();
+    let len4 = ProcessorModel::MaxLength(4);
+    assert_eq!(scripted_elapsed(&block, &[1, 6, 5, 6, 1], len4, 1), 12);
+    assert_eq!(scripted_elapsed(&block, &[5, 6, 5, 6, 1], len4, 1), 11);
+    // The models the monotone bound does cover get slower, as they must.
+    for model in [ProcessorModel::Unlimited, ProcessorModel::MaxOutstanding(2)] {
+        assert!(
+            scripted_elapsed(&block, &[5, 6, 5, 6, 1], model, 1)
+                >= scripted_elapsed(&block, &[1, 6, 5, 6, 1], model, 1)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Per-load monotonicity, the premise of a "monotone bound" on
+    /// runtime: on UNLIMITED and MAX-k, at issue widths 1 and 2, raising
+    /// any one load's latency never lowers elapsed time. (LEN-k fails
+    /// it; see `len_k_is_not_monotone_in_one_load_latency`.)
+    #[test]
+    fn elapsed_is_monotone_in_each_load_latency(
+        cfg in arb_config(),
+        seed in 0u64..1000,
+        raise in 1u64..16,
+    ) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let block = random_block(&cfg, &mut rng);
+        let loads = block.insts().iter().filter(|i| i.is_load()).count();
+        let latencies: Vec<u64> = (0..loads).map(|_| 1 + u64::from(rng.next_u32() % 20)).collect();
+        for model in [
+            ProcessorModel::Unlimited,
+            ProcessorModel::MaxOutstanding(1),
+            ProcessorModel::MaxOutstanding(2),
+            ProcessorModel::max_8(),
+        ] {
+            for width in [1, 2] {
+                let base = scripted_elapsed(&block, &latencies, model, width);
+                for i in 0..loads {
+                    let mut raised = latencies.clone();
+                    raised[i] += raise;
+                    let slower = scripted_elapsed(&block, &raised, model, width);
+                    prop_assert!(
+                        slower >= base,
+                        "{model}, width {width}: load {i} +{raise} cycles: {slower} < {base}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Both schedulers produce valid topological orders for any block,
     /// any alias model, any direction.
