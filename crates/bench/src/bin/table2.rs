@@ -6,7 +6,8 @@
 //! (`BSCHED_RUNS=5` for a quick pass).
 
 use bsched_bench::{
-    failure_label, print_table, report_cell_reports, run_cells_reported, table2_rows, CellJob,
+    env_knob, failure_label, print_table, report_cell_reports, run_cells_reported, table2_rows,
+    CellJob,
 };
 use bsched_cpusim::ProcessorModel;
 use bsched_memsim::LatencyModel;
@@ -16,11 +17,7 @@ fn main() {
     // The paper's Table 2 uses UNLIMITED; it reports that MAX-8 and
     // LEN-8 behave similarly (means 10.0% and 8.7% vs 9.9%). Set
     // BSCHED_PROCESSOR=max8|len8 to regenerate the table for those.
-    let processor = match std::env::var("BSCHED_PROCESSOR").as_deref() {
-        Ok("max8") => ProcessorModel::max_8(),
-        Ok("len8") => ProcessorModel::len_8(),
-        _ => ProcessorModel::Unlimited,
-    };
+    let processor: ProcessorModel = env_knob("BSCHED_PROCESSOR").unwrap_or_default();
     // BSCHED_CI=1 prints each cell as mean±halfwidth of its 95%
     // bootstrap confidence interval (§4.3).
     let with_ci = std::env::var("BSCHED_CI").as_deref() == Ok("1");

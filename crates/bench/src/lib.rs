@@ -115,17 +115,37 @@ pub fn eval_config(processor: ProcessorModel) -> EvalConfig {
         processor,
         ..EvalConfig::default()
     };
-    if let Ok(runs) = std::env::var("BSCHED_RUNS") {
-        if let Ok(runs) = runs.parse::<u32>() {
-            cfg.runs = runs.max(2);
-        }
+    if let Some(runs) = env_knob::<u32>("BSCHED_RUNS") {
+        cfg.runs = runs.max(2);
     }
-    if let Ok(seed) = std::env::var("BSCHED_SEED") {
-        if let Ok(seed) = seed.parse::<u64>() {
-            cfg.seed = seed;
-        }
+    if let Some(seed) = env_knob("BSCHED_SEED") {
+        cfg.seed = seed;
     }
     cfg
+}
+
+/// The one reader for the harness's `BSCHED_*` knobs: unset or empty
+/// reads as `None`, anything else must parse as `T`.
+///
+/// # Panics
+///
+/// On a value `T` cannot parse, with a message that starts with the
+/// variable's name — the policy `bsched_faults::init_from_env` applies
+/// to `BSCHED_FAULTS`: a typo fails loudly instead of silently running
+/// with the default.
+#[must_use]
+pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = std::env::var(name).ok()?;
+    match raw.trim() {
+        "" => None,
+        v => Some(
+            v.parse()
+                .unwrap_or_else(|e| panic!("{name}: invalid value {v:?}: {e}")),
+        ),
+    }
 }
 
 /// Result of one (benchmark, system, processor) comparison cell.
@@ -169,9 +189,8 @@ pub fn run_cell(bench: &Benchmark, row: &SystemRow, processor: ProcessorModel) -
 ///
 /// # Errors
 ///
-/// Propagates the first finding from
-/// [`try_evaluate`](bsched_pipeline::try_evaluate) (only possible at
-/// [`ValidationLevel::Full`](bsched_verify::ValidationLevel::Full)).
+/// Propagates the first finding from [`try_evaluate`] (only possible
+/// at `ValidationLevel::Full`).
 pub fn try_run_cell_compiled(
     balanced: &CompiledProgram,
     traditional: &CompiledProgram,
@@ -331,27 +350,15 @@ impl CellError {
     }
 }
 
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The per-cell wall-clock limit from `BSCHED_TIMEOUT_MS` (`0`/`off`/
-/// unset disables the watchdog).
+/// empty/unset disables the watchdog).
 fn timeout_from_env() -> Option<Duration> {
-    match std::env::var("BSCHED_TIMEOUT_MS").ok()?.trim() {
-        "" | "0" | "off" => None,
-        v => v.parse::<u64>().ok().map(Duration::from_millis),
+    if std::env::var("BSCHED_TIMEOUT_MS").is_ok_and(|v| v.trim() == "off") {
+        return None;
     }
+    env_knob("BSCHED_TIMEOUT_MS")
+        .filter(|&ms| ms > 0)
+        .map(Duration::from_millis)
 }
 
 /// Fingerprint of everything that determines cell values this run: the
@@ -576,8 +583,8 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
 
     // Recovery pass: serial, in job order, so retry/quarantine decisions
     // are deterministic for any thread count.
-    let retries = env_u32("BSCHED_RETRIES", 1);
-    let backoff_ms = env_u64("BSCHED_BACKOFF_MS", 25);
+    let retries = env_knob("BSCHED_RETRIES").unwrap_or(1u32);
+    let backoff_ms = env_knob("BSCHED_BACKOFF_MS").unwrap_or(25u64);
     let mut strikes: HashMap<String, u32> = HashMap::new();
     let mut reports = Vec::with_capacity(jobs.len());
     let record_failed = |key: &str, kind: FailureKind, reason: &str| {
@@ -1269,5 +1276,21 @@ mod tests {
         let cfg = eval_config(ProcessorModel::max_8());
         assert_eq!(cfg.runs, 30);
         assert_eq!(cfg.processor, ProcessorModel::MaxOutstanding(8));
+    }
+
+    #[test]
+    fn malformed_timeout_fails_loudly() {
+        let _guard = env_lock();
+        for off in ["", "0", "off"] {
+            std::env::set_var("BSCHED_TIMEOUT_MS", off);
+            assert_eq!(timeout_from_env(), None, "{off:?}");
+        }
+        std::env::set_var("BSCHED_TIMEOUT_MS", "250");
+        assert_eq!(timeout_from_env(), Some(Duration::from_millis(250)));
+        std::env::set_var("BSCHED_TIMEOUT_MS", "5s");
+        let panic = std::panic::catch_unwind(timeout_from_env).expect_err("a typo must panic");
+        std::env::remove_var("BSCHED_TIMEOUT_MS");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.starts_with("BSCHED_TIMEOUT_MS: "), "{msg}");
     }
 }

@@ -18,7 +18,7 @@
 //!   exactly and serves as an ablation.
 
 use bsched_dag::{CodeDag, DepKind};
-use bsched_ir::{BasicBlock, InstId};
+use bsched_ir::InstId;
 
 use crate::ratio::Ratio;
 use crate::schedule::Schedule;
@@ -309,13 +309,6 @@ fn exposed_count(dag: &CodeDag, remaining: &[usize], i: InstId, direction: Direc
         .iter()
         .filter(|&&(nb, _)| remaining[nb.index()] == 1)
         .count()
-}
-
-/// Convenience: build the DAG-aware pressure tie-break on a block, used by
-/// the pipeline layer. Returns `uses − defs` for the instruction.
-#[must_use]
-pub fn block_pressure_delta(block: &BasicBlock, id: InstId) -> i64 {
-    block.inst(id).pressure_delta()
 }
 
 #[cfg(test)]

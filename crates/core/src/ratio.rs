@@ -89,12 +89,6 @@ impl Ratio {
         (2 * self.num + self.den).div_euclid(2 * self.den)
     }
 
-    /// `true` for integral values.
-    #[must_use]
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     fn from_i128(num: i128, den: i128) -> Self {
         assert_ne!(den, 0, "denominator must be nonzero");
         let sign: i128 = if den < 0 { -1 } else { 1 };
@@ -391,13 +385,6 @@ mod tests {
     fn to_f64_matches() {
         assert_eq!(Ratio::new(1, 4).to_f64(), 0.25);
         assert!(Ratio::new(1, 3).to_f64() > 0.333);
-    }
-
-    #[test]
-    fn is_integer() {
-        assert!(Ratio::from_int(4).is_integer());
-        assert!(!Ratio::new(4, 3).is_integer());
-        assert!(Ratio::new(8, 4).is_integer());
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //!
 //! # Cost model
 //!
-//! The §4.3 protocol simulates every block 30 times, so the batch entry
-//! points ([`try_simulate_runs_stats`], [`simulate_runs_stats`]) decode
-//! the block once — operands renumbered into a dense per-block register
-//! index, addresses and opcode latencies precomputed — and replay that
-//! plan per run against a flat scoreboard and buffers reused across the
+//! The §4.3 protocol simulates every block 30 times, so the one batch
+//! entry point, [`try_simulate_runs_stats`], decodes the block once —
+//! operands renumbered into a dense per-block register index, addresses
+//! and opcode latencies precomputed — and replays that plan per run against a flat scoreboard and buffers reused across the
 //! batch. Every entry point shares the one run loop, so a batch's runs
 //! are bit-identical to single-run calls on the same `rng.split(run)`
 //! streams.
@@ -66,7 +65,6 @@ pub use processor::ProcessorModel;
 pub use result::{InterlockBreakdown, SimResult};
 pub use sim::{
     simulate_block, simulate_block_custom, simulate_block_traced, simulate_block_wide,
-    simulate_block_wide_traced, simulate_runs, simulate_runs_stats, simulate_runs_wide,
-    try_simulate_runs_stats, IssueEvent, RunStats,
+    simulate_block_wide_traced, try_simulate_runs_stats, IssueEvent, RunStats,
 };
 pub use timeline::render_timeline;

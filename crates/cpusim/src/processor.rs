@@ -60,6 +60,22 @@ impl fmt::Display for ProcessorModel {
     }
 }
 
+impl std::str::FromStr for ProcessorModel {
+    type Err = String;
+
+    /// Parses the spelling shared by the CLI's `--processor`, the wire
+    /// protocol's `processor` field and `table2`'s `BSCHED_PROCESSOR`:
+    /// `unlimited`, `max8` or `len8`.
+    fn from_str(s: &str) -> Result<ProcessorModel, String> {
+        match s {
+            "unlimited" => Ok(ProcessorModel::Unlimited),
+            "max8" => Ok(ProcessorModel::max_8()),
+            "len8" => Ok(ProcessorModel::len_8()),
+            other => Err(format!("unknown processor {other:?} (unlimited|max8|len8)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

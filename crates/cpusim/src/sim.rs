@@ -148,45 +148,13 @@ pub fn simulate_block_custom(
         .expect("an unlimited budget cannot be exceeded")
 }
 
-/// Runs `runs` independent simulations (fresh latency draws each run,
-/// split deterministically from `rng`) and returns each run's total
-/// cycle count — the raw samples the §4.3 bootstrap consumes.
-#[must_use]
-pub fn simulate_runs(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    runs: u32,
-    rng: &Pcg32,
-) -> Vec<f64> {
-    simulate_runs_wide(block, mem, model, 1, runs, rng)
-}
-
-/// [`simulate_runs`] on a `width`-issue processor; samples are the
-/// **elapsed** cycle counts.
-///
-/// # Panics
-///
-/// Panics if `width` is zero.
-#[must_use]
-pub fn simulate_runs_wide(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    width: u32,
-    runs: u32,
-    rng: &Pcg32,
-) -> Vec<f64> {
-    simulate_runs_stats(block, mem, model, width, runs, rng).elapsed
-}
-
 /// Per-run samples from one batch of independent simulations: everything
 /// the §4.3 measurement protocol consumes, produced in a **single**
 /// simulation pass per run.
 ///
-/// Run `r` draws its latencies from `rng.split(r)`, exactly as
-/// [`simulate_runs_wide`] does, so `elapsed` is bit-identical to that
-/// function's output and `interlocks` comes for free from the same runs.
+/// Run `r` draws its latencies from `rng.split(r)`, so each run is
+/// bit-identical to a single-run call on that stream, and `interlocks`
+/// comes for free from the same runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Elapsed cycles per run (equals `instructions + interlocks` at
@@ -208,37 +176,15 @@ impl RunStats {
     }
 }
 
-/// Runs `runs` independent simulations and returns both the elapsed
-/// cycle count and the interlock count of every run.
+/// The one batch entry point: runs `runs` independent simulations
+/// (fresh latency draws each run, split deterministically from `rng`)
+/// and returns both the elapsed cycle count and the interlock count of
+/// every run — the raw samples the §4.3 bootstrap consumes. Each
+/// `(block, run)` pair is simulated exactly once.
 ///
-/// This is the single-pass batch entry point: callers that need runtimes
-/// *and* interlock accounting (the §4.3 protocol reports both) must not
-/// simulate twice — each `(block, run)` pair is simulated exactly once
-/// here.
-///
-/// # Panics
-///
-/// Panics if `width` is zero.
-#[must_use]
-pub fn simulate_runs_stats(
-    block: &BasicBlock,
-    mem: &dyn LatencyModel,
-    model: ProcessorModel,
-    width: u32,
-    runs: u32,
-    rng: &Pcg32,
-) -> RunStats {
-    Simulator::new(block, mem, model, width, OpLatencies::unit())
-        .batch(runs, rng, u64::MAX, false)
-        .expect("an unlimited, uncancellable batch cannot fail")
-}
-
-/// Watchdog-guarded [`simulate_runs_stats`]: identical samples on the
-/// happy path (bit for bit — same `rng.split` schedule), but each run is
-/// bounded by a per-run cycle `budget` and the batch checks the thread's
-/// cancellation token between runs.
-///
-/// `budget: None` means unlimited. A run whose issue clock passes the
+/// Each run is bounded by a per-run cycle `budget` (`None` means
+/// unlimited) and the batch checks the thread's cancellation token
+/// between runs. A run whose issue clock passes the
 /// budget fails the whole batch with [`SimError::BudgetExceeded`]; a
 /// tripped [`bsched_faults::CancelToken`] fails it with
 /// [`SimError::Cancelled`].
@@ -263,7 +209,6 @@ pub fn try_simulate_runs_stats(
         runs,
         rng,
         budget.unwrap_or(u64::MAX),
-        true,
     )
 }
 
@@ -372,20 +317,13 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Runs `runs` simulations, run `r` on `rng.split(r)`. With
-    /// `cancellable`, the thread's cancellation token is checked before
-    /// every run.
-    fn batch(
-        &mut self,
-        runs: u32,
-        rng: &Pcg32,
-        budget: u64,
-        cancellable: bool,
-    ) -> Result<RunStats, SimError> {
+    /// Runs `runs` simulations, run `r` on `rng.split(r)`, checking the
+    /// thread's cancellation token before every run.
+    fn batch(&mut self, runs: u32, rng: &Pcg32, budget: u64) -> Result<RunStats, SimError> {
         let mut elapsed = Vec::with_capacity(runs as usize);
         let mut interlocks = Vec::with_capacity(runs as usize);
         for r in 0..runs {
-            if cancellable && bsched_faults::cancelled() {
+            if bsched_faults::cancelled() {
                 return Err(SimError::Cancelled);
             }
             let mut run_rng = rng.split(u64::from(r));
@@ -576,6 +514,11 @@ mod tests {
     use super::*;
     use bsched_ir::BlockBuilder;
     use bsched_memsim::{FixedLatency, MemorySystem, NetworkModel};
+
+    /// An unbudgeted width-1 UNLIMITED batch.
+    fn unbudgeted(block: &BasicBlock, mem: &dyn LatencyModel, runs: u32, rng: &Pcg32) -> RunStats {
+        try_simulate_runs_stats(block, mem, ProcessorModel::Unlimited, 1, runs, None, rng).unwrap()
+    }
 
     /// base; k independent loads; an add consuming the last load.
     fn block_with_loads(k: usize) -> BasicBlock {
@@ -768,8 +711,8 @@ mod tests {
         let block = block_with_loads(8);
         let mem: MemorySystem = NetworkModel::new(3.0, 2.0).into();
         let rng = Pcg32::seed_from_u64(100);
-        let a = simulate_runs(&block, &mem, ProcessorModel::Unlimited, 30, &rng);
-        let b = simulate_runs(&block, &mem, ProcessorModel::Unlimited, 30, &rng);
+        let a = unbudgeted(&block, &mem, 30, &rng).elapsed;
+        let b = unbudgeted(&block, &mem, 30, &rng).elapsed;
         assert_eq!(a, b);
         assert_eq!(a.len(), 30);
         // Stochastic latencies: runs should not all coincide.
@@ -778,14 +721,14 @@ mod tests {
 
     #[test]
     fn runs_stats_single_pass_matches_separate_passes() {
-        // The batch entry point must reproduce, bit for bit, both the
-        // elapsed samples of `simulate_runs_wide` and the interlocks a
-        // separate per-run `simulate_block` pass would have counted.
+        // The batch entry point must reproduce, bit for bit, both its own
+        // elapsed samples and the interlocks a separate per-run
+        // `simulate_block` pass would have counted.
         let block = block_with_loads(8);
         let mem: MemorySystem = NetworkModel::new(3.0, 2.0).into();
         let rng = Pcg32::seed_from_u64(42);
-        let stats = simulate_runs_stats(&block, &mem, ProcessorModel::Unlimited, 1, 30, &rng);
-        let elapsed = simulate_runs(&block, &mem, ProcessorModel::Unlimited, 30, &rng);
+        let stats = unbudgeted(&block, &mem, 30, &rng);
+        let elapsed = unbudgeted(&block, &mem, 30, &rng).elapsed;
         assert_eq!(stats.elapsed, elapsed);
         let interlocks: Vec<f64> = (0..30u32)
             .map(|r| {
@@ -803,14 +746,7 @@ mod tests {
     fn runs_stats_empty_batch() {
         let block = block_with_loads(1);
         let rng = Pcg32::seed_from_u64(0);
-        let stats = simulate_runs_stats(
-            &block,
-            &FixedLatency::new(2),
-            ProcessorModel::Unlimited,
-            1,
-            0,
-            &rng,
-        );
+        let stats = unbudgeted(&block, &FixedLatency::new(2), 0, &rng);
         assert!(stats.elapsed.is_empty());
         assert_eq!(stats.mean_interlocks(), 0.0);
     }
@@ -821,7 +757,7 @@ mod tests {
         let block = block_with_loads(1);
         let mem: MemorySystem = NetworkModel::new(5.0, 2.0).into();
         let rng = Pcg32::seed_from_u64(7);
-        let runs = simulate_runs(&block, &mem, ProcessorModel::Unlimited, 2000, &rng);
+        let runs = unbudgeted(&block, &mem, 2000, &rng).elapsed;
         let mean_cycles = runs.iter().sum::<f64>() / runs.len() as f64;
         // 3 instructions + (E[λ]−1) stalls.
         let expected = 3.0
@@ -964,18 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn guarded_runs_match_unguarded_bit_for_bit() {
-        let block = block_with_loads(8);
-        let mem: MemorySystem = NetworkModel::new(3.0, 2.0).into();
-        let rng = Pcg32::seed_from_u64(42);
-        let plain = simulate_runs_stats(&block, &mem, ProcessorModel::Unlimited, 1, 30, &rng);
-        let guarded =
-            try_simulate_runs_stats(&block, &mem, ProcessorModel::Unlimited, 1, 30, None, &rng)
-                .unwrap();
-        assert_eq!(plain, guarded);
-    }
-
-    #[test]
     fn budget_kills_a_runaway_run() {
         let block = block_with_loads(1);
         let rng = Pcg32::seed_from_u64(0);
@@ -1064,14 +988,7 @@ mod tests {
         let rng = Pcg32::seed_from_u64(9);
         // Point support: jitter must clamp back to the fixed latency, so
         // the perturbed run is bit-identical to the clean one.
-        let clean = simulate_runs_stats(
-            &block,
-            &FixedLatency::new(7),
-            ProcessorModel::Unlimited,
-            1,
-            10,
-            &rng,
-        );
+        let clean = unbudgeted(&block, &FixedLatency::new(7), 10, &rng);
         bsched_faults::install(
             FaultPlan::seeded(3).with(FaultSpec::always(Site::LatencyJitter).with_key("__chaos__")),
         );
@@ -1089,7 +1006,7 @@ mod tests {
         .unwrap();
         // Unbounded support: jitter slows the runs down.
         let mem: MemorySystem = NetworkModel::new(3.0, 2.0).into();
-        let net_clean = simulate_runs_stats(&block, &mem, ProcessorModel::Unlimited, 1, 10, &rng);
+        let net_clean = unbudgeted(&block, &mem, 10, &rng);
         let net_jittered = bsched_faults::with_cell_context("__chaos__", 0, || {
             try_simulate_runs_stats(&block, &mem, ProcessorModel::Unlimited, 1, 10, None, &rng)
         })
@@ -1136,7 +1053,7 @@ mod tests {
         let block = b.finish();
         let cache = LineCache::new(32, 4, 1, 2, 10);
         let rng = Pcg32::seed_from_u64(1);
-        let runs = simulate_runs(&block, &cache, ProcessorModel::Unlimited, 5, &rng);
+        let runs = unbudgeted(&block, &cache, 5, &rng).elapsed;
         // Every run starts cold: identical cycle counts.
         assert!(runs.iter().all(|&c| c == runs[0]), "{runs:?}");
     }

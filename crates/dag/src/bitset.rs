@@ -87,18 +87,6 @@ impl BitSet {
         }
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// In-place difference (`self − other`).
     ///
     /// # Panics
@@ -254,9 +242,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 70]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 70]);
         a.difference_with(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
     }

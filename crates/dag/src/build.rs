@@ -40,6 +40,20 @@ impl AliasModel {
     }
 }
 
+impl std::str::FromStr for AliasModel {
+    type Err = String;
+
+    /// Parses the spelling shared by the CLI's `--alias` and the wire
+    /// protocol's `alias` field: `fortran` or `c`.
+    fn from_str(s: &str) -> Result<AliasModel, String> {
+        match s {
+            "fortran" => Ok(AliasModel::Fortran),
+            "c" => Ok(AliasModel::CConservative),
+            other => Err(format!("unknown alias model {other:?} (fortran|c)")),
+        }
+    }
+}
+
 /// Builds the code DAG of `block` under `alias`.
 ///
 /// Edges produced:

@@ -38,34 +38,10 @@ impl Function {
         &self.blocks
     }
 
-    /// Mutable access to the blocks (used when replacing blocks with their
-    /// scheduled versions).
-    pub fn blocks_mut(&mut self) -> &mut Vec<BasicBlock> {
-        &mut self.blocks
-    }
-
     /// Total static instruction count.
     #[must_use]
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(BasicBlock::len).sum()
-    }
-
-    /// Frequency-weighted dynamic instruction count.
-    #[must_use]
-    pub fn dynamic_inst_count(&self) -> f64 {
-        self.blocks
-            .iter()
-            .map(|b| b.len() as f64 * b.frequency())
-            .sum()
-    }
-
-    /// Frequency-weighted dynamic count of spill instructions.
-    #[must_use]
-    pub fn dynamic_spill_count(&self) -> f64 {
-        self.blocks
-            .iter()
-            .map(|b| b.spill_count() as f64 * b.frequency())
-            .sum()
     }
 }
 
@@ -99,17 +75,8 @@ mod tests {
     fn counts() {
         let f = Function::new("f", vec![block("a", 2, 10.0), block("b", 3, 1.0)]);
         assert_eq!(f.inst_count(), 3 + 4);
-        assert!((f.dynamic_inst_count() - (3.0 * 10.0 + 4.0)).abs() < 1e-12);
-        assert_eq!(f.dynamic_spill_count(), 0.0);
         assert_eq!(f.blocks().len(), 2);
         assert_eq!(f.name(), "f");
-    }
-
-    #[test]
-    fn blocks_mut_allows_replacement() {
-        let mut f = Function::new("f", vec![block("a", 1, 1.0)]);
-        f.blocks_mut()[0] = block("a2", 2, 1.0);
-        assert_eq!(f.blocks()[0].name(), "a2");
     }
 
     #[test]

@@ -133,18 +133,6 @@ impl Opcode {
         }
     }
 
-    /// Nominal (certain) latency in cycles of a non-load instruction.
-    ///
-    /// §4.3: "All of our instructions execute in a single cycle", so the
-    /// default machine description returns 1 for everything. Loads return 1
-    /// too — a load's *actual* latency is sampled by the memory model at
-    /// simulation time, and its *scheduling weight* is exactly what the
-    /// balanced/traditional weight assigners compute.
-    #[must_use]
-    pub fn nominal_latency(self) -> u32 {
-        1
-    }
-
     /// Issue slots this instruction occupies (`IssueSlots(i)` in Fig. 6).
     ///
     /// 1 for every opcode on the paper's single-issue machine.
@@ -294,7 +282,6 @@ mod tests {
     #[test]
     fn single_cycle_single_issue() {
         for op in Opcode::ALL {
-            assert_eq!(op.nominal_latency(), 1, "{op}");
             assert_eq!(op.issue_slots(), 1, "{op}");
         }
     }

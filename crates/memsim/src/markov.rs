@@ -65,12 +65,6 @@ impl MarkovNetworkModel {
     pub fn bursty() -> Self {
         Self::new(2.0, 5.0, 2.0, 0.95)
     }
-
-    /// `true` while the chain is in the congested state.
-    #[must_use]
-    pub fn is_congested(&self) -> bool {
-        self.in_congested.get()
-    }
 }
 
 impl LatencyModel for MarkovNetworkModel {
@@ -126,14 +120,19 @@ mod tests {
 
     #[test]
     fn begins_calm_and_resets() {
+        // A reset chain draws exactly what a fresh (calm) one does.
+        let draws = |m: &MarkovNetworkModel| -> Vec<u64> {
+            let mut rng = Pcg32::seed_from_u64(2);
+            (0..200).map(|_| m.sample(&mut rng)).collect()
+        };
         let m = MarkovNetworkModel::bursty();
-        assert!(!m.is_congested());
+        let fresh = draws(&m);
         let mut rng = Pcg32::seed_from_u64(1);
         for _ in 0..200 {
             let _ = m.sample(&mut rng);
         }
         m.begin_run();
-        assert!(!m.is_congested());
+        assert_eq!(draws(&m), fresh);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! handed from the controller to exactly one model thread at a time.
 //! Every shim operation ([`crate::sync`]) is a *yield point*: the
 //! thread declares the operation it is about to perform
-//! ([`Status::Pending`]), hands the token back, and blocks until the
+//! (`Status::Pending`), hands the token back, and blocks until the
 //! controller grants it. The controller waits until every live thread
 //! has declared (quiescence), computes the *enabled* set (a pending
 //! `lock` on a held mutex is not enabled; a `join` on a live thread is

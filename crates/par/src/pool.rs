@@ -17,9 +17,9 @@
 //! The pool used to feed every worker from one `Mutex<mpsc::Receiver>`;
 //! under load the lock serialised job *fetch* across all workers, which
 //! is exactly the dispatch ceiling the serving benchmarks hit. Now each
-//! worker owns a Chase–Lev deque ([`crate::deque`]): it pushes and pops
-//! its own work LIFO at the bottom, and when it runs dry it steals FIFO
-//! from the top of a randomly chosen victim. Jobs submitted from
+//! worker owns a Chase–Lev deque (the private `deque` module): it
+//! pushes and pops its own work LIFO at the bottom, and when it runs
+//! dry it steals FIFO from the top of a randomly chosen victim. Jobs submitted from
 //! outside the pool land in a shared *injector* queue; a dry worker
 //! grabs a batch from the injector into its own deque so subsequent
 //! fetches (its own and thieves') are lock-free. No worker ever holds a

@@ -173,6 +173,39 @@ impl SchedulerChoice {
     }
 }
 
+impl std::str::FromStr for SchedulerChoice {
+    type Err = String;
+
+    /// Parses the spelling shared by the CLI's `--scheduler` and the wire
+    /// protocol's `scheduler` field: `balanced`, `balanced-approx`,
+    /// `average`, `traditional=<latency>` or `policy:<canonical>`, a
+    /// tuned policy inline as its canonical string (the `bsched tune`
+    /// artifact's "canonical" field).
+    fn from_str(s: &str) -> Result<SchedulerChoice, String> {
+        match s {
+            "balanced" => Ok(SchedulerChoice::balanced()),
+            "balanced-approx" => Ok(SchedulerChoice::Balanced {
+                method: ChancesMethod::LevelApprox,
+            }),
+            "average" => Ok(SchedulerChoice::Average),
+            other => {
+                if let Some(lat) = other.strip_prefix("traditional=") {
+                    let latency: Ratio = lat
+                        .parse()
+                        .map_err(|e| format!("bad latency {lat:?}: {e}"))?;
+                    Ok(SchedulerChoice::traditional(latency))
+                } else if let Some(canonical) = other.strip_prefix("policy:") {
+                    let spec =
+                        PolicySpec::parse_canonical(canonical).map_err(|e| format!("{e}"))?;
+                    Ok(SchedulerChoice::Tuned(spec))
+                } else {
+                    Err(format!("unknown scheduler {other:?}"))
+                }
+            }
+        }
+    }
+}
+
 /// One block after the full compilation flow.
 #[derive(Debug, Clone)]
 pub struct CompiledBlock {

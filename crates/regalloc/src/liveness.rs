@@ -41,12 +41,6 @@ impl UsePositions {
     pub fn dead_after(&self, reg: Reg, from: usize) -> bool {
         self.next_use_at_or_after(reg, from).is_none()
     }
-
-    /// Total number of uses of `reg`.
-    #[must_use]
-    pub fn use_count(&self, reg: Reg) -> usize {
-        self.positions.get(&reg).map_or(0, Vec::len)
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +68,6 @@ mod tests {
         );
         assert_eq!(up.next_use_at_or_after(x, 3), Some(3));
         assert_eq!(up.next_use_at_or_after(x, 4), None);
-        assert_eq!(up.use_count(x), 3);
-        assert_eq!(up.use_count(y), 1);
     }
 
     #[test]
@@ -85,6 +77,5 @@ mod tests {
         let block = b.finish();
         let up = UsePositions::compute(&block);
         assert!(up.dead_after(v, 0));
-        assert_eq!(up.use_count(v), 0);
     }
 }

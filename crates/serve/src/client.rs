@@ -1,11 +1,13 @@
 //! The one line-protocol client: connect, send a request line, read
 //! response lines back.
 //!
-//! Everything that talks to a daemon or router from outside —
-//! `bsched-loadgen`, `bsched serve --control` and the integration
-//! tests — goes through [`Client`], so framing (one write per line),
-//! the response-size cap and the connect retry policy live in one
-//! place.
+//! Everything that talks to a daemon or router goes through [`Client`]:
+//! from outside, `bsched-loadgen`, `bsched serve --control` and the
+//! integration tests ([`Client::connect`], which retries); inside the
+//! router, every forward, probe, stats fetch and shutdown it sends a
+//! shard ([`Client::connect_with_deadline`], one attempt under hard
+//! deadlines). So framing (one write per line), the response-size cap
+//! and the connect policies live in one place.
 
 use std::fmt::Display;
 use std::io::{self, BufReader};
@@ -16,7 +18,8 @@ use bsched_analyze::json::{self, Json};
 
 use crate::protocol::{is_chunk_line, is_stream_end, read_line_bounded, write_line};
 
-/// Largest response line a client accepts: the cap only stops a
+/// Largest response line a client accepts (chunks included): responses
+/// for large programs are big, but not unbounded, and the cap stops a
 /// misbehaving peer from growing the buffer without bound.
 const MAX_RESPONSE_LINE: usize = 64 * 1024 * 1024;
 
@@ -45,12 +48,7 @@ impl Client {
         let mut last = io::Error::from(io::ErrorKind::NotFound);
         for attempt in 0..CONNECT_ATTEMPTS {
             match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    return Ok(Client {
-                        reader: BufReader::new(stream.try_clone()?),
-                        writer: stream,
-                    })
-                }
+                Ok(stream) => return Client::from_stream(stream),
                 Err(e) => last = e,
             }
             if attempt + 1 < CONNECT_ATTEMPTS {
@@ -65,6 +63,36 @@ impl Client {
                  (last error: {last})"
             ),
         ))
+    }
+
+    /// One connect attempt bounded by `connect_timeout`, with every
+    /// later read and write bounded by `io_timeout`: how the router and
+    /// its prober reach a shard, where a dead or hung peer must cost a
+    /// bounded slice of time and trip failover, never a retry loop.
+    ///
+    /// # Errors
+    ///
+    /// Address resolution or connect failure (including the deadline),
+    /// or the socket options could not be set.
+    pub fn connect_with_deadline(
+        addr: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Client> {
+        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, "address resolves to nothing")
+        })?;
+        let stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Client::from_stream(stream)
+    }
+
+    fn from_stream(stream: TcpStream) -> io::Result<Client> {
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
     }
 
     /// Bounds how long a read may block (`None` waits forever).

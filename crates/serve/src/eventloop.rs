@@ -26,7 +26,6 @@ pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
 
 const O_NONBLOCK: c_int = 0o4000;
 const O_CLOEXEC: c_int = 0o2_000_000;
@@ -97,16 +96,6 @@ impl Poller {
     /// The raw `epoll_ctl` failure, if any.
     pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
-    }
-
-    /// Changes the watched event set for `fd`.
-    ///
-    /// # Errors
-    ///
-    /// The raw `epoll_ctl` failure, if any.
-    #[allow(dead_code)]
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
     /// Stops watching `fd`.

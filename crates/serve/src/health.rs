@@ -14,12 +14,13 @@
 //! wire protocol's own `{"op":"ping"}` — a shard is healthy when it
 //! speaks the protocol, not merely when it accepts TCP.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bsched_analyze::json::Json;
 use bsched_par::sync::{thread, AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
+
+use crate::client::Client;
 
 /// Where a shard sits in the router's membership lifecycle:
 /// joining → active → draining → gone (removed from the member list).
@@ -219,57 +220,25 @@ impl ShardState {
 }
 
 /// One protocol-level liveness probe: connect, `{"op":"ping"}`, expect
-/// a pong line — all under `cfg`'s deadlines.
+/// a pong — all under `cfg`'s deadlines and the client's line cap, so a
+/// peer that floods bytes without a newline fails the probe instead of
+/// growing the prober's buffer.
 #[must_use]
 pub fn ping_shard(addr: &str, cfg: &HealthConfig) -> bool {
-    let Ok(mut stream) = connect_with_deadline(addr, cfg.connect_timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.read_timeout));
-    if crate::protocol::write_line(&mut stream, "{\"op\":\"ping\"}").is_err() {
-        return false;
-    }
-    let mut line = String::new();
-    let mut reader = BufReader::new(stream);
-    matches!(reader.read_line(&mut line), Ok(n) if n > 0) && line.contains("\"pong\":true")
-}
-
-/// `TcpStream::connect_timeout` over a resolvable `host:port` string.
-///
-/// # Errors
-///
-/// Address resolution or connect failure (including the deadline).
-pub fn connect_with_deadline(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::NotFound, "address resolves to nothing")
-    })?;
-    TcpStream::connect_timeout(&resolved, timeout)
+    Client::connect_with_deadline(addr, cfg.connect_timeout, cfg.read_timeout)
+        .and_then(|mut shard| shard.round_trip("{\"op\":\"ping\"}"))
+        .is_ok_and(|reply| reply.get("pong").and_then(Json::as_bool) == Some(true))
 }
 
 /// Runs the prober loop until `stop` is set or SIGTERM/SIGINT arrives
-/// (see `stopping`): each tick probes every
-/// shard and feeds the outcome into its [`ShardState`]. The
-/// `shard-down` fault (keyed by `shard<index>|<addr>` cell context)
-/// turns a probe into a failure without touching the socket, so chaos
-/// plans can take a shard "down" deterministically.
-pub fn prober_loop(shards: &[Arc<ShardState>], cfg: &HealthConfig, stop: &AtomicBool) {
-    while !stopping(stop) {
-        probe_tick(shards, cfg);
-        sleep_sliced(cfg.interval, stop);
-    }
-}
-
-/// Membership-aware prober: re-snapshots the member list each tick, so
-/// shards added or drained at runtime are picked up without restarting
-/// the router. Joining shards get probed like any other member — their
-/// first successful probe promotes them to Active.
-pub fn prober_loop_dynamic(
-    members: &Mutex<Vec<Arc<ShardState>>>,
-    cfg: &HealthConfig,
-    stop: &AtomicBool,
-) {
+/// (see `stopping`). Each tick re-snapshots the member list, so shards
+/// added or drained at runtime are picked up without restarting the
+/// router, probes every member and feeds the outcome into its
+/// [`ShardState`]; a Joining shard's first successful probe promotes it
+/// to Active. The `shard-down` fault (keyed by `shard<index>|<addr>`
+/// cell context) turns a probe into a failure without touching the
+/// socket, so chaos plans can take a shard "down" deterministically.
+pub fn prober_loop(members: &Mutex<Vec<Arc<ShardState>>>, cfg: &HealthConfig, stop: &AtomicBool) {
     while !stopping(stop) {
         let snapshot = members.lock().unwrap().clone();
         probe_tick(&snapshot, cfg);
@@ -372,5 +341,29 @@ mod tests {
             ..HealthConfig::default()
         };
         assert!(!ping_shard(&addr, &cfg));
+    }
+
+    #[test]
+    fn ping_gives_up_on_a_peer_that_never_sends_a_newline() {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let flooder = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let junk = [b'x'; 64 * 1024];
+            // Streams until the prober hangs up.
+            while stream.write_all(&junk).is_ok() {}
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let prober = std::thread::spawn(move || {
+            tx.send(ping_shard(&addr, &HealthConfig::default()))
+                .unwrap();
+        });
+        let answered = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the probe must give up within 2 s");
+        assert!(!answered, "a newline-free flood is not a pong");
+        prober.join().unwrap();
+        flooder.join().unwrap();
     }
 }

@@ -44,9 +44,9 @@
 use bsched_analyze::json::{self, Json};
 use bsched_core::Ratio;
 use bsched_cpusim::ProcessorModel;
-use bsched_dag::{AliasModel, ChancesMethod};
+use bsched_dag::AliasModel;
 use bsched_memsim::MemorySystem;
-use bsched_pipeline::{PolicySpec, SchedulerChoice};
+use bsched_pipeline::SchedulerChoice;
 
 /// Where the kernel to schedule comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,11 +68,8 @@ pub struct ScheduleRequest {
     pub source: KernelSource,
     /// Alias discipline (raw spec kept for the cache key).
     pub alias: AliasModel,
-    /// Scheduler choice.
+    /// Scheduler choice (the cache key hashes `scheduler.canonical()`).
     pub scheduler: SchedulerChoice,
-    /// Raw scheduler spec string as the client spelled it (display
-    /// only — the cache key hashes `scheduler.canonical()` instead).
-    pub scheduler_spec: String,
     /// Memory system to simulate.
     pub system: MemorySystem,
     /// Traditional baseline latency override (defaults per system).
@@ -143,49 +140,6 @@ fn get_str<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
     v.get(key).and_then(Json::as_str)
 }
 
-fn parse_alias(v: &Json) -> Result<AliasModel, String> {
-    match get_str(v, "alias").unwrap_or("fortran") {
-        "fortran" => Ok(AliasModel::Fortran),
-        "c" => Ok(AliasModel::CConservative),
-        other => Err(format!("unknown alias model {other:?} (fortran|c)")),
-    }
-}
-
-fn parse_scheduler(spec: &str) -> Result<SchedulerChoice, String> {
-    match spec {
-        "balanced" => Ok(SchedulerChoice::balanced()),
-        "balanced-approx" => Ok(SchedulerChoice::Balanced {
-            method: ChancesMethod::LevelApprox,
-        }),
-        "average" => Ok(SchedulerChoice::Average),
-        other => {
-            if let Some(lat) = other.strip_prefix("traditional=") {
-                let latency: Ratio = lat
-                    .parse()
-                    .map_err(|e| format!("bad latency {lat:?}: {e}"))?;
-                Ok(SchedulerChoice::traditional(latency))
-            } else if let Some(canonical) = other.strip_prefix("policy:") {
-                // A tuned policy travels inline as its canonical string
-                // (the `bsched tune` artifact's "canonical" field) — the
-                // server never reads client-side files.
-                let spec = PolicySpec::parse_canonical(canonical).map_err(|e| format!("{e}"))?;
-                Ok(SchedulerChoice::Tuned(spec))
-            } else {
-                Err(format!("unknown scheduler {other:?}"))
-            }
-        }
-    }
-}
-
-fn parse_processor(v: &Json) -> Result<ProcessorModel, String> {
-    match get_str(v, "processor").unwrap_or("unlimited") {
-        "unlimited" => Ok(ProcessorModel::Unlimited),
-        "max8" => Ok(ProcessorModel::max_8()),
-        "len8" => Ok(ProcessorModel::len_8()),
-        other => Err(format!("unknown processor {other:?} (unlimited|max8|len8)")),
-    }
-}
-
 /// Extracts the echoed request id, if any, even from requests that
 /// otherwise fail to decode.
 #[must_use]
@@ -251,8 +205,9 @@ fn parse_schedule(v: &Json) -> Result<ScheduleRequest, String> {
         }
         _ => return Err("give exactly one of kernel|kernel_path|benchmark".to_owned()),
     };
-    let scheduler_spec = get_str(v, "scheduler").unwrap_or("balanced").to_owned();
-    let scheduler = parse_scheduler(&scheduler_spec)?;
+    // A tuned policy travels inline as `policy:<canonical>`: the server
+    // never reads client-side files.
+    let scheduler = get_str(v, "scheduler").unwrap_or("balanced").parse()?;
     let system: MemorySystem = get_str(v, "system")
         .ok_or("missing field \"system\" (e.g. \"L80(2,5)\", \"N(3,5)\", \"fixed(4)\")")?
         .parse()
@@ -307,12 +262,11 @@ fn parse_schedule(v: &Json) -> Result<ScheduleRequest, String> {
     };
     Ok(ScheduleRequest {
         source,
-        alias: parse_alias(v)?,
+        alias: get_str(v, "alias").unwrap_or("fortran").parse()?,
         scheduler,
-        scheduler_spec,
         system,
         optimistic,
-        processor: parse_processor(v)?,
+        processor: get_str(v, "processor").unwrap_or("unlimited").parse()?,
         runs,
         seed,
         deadline_ms,
@@ -638,7 +592,10 @@ mod tests {
         };
         assert_eq!(req.source, KernelSource::Inline("k d { }".to_owned()));
         assert_eq!(req.alias, AliasModel::CConservative);
-        assert_eq!(req.scheduler_spec, "traditional=2");
+        assert_eq!(
+            req.scheduler,
+            SchedulerChoice::traditional(Ratio::from_int(2))
+        );
         assert_eq!(req.runs, 5);
         assert_eq!(req.seed, 9);
         assert_eq!(req.deadline_ms, Some(250));
@@ -653,7 +610,7 @@ mod tests {
         };
         assert_eq!(req.source, KernelSource::Benchmark("MDG".to_owned()));
         assert_eq!(req.alias, AliasModel::Fortran);
-        assert_eq!(req.scheduler_spec, "balanced");
+        assert_eq!(req.scheduler, SchedulerChoice::balanced());
         assert_eq!(req.runs, DEFAULT_RUNS);
         assert_eq!(req.deadline_ms, None);
         assert!(req.analyze);

@@ -68,9 +68,8 @@ use bsched_par::sync::{thread, AtomicBool, AtomicU64, Mutex, Ordering};
 use bsched_analyze::json;
 use bsched_faults::{fault_point, Site};
 
-use crate::health::{
-    connect_with_deadline, ping_shard, prober_loop_dynamic, HealthConfig, MemberState, ShardState,
-};
+use crate::client::Client;
+use crate::health::{ping_shard, prober_loop, HealthConfig, MemberState, ShardState};
 use crate::prepare_request;
 use crate::protocol::{
     error_response, id_fragment, is_chunk_line, is_stream_end, parse_request, read_line_bounded,
@@ -79,9 +78,6 @@ use crate::protocol::{
 
 /// Inbound cap on client request lines, matching the daemon's default.
 const MAX_CLIENT_LINE: usize = crate::server::DEFAULT_MAX_LINE_BYTES;
-/// Cap on a single relayed shard response line (chunks included);
-/// responses for large programs are big, but not unbounded.
-const MAX_SHARD_LINE: usize = 64 * 1024 * 1024;
 /// How long a drain waits for a fenced shard's in-flight forwards.
 const DRAIN_INFLIGHT_GRACE: Duration = Duration::from_secs(10);
 /// Keys sampled when measuring a membership change's re-home fraction.
@@ -200,7 +196,7 @@ impl Router {
             thread::Builder::new()
                 .name("bsched-route-health".to_owned())
                 .spawn(move || {
-                    prober_loop_dynamic(
+                    prober_loop(
                         &probe_inner.members,
                         &probe_inner.cfg.health,
                         &probe_inner.shutdown,
@@ -339,8 +335,7 @@ fn route_request(inner: &RouterInner, line: &str, writer: &mut TcpStream) -> std
                 inner.stats.errors.fetch_add(1, Ordering::Relaxed);
                 write_line(writer, &error_response(id, kind.id(), &reason))
             }
-            Ok(prepared) if req.stream => route_stream(inner, id, prepared.key(), line, writer),
-            Ok(prepared) => write_line(writer, &route_schedule(inner, id, prepared.key(), line)),
+            Ok(prepared) => relay(inner, id, prepared.key(), line, writer),
         },
     }
 }
@@ -385,65 +380,15 @@ fn count_forward_error(inner: &RouterInner, e: &std::io::Error) {
     }
 }
 
-/// Forwards one schedule line to the rendezvous-ranked shards until one
-/// answers. Never drops: the worst case is a typed `unavailable` error.
-fn route_schedule(inner: &RouterInner, id: Option<&str>, key: u128, line: &str) -> String {
-    let members = active_members(inner);
-    let addrs: Vec<String> = members.iter().map(|s| s.addr.clone()).collect();
-    let threshold = inner.cfg.health.failure_threshold;
-    let mut degraded = false;
-    for (rank, &index) in rendezvous_rank(key, &addrs).iter().enumerate() {
-        let shard = &members[index];
-        if !admit_forward(shard, index, threshold) {
-            degraded = true;
-            continue;
-        }
-        for attempt in 0..inner.cfg.attempts_per_shard.max(1) {
-            if attempt > 0 {
-                inner.stats.retries.fetch_add(1, Ordering::Relaxed);
-                degraded = true;
-                thread::sleep(inner.cfg.backoff_base * 2u32.pow(attempt - 1));
-            }
-            match forward_once(shard, line, inner) {
-                Ok(response) => {
-                    shard.end_forward();
-                    shard.record_success();
-                    shard.forwarded.fetch_add(1, Ordering::Relaxed);
-                    inner.stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    if rank > 0 {
-                        inner.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                        degraded = true;
-                    }
-                    if degraded {
-                        inner.stats.degraded.fetch_add(1, Ordering::Relaxed);
-                        return annotate_degraded(&response);
-                    }
-                    return response;
-                }
-                Err(e) => {
-                    count_forward_error(inner, &e);
-                    shard.record_failure(threshold);
-                }
-            }
-        }
-        shard.end_forward();
-        shard.failed_over.fetch_add(1, Ordering::Relaxed);
-        degraded = true;
-    }
-    inner.stats.errors.fetch_add(1, Ordering::Relaxed);
-    error_response(
-        id,
-        "unavailable",
-        &format!("all {} shards unreachable", members.len()),
-    )
-}
-
-/// Relays one streamed schedule request line-by-line. Failover/retry is
+/// Relays one schedule request to the rendezvous-ranked shards until one
+/// answers, line by line: a plain request's single response line, or a
+/// streamed request's chunk lines then its terminal line. Never drops:
+/// the worst case is a typed `unavailable` error. Failover/retry is
 /// legal only before the first relayed line; once a chunk has reached
 /// the client the stream can only end with its own terminal line or a
 /// typed `stream_aborted` terminator — never silent truncation, never
 /// duplicated chunks.
-fn route_stream(
+fn relay(
     inner: &RouterInner,
     id: Option<&str>,
     key: u128,
@@ -469,7 +414,7 @@ fn route_stream(
                 thread::sleep(inner.cfg.backoff_base * 2u32.pow(attempt - 1));
             }
             let first = forward_open(shard, line, inner)
-                .and_then(|mut reader| read_shard_line(&mut reader).map(|first| (reader, first)));
+                .and_then(|mut client| read_shard_line(&mut client).map(|first| (client, first)));
             match first {
                 Ok(pair) => {
                     opened = Some(pair);
@@ -498,8 +443,9 @@ fn route_stream(
             inner.stats.degraded.fetch_add(1, Ordering::Relaxed);
         }
         if !is_chunk_line(&first) {
-            // A complete single-line answer (error, overloaded, or a
-            // blockless ok): relay it as-is.
+            // A complete single-line answer (every plain response, and a
+            // streamed request's error, overload or blockless ok): relay
+            // it as-is.
             shard.end_forward();
             let out = if degraded {
                 annotate_degraded(&first)
@@ -553,37 +499,27 @@ fn route_stream(
     )
 }
 
-/// Opens a fresh connection to a shard, sends the raw request line, and
-/// returns a reader positioned before the first response line — all
+/// Opens a fresh connection to a shard and sends the raw request line,
 /// under the connect deadline and the per-line forward timeout.
-fn forward_open(
-    shard: &ShardState,
-    line: &str,
-    inner: &RouterInner,
-) -> std::io::Result<BufReader<TcpStream>> {
-    let mut stream = connect_with_deadline(&shard.addr, inner.cfg.health.connect_timeout)?;
-    stream.set_read_timeout(Some(inner.cfg.forward_timeout))?;
-    stream.set_write_timeout(Some(inner.cfg.forward_timeout))?;
-    write_line(&mut stream, line)?;
-    Ok(BufReader::new(stream))
+fn forward_open(shard: &ShardState, line: &str, inner: &RouterInner) -> std::io::Result<Client> {
+    let mut client = Client::connect_with_deadline(
+        &shard.addr,
+        inner.cfg.health.connect_timeout,
+        inner.cfg.forward_timeout,
+    )?;
+    client.send(line)?;
+    Ok(client)
 }
 
 /// One response line off a shard connection; EOF is an error (the shard
 /// closed before finishing its answer).
-fn read_shard_line(reader: &mut BufReader<TcpStream>) -> std::io::Result<String> {
-    read_line_bounded(reader, MAX_SHARD_LINE)?.ok_or_else(|| {
+fn read_shard_line(shard: &mut Client) -> std::io::Result<String> {
+    shard.recv_line()?.ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "shard closed before responding",
         )
     })
-}
-
-/// One forward attempt: fresh connection, write the raw line, read one
-/// response line.
-fn forward_once(shard: &ShardState, line: &str, inner: &RouterInner) -> std::io::Result<String> {
-    let mut reader = forward_open(shard, line, inner)?;
-    read_shard_line(&mut reader)
 }
 
 /// Renders the `members` listing: every member's address, lifecycle
@@ -717,19 +653,9 @@ fn drain_shard(inner: &RouterInner, id: Option<&str>, addr: &str, stop: bool) ->
 /// Asks a drained daemon to shut down gracefully; returns whether it
 /// acknowledged the drain.
 fn send_shutdown(addr: &str, health: &HealthConfig) -> bool {
-    let Ok(mut stream) = connect_with_deadline(addr, health.connect_timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(health.read_timeout));
-    let _ = stream.set_write_timeout(Some(health.read_timeout));
-    if write_line(&mut stream, "{\"op\":\"shutdown\"}").is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    matches!(
-        read_line_bounded(&mut reader, MAX_SHARD_LINE),
-        Ok(Some(line)) if line.contains("\"draining\":true")
-    )
+    Client::connect_with_deadline(addr, health.connect_timeout, health.read_timeout)
+        .and_then(|mut shard| shard.round_trip("{\"op\":\"shutdown\"}"))
+        .is_ok_and(|reply| reply.get("draining").and_then(json::Json::as_bool) == Some(true))
 }
 
 /// Measured fraction of sampled keys whose rendezvous owner differs
@@ -874,15 +800,13 @@ fn merged_stats(inner: &RouterInner, id: Option<&str>) -> String {
 /// deadlines (a dead shard must not stall the merged view).
 fn fetch_shard_stats(shard: &ShardState, health: &HealthConfig) -> Option<json::Json> {
     let deadline = health.read_timeout.min(Duration::from_millis(750));
-    let mut stream = connect_with_deadline(&shard.addr, health.connect_timeout).ok()?;
-    stream.set_read_timeout(Some(deadline)).ok()?;
-    stream.set_write_timeout(Some(deadline)).ok()?;
-    write_line(&mut stream, "{\"op\":\"stats\"}").ok()?;
-    let mut reader = BufReader::new(stream);
-    let line = read_line_bounded(&mut reader, MAX_SHARD_LINE)
-        .ok()
-        .flatten()?;
-    json::parse(&line)?.get("stats").cloned()
+    let mut client =
+        Client::connect_with_deadline(&shard.addr, health.connect_timeout, deadline).ok()?;
+    client
+        .round_trip("{\"op\":\"stats\"}")
+        .ok()?
+        .get("stats")
+        .cloned()
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The daemon: epoll event loop, admission control, worker pool,
 //! lifecycle.
 //!
-//! A small fixed set of IO threads multiplexes every
-//! connection over raw `epoll` (see [`crate::eventloop`]): thread 0
-//! owns the non-blocking listener and hands accepted sockets out
-//! round-robin; each IO thread runs an edge-triggered loop over its
+//! A small fixed set of IO threads multiplexes every connection over
+//! raw `epoll` (see the private `eventloop` module): thread 0 owns the
+//! non-blocking listener and hands accepted sockets out round-robin;
+//! each IO thread runs an edge-triggered loop over its
 //! connections' read/write readiness plus a wake pipe. Request lines
 //! are framed *in place* — the parser is handed a `&str` view into the
 //! connection's read buffer, never a copied-out line. Schedule requests
@@ -53,7 +53,7 @@ pub struct ServerConfig {
     pub listen: String,
     /// Persistent worker threads evaluating schedule requests.
     pub workers: usize,
-    /// Event-loop IO threads multiplexing connections (Linux backend).
+    /// Event-loop IO threads multiplexing connections.
     pub io_threads: usize,
     /// Admission bound: queued + executing schedule requests.
     pub queue_capacity: usize,
@@ -289,8 +289,8 @@ fn open_cache(
     Ok((log, cache))
 }
 
-/// What one request line asks the transport to do — computed by the
-/// shared dispatcher so both backends speak identical protocol.
+/// What one request line asks the transport to do, computed by the
+/// dispatcher before the event loop acts on it.
 enum Action {
     /// Answer now, on the IO/connection thread.
     Respond(String),
@@ -452,7 +452,7 @@ fn run_schedule(
         if let Some((chunks, terminal)) = crate::protocol::split_stream(id, &response) {
             inner.stats.streams.fetch_add(1, Ordering::Relaxed);
             // The transport writes one trailing newline; join the chunk
-            // lines and the terminal here so both backends stream for
+            // lines and the terminal here so the event loop streams for
             // free. Blockless responses (errors, timeout) fall through
             // and stay single-line.
             let mut blob = String::with_capacity(
@@ -513,7 +513,6 @@ fn background_tune(inner: &Arc<Inner>, key: u128, req: &ScheduleRequest) -> Opti
     };
     let report = bsched_tune::tune(&function, &req.system, &cfg).ok()?;
     let mut tuned = req.clone();
-    tuned.scheduler_spec = format!("policy:{}", report.best.canonical());
     tuned.scheduler = bsched_pipeline::SchedulerChoice::Tuned(report.best);
     let done = crate::evaluate_request(&tuned).ok()?;
     let payload: Arc<str> = Arc::from(done.payload);
@@ -578,7 +577,7 @@ fn render_stats(inner: &Inner, id: Option<&str>) -> String {
 }
 
 mod event {
-    //! The Linux backend: one edge-triggered epoll loop per IO thread.
+    //! The event loop: one edge-triggered epoll loop per IO thread.
     //!
     //! Per-loop state is plain single-threaded Rust — a slab of
     //! connections indexed by epoll token, each with its own read/write

@@ -112,7 +112,7 @@ fn prober_shutdown_handshake_cannot_deadlock() {
             };
             thread::Builder::new()
                 .name("bsched-route-health".to_owned())
-                .spawn(move || prober_loop(&[], &health, &stop))
+                .spawn(move || prober_loop(&Mutex::new(Vec::new()), &health, &stop))
                 .unwrap()
         };
         stop.store(true, Ordering::Relaxed);

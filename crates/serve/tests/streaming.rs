@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 
 use bsched_analyze::json::{self, Json};
 use bsched_serve::{
-    blank_service_us, is_chunk_line, is_stream_end, reassemble_stream, split_stream, Client,
-    Router, RouterConfig, Server, ServerConfig,
+    blank_service_us, is_chunk_line, is_stream_end, parse_request, prepare_request,
+    reassemble_stream, router::rendezvous_rank, split_stream, Client, Request, Router,
+    RouterConfig, Server, ServerConfig,
 };
 
 fn small_server() -> Server {
@@ -303,6 +304,59 @@ fn router_relays_streams_bit_identical_to_the_direct_path() {
         s.begin_shutdown();
         s.join();
     }
+}
+
+#[test]
+fn streams_fail_over_before_the_first_chunk_with_a_degraded_terminal() {
+    let a = small_server();
+    let b = small_server();
+    let shards = vec![a.local_addr().to_string(), b.local_addr().to_string()];
+    // Kill exactly the shard that owns the request's key, so the stream
+    // must fail over before any chunk is relayed.
+    let key = match parse_request(STREAMED) {
+        Ok(Request::Schedule(req)) => prepare_request(&req).expect("prepare").key(),
+        other => panic!("unexpected parse: {other:?}"),
+    };
+    let (victim, survivor) = if rendezvous_rank(key, &shards)[0] == 0 {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    victim.begin_shutdown();
+    victim.join();
+    let router = Router::start(RouterConfig {
+        shards,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+
+    // The direct reference: a cache hit on the survivor.
+    let mut direct = Client::connect(survivor.local_addr()).expect("connect");
+    direct.round_trip(PLAIN).expect("round trip");
+    direct.send(PLAIN).expect("send");
+    let plain = direct.recv_line().expect("read").expect("response line");
+
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    client.send(STREAMED).expect("send");
+    let (chunks, terminal) = client.recv_stream().expect("stream");
+    assert!(!chunks.is_empty(), "a multi-block response must chunk");
+    let v = json::parse(&terminal).expect("terminal parses");
+    assert_eq!(
+        v.get("degraded").and_then(Json::as_bool),
+        Some(true),
+        "failover stream not marked degraded: {terminal}"
+    );
+    let reassembled = reassemble_stream(&chunks, &terminal).expect("reassemble");
+    let undegraded = reassembled
+        .strip_suffix(",\"degraded\":true}")
+        .map(|body| format!("{body}}}"))
+        .expect("degraded is spliced last");
+    assert_eq!(blank_service_us(&undegraded), blank_service_us(&plain));
+
+    router.begin_shutdown();
+    router.join();
+    survivor.begin_shutdown();
+    survivor.join();
 }
 
 mod roundtrip_props {

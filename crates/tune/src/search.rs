@@ -12,7 +12,7 @@
 //! [`CandidateOutcome::TimedOut`] and the search continues.
 //!
 //! Determinism: batches are evaluated with
-//! [`parallel_map_with`](bsched_par::parallel_map_with) under the
+//! [`parallel_map_with`] under the
 //! config's explicit thread budget, results are merged in batch order,
 //! and candidate evaluation is a pure function of `(candidate, seed)` —
 //! so a seed yields a bit-identical winner and score at any thread

@@ -751,47 +751,24 @@ fn tune_benchmarks_cmd(
 }
 
 fn alias_of(args: &Args) -> Result<AliasModel, String> {
-    match args.flag("alias").unwrap_or("fortran") {
-        "fortran" => Ok(AliasModel::Fortran),
-        "c" => Ok(AliasModel::CConservative),
-        other => Err(format!("unknown alias model {other:?} (fortran|c)")),
-    }
+    args.flag("alias").unwrap_or("fortran").parse()
 }
 
 fn scheduler_of(args: &Args) -> Result<SchedulerChoice, String> {
     let spec = args.flag("scheduler").unwrap_or("balanced");
-    match spec {
-        "balanced" => Ok(SchedulerChoice::balanced()),
-        "balanced-approx" => Ok(SchedulerChoice::Balanced {
-            method: ChancesMethod::LevelApprox,
-        }),
-        "average" => Ok(SchedulerChoice::Average),
-        other => {
-            if let Some(lat) = other.strip_prefix("traditional=") {
-                let latency: Ratio = lat
-                    .parse()
-                    .map_err(|e| format!("bad latency {lat:?}: {e}"))?;
-                Ok(SchedulerChoice::traditional(latency))
-            } else if let Some(path) = other.strip_prefix("policy:") {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("policy file {path}: {e}"))?;
-                let spec = PolicySpec::from_artifact_json(&text)
-                    .map_err(|e| format!("policy file {path}: {e}"))?;
-                Ok(SchedulerChoice::Tuned(spec))
-            } else {
-                Err(format!("unknown scheduler {other:?}"))
-            }
-        }
-    }
+    // On the command line `policy:` names a `bsched tune` artifact file;
+    // every other spelling is the wire protocol's.
+    let Some(path) = spec.strip_prefix("policy:") else {
+        return spec.parse();
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("policy file {path}: {e}"))?;
+    let spec =
+        PolicySpec::from_artifact_json(&text).map_err(|e| format!("policy file {path}: {e}"))?;
+    Ok(SchedulerChoice::Tuned(spec))
 }
 
 fn processor_of(args: &Args) -> Result<ProcessorModel, String> {
-    match args.flag("processor").unwrap_or("unlimited") {
-        "unlimited" => Ok(ProcessorModel::Unlimited),
-        "max8" => Ok(ProcessorModel::max_8()),
-        "len8" => Ok(ProcessorModel::len_8()),
-        other => Err(format!("unknown processor {other:?} (unlimited|max8|len8)")),
-    }
+    args.flag("processor").unwrap_or("unlimited").parse()
 }
 
 fn system_of(args: &Args) -> Result<MemorySystem, String> {
