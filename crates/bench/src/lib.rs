@@ -30,6 +30,7 @@
 pub mod journal;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bsched_analyze::journal::fingerprint_mix;
@@ -40,8 +41,8 @@ use bsched_cpusim::ProcessorModel;
 use bsched_faults::{fault_point, Site};
 use bsched_memsim::{CacheModel, LatencyModel, MemorySystem, MixedModel, NetworkModel};
 use bsched_pipeline::{
-    compare, try_evaluate, CompiledProgram, EvalConfig, Pipeline, PipelineError, ProgramEval,
-    SchedulerChoice,
+    compare, try_evaluate, CompiledProgram, EvalConfig, MemoProgram, Pipeline, PipelineError,
+    ProgramEval, SchedulerChoice, StageMemo,
 };
 use bsched_stats::Improvement;
 use bsched_workload::Benchmark;
@@ -420,6 +421,12 @@ fn run_fingerprint(keys: &[String]) -> String {
 ///   [`CellStatus::Quarantined`].
 #[must_use]
 pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
+    run_cells(jobs).0
+}
+
+/// [`run_cells_reported`], also returning each benchmark's memo (in
+/// first-job order) so tests can count the stages it computed.
+fn run_cells(jobs: &[CellJob<'_>]) -> (Vec<CellReport>, Vec<Arc<StageMemo>>) {
     bsched_faults::init_from_env();
     let keys: Vec<String> = jobs.iter().map(cell_key).collect();
     let journal = journal::from_env(&run_fingerprint(&keys));
@@ -430,45 +437,71 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
     // traditional schedule only on (benchmark, optimistic latency).
     // Table job lists repeat those pairs heavily — Table 2 alone names
     // each benchmark's balanced program 17 times — so each distinct
-    // program is compiled once and shared across its cells. Compilation
-    // is deterministic, making the sharing bit-identical to compiling
-    // per cell as [`run_cell`] does.
+    // program is compiled once and shared across its cells. Each
+    // benchmark's programs compile and measure through one `StageMemo`:
+    // they share its pass-1 DAGs, allocations and, under one (system,
+    // protocol), the statistics of every block they compile alike.
+    // Compilation and measurement are deterministic, making the sharing
+    // bit-identical to compiling and evaluating per cell as [`run_cell`]
+    // does.
     #[derive(PartialEq, Eq, Hash)]
     enum Key {
         Balanced(usize),
         Traditional(usize, Ratio),
     }
+    let mut memo_of: HashMap<usize, usize> = HashMap::new();
+    let mut memos: Vec<Arc<StageMemo>> = Vec::new();
     let mut index: HashMap<Key, usize> = HashMap::new();
-    let mut tasks: Vec<(&Benchmark, SchedulerChoice)> = Vec::new();
+    let mut tasks: Vec<(&Benchmark, usize, SchedulerChoice)> = Vec::new();
     let mut refs: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let bench_key = std::ptr::from_ref(job.bench) as usize;
+        let memo = *memo_of.entry(bench_key).or_insert_with(|| {
+            memos.push(Arc::new(StageMemo::new(
+                Pipeline::default(),
+                job.bench.function().clone(),
+            )));
+            memos.len() - 1
+        });
         let balanced = *index.entry(Key::Balanced(bench_key)).or_insert_with(|| {
-            tasks.push((job.bench, SchedulerChoice::balanced()));
+            tasks.push((job.bench, memo, SchedulerChoice::balanced()));
             tasks.len() - 1
         });
         let traditional = *index
             .entry(Key::Traditional(bench_key, job.row.optimistic))
             .or_insert_with(|| {
-                tasks.push((job.bench, SchedulerChoice::traditional(job.row.optimistic)));
+                let choice = SchedulerChoice::traditional(job.row.optimistic);
+                tasks.push((job.bench, memo, choice));
                 tasks.len() - 1
             });
         refs.push((balanced, traditional));
     }
+    // Fault sites inside the memoized stages decide per fault context
+    // and count their visits, so under a fault plan a stage's result is
+    // not a function of its key alone. Each compile and each evaluation
+    // then runs through a memo of its own, visiting every site exactly
+    // as an unshared compile or evaluation does.
+    let memo_for = |memo: usize| {
+        if bsched_faults::active() {
+            Arc::new(memos[memo].fresh())
+        } else {
+            Arc::clone(&memos[memo])
+        }
+    };
 
     // Compile each distinct program once, with panics and errors caught
     // per program; a failed compile only poisons the cells that need it.
     // Each compile runs under a `compile|<benchmark>|<scheduler>` fault
     // context so plans can target it (parser reject, spill exhaustion).
-    let compile_one = |task: &(&Benchmark, SchedulerChoice), attempt: u32| {
-        let ctx = format!("compile|{}|{}", task.0.name(), task.1.name());
+    let compile_one = |task: &(&Benchmark, usize, SchedulerChoice), attempt: u32| {
+        let ctx = format!("compile|{}|{}", task.0.name(), task.2.name());
         bsched_faults::with_cell_context(&ctx, attempt, || {
-            Pipeline::default()
-                .compile(task.0.function(), &task.1)
+            memo_for(task.1)
+                .compile(&task.2)
                 .map_err(|e| (e.failure_kind(), e.to_string()))
         })
     };
-    let compiled: Vec<Result<CompiledProgram, (FailureKind, String)>> =
+    let compiled: Vec<Result<MemoProgram, (FailureKind, String)>> =
         bsched_par::parallel_map_catch(&tasks, |_, task| compile_one(task, 1))
             .into_iter()
             .enumerate()
@@ -490,6 +523,12 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
             })
             .collect();
 
+    // Every program is compiled, so no later call can hit a compile
+    // stage; only the block statistics are shared from here on.
+    for memo in &memos {
+        memo.release_compile_stages();
+    }
+
     // One attempt at one cell, under its fault context. Any fire of a
     // result-perturbing site during the attempt taints it.
     let attempt = |i: usize, attempt_no: u32| -> Result<Cell, CellError> {
@@ -501,8 +540,10 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
             // timed region, so the wall-clock watchdog covers them.
             fn eval_body(
                 key: &str,
-                balanced: &CompiledProgram,
-                traditional: &CompiledProgram,
+                b_memo: &StageMemo,
+                balanced: &MemoProgram,
+                t_memo: &StageMemo,
+                traditional: &MemoProgram,
                 row: &SystemRow,
                 processor: ProcessorModel,
             ) -> Result<Cell, PipelineError> {
@@ -512,20 +553,31 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
                 if fault_point!(Site::EvalPanic).is_some() {
                     panic!("injected failure (eval-panic in {key})");
                 }
-                try_run_cell_compiled(balanced, traditional, row, processor)
+                let cfg = eval_config(processor);
+                let b_eval = b_memo.evaluate(balanced, &row.system, &cfg)?;
+                let t_eval = t_memo.evaluate(traditional, &row.system, &cfg)?;
+                let (balanced, traditional) = (balanced.program(), traditional.program());
+                Ok(Cell {
+                    improvement: compare(&t_eval, &b_eval),
+                    traditional_spill_percent: traditional.spill_percent(),
+                    balanced_spill_percent: balanced.spill_percent(),
+                    traditional: t_eval,
+                    balanced: b_eval,
+                })
             }
             let balanced = compiled[bi]
                 .as_ref()
                 .map_err(|(kind, e)| CellError::Compile {
                     kind: *kind,
-                    reason: format!("compiling {}: {e}", tasks[bi].1.name()),
+                    reason: format!("compiling {}: {e}", tasks[bi].2.name()),
                 })?;
             let traditional = compiled[ti]
                 .as_ref()
                 .map_err(|(kind, e)| CellError::Compile {
                     kind: *kind,
-                    reason: format!("compiling {}: {e}", tasks[ti].1.name()),
+                    reason: format!("compiling {}: {e}", tasks[ti].2.name()),
                 })?;
+            let (b_memo, t_memo) = (memo_for(tasks[bi].1), memo_for(tasks[ti].1));
             let cell = match timeout {
                 Some(limit) => {
                     // The watchdog thread needs owned inputs; cloning the
@@ -537,13 +589,21 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
                     let row = job.row.clone();
                     let processor = job.processor;
                     bsched_par::run_with_timeout(limit, move || {
-                        eval_body(&key, &b, &t, &row, processor)
+                        eval_body(&key, &b_memo, &b, &t_memo, &t, &row, processor)
                     })
                     .map_err(|t| CellError::Timeout(t.limit))?
                     .map_err(CellError::Pipeline)?
                 }
-                None => eval_body(key, balanced, traditional, job.row, job.processor)
-                    .map_err(CellError::Pipeline)?,
+                None => eval_body(
+                    key,
+                    &b_memo,
+                    balanced,
+                    &t_memo,
+                    traditional,
+                    job.row,
+                    job.processor,
+                )
+                .map_err(CellError::Pipeline)?,
             };
             let perturbing: Vec<&str> = bsched_faults::take_fired(key, attempt_no)
                 .iter()
@@ -695,7 +755,7 @@ pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
         };
         reports.push(report);
     }
-    reports
+    (reports, memos)
 }
 
 /// Prints resume/retry/failure detail from a [`run_cells_reported`] pass
@@ -1253,6 +1313,180 @@ mod tests {
         std::env::remove_var("BSCHED_JOURNAL");
         std::env::remove_var("BSCHED_RUNS");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every float a cell reports, as exact bit patterns.
+    fn cell_bits(cell: &Cell) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for eval in [&cell.balanced, &cell.traditional] {
+            bits.extend(eval.bootstrap_runtimes.iter().map(|x| x.to_bits()));
+            bits.extend(
+                [
+                    eval.mean_runtime,
+                    eval.dynamic_instructions,
+                    eval.mean_interlocks,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        let improvement = &cell.improvement;
+        bits.extend(
+            [
+                improvement.mean_percent,
+                improvement.interval.low,
+                improvement.interval.high,
+                improvement.interval.level,
+                cell.balanced_spill_percent,
+                cell.traditional_spill_percent,
+            ]
+            .map(f64::to_bits),
+        );
+        bits
+    }
+
+    #[test]
+    fn memoized_cells_match_run_cell_across_systems_and_processors() {
+        // Table 3's job shape (MDG under every row and processor model)
+        // and Table 5's (every stand-in under N(30,5) and every processor
+        // model). A benchmark's cells share one memo but differ in system
+        // or processor, so a statistics key that lost either would hand
+        // one cell another's numbers.
+        let _guard = env_lock();
+        std::env::set_var("BSCHED_RUNS", "2");
+        let models = ProcessorModel::paper_models();
+        let mdg = perfect::mdg();
+        let rows = table2_rows();
+        let n30 = SystemRow {
+            system: NetworkModel::new(30.0, 5.0).into(),
+            optimistic: Ratio::from_int(30),
+        };
+        let benchmarks = perfect_club();
+        let table3 = rows.iter().flat_map(|row| {
+            let bench = &mdg;
+            models.iter().map(move |&processor| CellJob {
+                bench,
+                row,
+                processor,
+            })
+        });
+        let table5 = benchmarks.iter().flat_map(|bench| {
+            let row = &n30;
+            models.iter().map(move |&processor| CellJob {
+                bench,
+                row,
+                processor,
+            })
+        });
+        let jobs: Vec<CellJob> = table3.chain(table5).collect();
+        let expected: Vec<Vec<u64>> = jobs
+            .iter()
+            .map(|job| cell_bits(&run_cell(job.bench, job.row, job.processor)))
+            .collect();
+        for threads in ["1", ""] {
+            std::env::set_var("BSCHED_THREADS", threads);
+            let reports = run_cells_reported(&jobs);
+            assert_eq!(reports.len(), expected.len());
+            for (report, want) in reports.iter().zip(&expected) {
+                let cell = report
+                    .cell()
+                    .unwrap_or_else(|| panic!("{}: {:?}", report.key, report.status));
+                assert!(
+                    cell_bits(cell) == *want,
+                    "{} differs from run_cell at BSCHED_THREADS={threads:?}",
+                    report.key
+                );
+            }
+        }
+        std::env::remove_var("BSCHED_THREADS");
+        std::env::remove_var("BSCHED_RUNS");
+    }
+
+    #[test]
+    fn a_table2_column_computes_each_stage_once_per_distinct_key() {
+        use bsched_pipeline::memo::StageCount;
+        use std::collections::HashSet;
+
+        // One thread, so no two workers race to compute the same key.
+        let _guard = env_lock();
+        std::env::set_var("BSCHED_RUNS", "2");
+        std::env::set_var("BSCHED_THREADS", "1");
+        let rows = table2_rows();
+        let mut totals = [0; 4];
+        for bench in &perfect_club() {
+            let jobs: Vec<CellJob> = rows
+                .iter()
+                .map(|row| CellJob {
+                    bench,
+                    row,
+                    processor: ProcessorModel::Unlimited,
+                })
+                .collect();
+            let (reports, memos) = run_cells(&jobs);
+            assert!(reports.iter().all(|r| r.status == CellStatus::Ok));
+            assert_eq!(memos.len(), 1, "one memo per stand-in");
+            let counts = memos[0].counts();
+
+            // Predict each count from the column's programs, each
+            // compiled through a memo of its own: one allocation per
+            // distinct (block, pass-1 order), one statistics entry per
+            // distinct (system, block, order pair). The protocol is the
+            // same in every cell.
+            let compile = |choice: SchedulerChoice| {
+                StageMemo::new(Pipeline::default(), bench.function().clone())
+                    .compile(&choice)
+                    .expect("compiles")
+            };
+            let balanced = compile(SchedulerChoice::balanced());
+            let mut allocs = HashSet::new();
+            let mut stats: Vec<(&MemorySystem, HashSet<_>)> = Vec::new();
+            for row in &rows {
+                let traditional = compile(SchedulerChoice::traditional(row.optimistic));
+                let table = match stats.iter().position(|(s, _)| **s == row.system) {
+                    Some(t) => t,
+                    None => {
+                        stats.push((&row.system, HashSet::new()));
+                        stats.len() - 1
+                    }
+                };
+                for program in [&balanced, &traditional] {
+                    for (block, pair) in program.order_pairs().iter().enumerate() {
+                        allocs.insert((block, pair.0.clone()));
+                        stats[table].1.insert((block, pair.clone()));
+                    }
+                }
+            }
+            let blocks = bench.function().blocks().len();
+            let stat_keys: usize = stats.iter().map(|(_, keys)| keys.len()).sum();
+            let once = |n| StageCount {
+                computed: n,
+                entries: n,
+            };
+            // The compile stages were released once every program was
+            // compiled; the statistics are kept to the end.
+            let released = |n| StageCount {
+                computed: n,
+                entries: 0,
+            };
+            let name = bench.name();
+            assert_eq!(counts.dags, released(blocks), "{name}: pass-1 DAGs");
+            assert_eq!(counts.allocs, released(allocs.len()), "{name}: allocations");
+            assert_eq!(counts.stats, once(stat_keys), "{name}: block statistics");
+            assert_eq!(
+                counts.stats_tables,
+                stats.len(),
+                "{name}: (system, protocol)"
+            );
+            let column = [blocks, allocs.len(), stat_keys, 2 * jobs.len() * blocks];
+            for (total, n) in totals.iter_mut().zip(column) {
+                *total += n;
+            }
+        }
+        std::env::remove_var("BSCHED_THREADS");
+        std::env::remove_var("BSCHED_RUNS");
+        // Over the whole table: pass-1 DAGs, allocations and simulated
+        // block batches with the memo, then the batches without it
+        // (two programs a cell, each simulating every block).
+        assert_eq!(totals, [32, 202, 861, 1088]);
     }
 
     #[test]

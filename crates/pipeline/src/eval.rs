@@ -11,7 +11,7 @@ use crate::error::PipelineError;
 use crate::pipeline::{CompiledBlock, CompiledProgram};
 
 /// Measurement protocol parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Full simulations per block ("30 times with new random numbers").
     pub runs: u32,

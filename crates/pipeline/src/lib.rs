@@ -15,8 +15,9 @@
 //! register allocation (§4.1); [`evaluate`] runs the §4.3 measurement
 //! protocol; [`compare`] pairs two evaluations into the percentage
 //! improvement the paper's tables report. A [`StageMemo`] runs the same
-//! compile and measurement incrementally across many scheduling choices
-//! for one function (the autotuner's inner loop).
+//! compile and measurement incrementally across many scheduling choices,
+//! memory systems and processors for one function (the autotuner's inner
+//! loop, and each benchmark's cells in the table harness).
 //!
 //! # Example
 //!

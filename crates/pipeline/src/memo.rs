@@ -1,13 +1,15 @@
-//! Incremental candidate evaluation: one memo of the compile and
-//! measurement stages that many scheduling policies share.
+//! Incremental compile and measurement: one memo of the stages that
+//! many scheduling choices, memory systems and processors share.
 //!
 //! An autotuner compiles and measures one function under dozens of
 //! policies. Most of that work repeats: the pass-1 DAG depends only on
 //! the block, its weights only on the weight family, and policies that
 //! differ only in rounding or tie-breaking often land on the same
-//! schedule. A [`StageMemo`] binds the function, pipeline, memory system
-//! and measurement protocol once, then keys each stage by exactly what
-//! it depends on:
+//! schedule. The experiment harness measures one function's balanced
+//! and traditional programs under many memory systems and processors;
+//! the programs share every pass-1 DAG and many of their schedules. A
+//! [`StageMemo`] binds the function and pipeline once, then keys each
+//! stage by exactly what it depends on:
 //!
 //! | stage | key |
 //! |---|---|
@@ -15,7 +17,7 @@
 //! | pass-1 weights | (block, weight family) |
 //! | allocated block and spill count | (block, pass-1 order) |
 //! | pass-2 weights | (block, pass-1 order, weight family) |
-//! | block statistics (bootstrap means, interlocks) | (block, pass-1 order, pass-2 order) |
+//! | block statistics (bootstrap means, interlocks) | (memory system, [`EvalConfig`], block, pass-1 order, pass-2 order) |
 //!
 //! The pair of orders fixes the compiled block exactly, and the block's
 //! statistics are a pure function of (compiled block, block index,
@@ -23,6 +25,10 @@
 //! from the master seed, and every [`MemorySystem`] variant is plain
 //! data — so a memoized score is bit-identical to
 //! [`Pipeline::compile`] followed by [`try_evaluate`](crate::try_evaluate).
+//! [`MemorySystem`] holds floats and is only `PartialEq`, so the memo
+//! keeps one statistics table per distinct (system, config) and finds it
+//! by equality; a caller measuring under one system and config has one
+//! table.
 //!
 //! Compilation runs through the same stage functions as
 //! [`Pipeline::compile_block`]; validation is never skipped. The
@@ -36,9 +42,10 @@
 //! same pure value and the first to store it wins. The one stage result
 //! that is not pure — a simulation cut short by a watchdog's cancel
 //! token — is returned but never stored. Fault sites inside the stages
-//! decide per fault cell context, so a caller that runs candidates under
-//! distinct contexts while a fault plan is installed gives each
-//! candidate a [`fresh`](StageMemo::fresh) memo.
+//! decide per fault cell context and count their visits, so while a
+//! fault plan is installed a caller gives each compile or evaluation
+//! that runs under a context of its own a [`fresh`](StageMemo::fresh)
+//! memo.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -104,6 +111,11 @@ impl<K: Eq + Hash, V: Clone> Table<K, V> {
             entries: self.lock().len(),
         }
     }
+
+    /// Drops every stored entry; the computation count is kept.
+    fn release(&self) {
+        *self.lock() = HashMap::new();
+    }
 }
 
 /// Runs one compile stage: through `table` under `key` when a memo is
@@ -118,18 +130,22 @@ pub(crate) fn through<K: Eq + Hash, V: Clone>(
     }
 }
 
+/// One block's statistics under one memory system and protocol, keyed by
+/// the block and its order pair.
+type StatsTable = Table<(usize, OrderPair), Result<Arc<BlockStats>, PipelineError>>;
+
 /// The memo of one function's candidate-independent stages under one
-/// pipeline, memory system and measurement protocol.
+/// pipeline.
 pub struct StageMemo {
     pipeline: Pipeline,
     function: Function,
-    system: MemorySystem,
-    eval: EvalConfig,
     pub(crate) dags: Table<usize, Arc<CodeDag>>,
     pub(crate) weights1: Table<(usize, WeightFamily), Arc<Weights>>,
     pub(crate) allocs: Table<(usize, Vec<InstId>), Result<Arc<Allocated>, PipelineError>>,
     pub(crate) weights2: Table<(usize, Vec<InstId>, WeightFamily), Arc<Weights>>,
-    stats: Table<(usize, OrderPair), Result<Arc<BlockStats>, PipelineError>>,
+    /// One statistics table per distinct (memory system, protocol), in
+    /// first-use order.
+    stats: Mutex<Vec<(MemorySystem, EvalConfig, Arc<StatsTable>)>>,
 }
 
 /// A program compiled through a [`StageMemo`], carrying each block's
@@ -147,48 +163,42 @@ impl MemoProgram {
     pub fn program(&self) -> &CompiledProgram {
         &self.program
     }
+
+    /// Each block's pass-1 and pass-2 orders: the pass-1 order keys its
+    /// allocation, the pair its statistics. A measurement hook for
+    /// tests; it is no part of any report.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn order_pairs(&self) -> &[(Vec<InstId>, Vec<InstId>)] {
+        &self.orders
+    }
 }
 
 impl StageMemo {
-    /// An empty memo for compiling `function` with `pipeline` and
-    /// measuring it under `system` with `eval`.
+    /// An empty memo for compiling `function` with `pipeline`.
     #[must_use]
-    pub fn new(
-        pipeline: Pipeline,
-        function: Function,
-        system: MemorySystem,
-        eval: EvalConfig,
-    ) -> Self {
+    pub fn new(pipeline: Pipeline, function: Function) -> Self {
         Self {
             pipeline,
             function,
-            system,
-            eval,
             dags: Table::default(),
             weights1: Table::default(),
             allocs: Table::default(),
             weights2: Table::default(),
-            stats: Table::default(),
+            stats: Mutex::new(Vec::new()),
         }
     }
 
-    /// An empty memo with the same function, pipeline, memory system and
-    /// protocol.
+    /// An empty memo with the same function and pipeline.
     #[must_use]
     pub fn fresh(&self) -> Self {
-        Self::new(self.pipeline, self.function.clone(), self.system, self.eval)
+        Self::new(self.pipeline, self.function.clone())
     }
 
     /// The pipeline every compile runs.
     #[must_use]
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
-    }
-
-    /// The measurement protocol every evaluation runs.
-    #[must_use]
-    pub fn eval_config(&self) -> &EvalConfig {
-        &self.eval
     }
 
     /// Compiles the memo's function under `choice`, reusing every stage
@@ -204,31 +214,60 @@ impl StageMemo {
         Ok(MemoProgram { program, orders })
     }
 
-    /// Measures a program this memo compiled, simulating only the blocks
-    /// no earlier evaluation has seen compiled the same way. Blocks are
+    /// Drops every stored compile stage (pass-1 DAGs, weights and
+    /// allocations) and keeps the block statistics. For a caller that has
+    /// compiled every program it will measure: no later compile can hit
+    /// those entries, and holding them through the measurements only
+    /// raises peak memory. A later compile recomputes what it needs.
+    pub fn release_compile_stages(&self) {
+        self.dags.release();
+        self.weights1.release();
+        self.allocs.release();
+        self.weights2.release();
+    }
+
+    /// Measures a program this memo compiled under `system` with `eval`,
+    /// simulating only the blocks no earlier evaluation under the same
+    /// system and protocol has seen compiled the same way. Blocks are
     /// measured in parallel under the same rule as
     /// [`try_evaluate`](crate::try_evaluate).
     ///
     /// # Errors
     ///
     /// Exactly the errors [`try_evaluate`](crate::try_evaluate) returns
-    /// for the same program.
-    pub fn evaluate(&self, compiled: &MemoProgram) -> Result<ProgramEval, PipelineError> {
-        evaluate_blocks(
-            &compiled.program,
-            &self.system,
-            &self.eval,
-            |index, cb, mem| {
-                let key = (index, compiled.orders[index].clone());
-                // A simulation a watchdog cancelled stopped early: its
-                // result says so, and it is the one result not stored.
-                self.stats.get_or_compute(
-                    key,
-                    || block_stats(cb, index, mem, &self.eval).map(Arc::new),
-                    |stats| !matches!(stats, Err(PipelineError::Sim(SimError::Cancelled))),
-                )
-            },
-        )
+    /// for the same program, system and protocol.
+    pub fn evaluate(
+        &self,
+        compiled: &MemoProgram,
+        system: &MemorySystem,
+        eval: &EvalConfig,
+    ) -> Result<ProgramEval, PipelineError> {
+        let table = self.stats_table(system, eval);
+        evaluate_blocks(&compiled.program, system, eval, |index, cb, mem| {
+            let key = (index, compiled.orders[index].clone());
+            // A simulation a watchdog cancelled stopped early: its
+            // result says so, and it is the one result not stored.
+            table.get_or_compute(
+                key,
+                || block_stats(cb, index, mem, eval).map(Arc::new),
+                |stats| !matches!(stats, Err(PipelineError::Sim(SimError::Cancelled))),
+            )
+        })
+    }
+
+    /// The statistics table of (`system`, `eval`), found by equality and
+    /// added on first use.
+    fn stats_table(&self, system: &MemorySystem, eval: &EvalConfig) -> Arc<StatsTable> {
+        let mut tables = self
+            .stats
+            .lock()
+            .expect("no stage computes under the memo lock, so nothing can poison it");
+        if let Some((_, _, table)) = tables.iter().find(|(s, e, _)| s == system && e == eval) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(StatsTable::default());
+        tables.push((*system, *eval, Arc::clone(&table)));
+        table
     }
 
     /// How often each stage was computed and how many entries it holds.
@@ -236,12 +275,26 @@ impl StageMemo {
     #[doc(hidden)]
     #[must_use]
     pub fn counts(&self) -> MemoCounts {
+        let tables = self
+            .stats
+            .lock()
+            .expect("no stage computes under the memo lock, so nothing can poison it");
+        let mut stats = StageCount {
+            computed: 0,
+            entries: 0,
+        };
+        for (_, _, table) in tables.iter() {
+            let count = table.count();
+            stats.computed += count.computed;
+            stats.entries += count.entries;
+        }
         MemoCounts {
             dags: self.dags.count(),
             weights1: self.weights1.count(),
             allocs: self.allocs.count(),
             weights2: self.weights2.count(),
-            stats: self.stats.count(),
+            stats,
+            stats_tables: tables.len(),
         }
     }
 }
@@ -268,8 +321,11 @@ pub struct MemoCounts {
     pub allocs: StageCount,
     /// Pass-2 weights.
     pub weights2: StageCount,
-    /// Block statistics, i.e. simulated (pass-1, pass-2) order pairs.
+    /// Block statistics, i.e. simulated (pass-1, pass-2) order pairs,
+    /// summed over every statistics table.
     pub stats: StageCount,
+    /// Distinct (memory system, [`EvalConfig`]) statistics tables.
+    pub stats_tables: usize,
 }
 
 #[cfg(test)]
@@ -288,14 +344,15 @@ mod tests {
             runs: 5,
             ..EvalConfig::default()
         };
-        let memo = StageMemo::new(pipeline, function.clone(), system, eval);
+        let memo = StageMemo::new(pipeline, function.clone());
         let choice = SchedulerChoice::Tuned(PolicySpec::balanced_default());
         let compiled = memo.compile(&choice).unwrap();
 
         // A candidate whose watchdog fired: its simulations stop early.
         let token = CancelToken::new();
         token.cancel();
-        let cancelled = bsched_faults::with_cancel_token(token, || memo.evaluate(&compiled));
+        let cancelled =
+            bsched_faults::with_cancel_token(token, || memo.evaluate(&compiled, &system, &eval));
         let err = cancelled.expect_err("a cancelled evaluation must fail");
         assert!(err.to_string().contains("cancelled"), "{err}");
         assert_eq!(
@@ -306,7 +363,7 @@ mod tests {
 
         // The next candidate on the same orders gets its fresh score.
         let again = memo.compile(&choice).unwrap();
-        let memoized = memo.evaluate(&again).unwrap();
+        let memoized = memo.evaluate(&again, &system, &eval).unwrap();
         let fresh = pipeline.compile(&function, &choice).unwrap();
         let fresh = try_evaluate_serial(&fresh, &system, &eval).unwrap();
         assert_eq!(

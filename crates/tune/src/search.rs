@@ -141,10 +141,12 @@ impl fmt::Display for TuneError {
 impl std::error::Error for TuneError {}
 
 /// Everything a candidate evaluation needs, cheaply cloneable into the
-/// watchdog thread: the search's [`StageMemo`] holds the function,
-/// pipeline, memory system and protocol.
+/// watchdog thread: the search's [`StageMemo`] holds the function and
+/// pipeline, beside them the memory system and protocol.
 struct Ctx {
     memo: Arc<StageMemo>,
+    system: MemorySystem,
+    eval: EvalConfig,
     timeout: Option<Duration>,
 }
 
@@ -166,6 +168,7 @@ fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec) -> CandidateOutcome {
     // plan can target one candidate (e.g. `tune-stall:key=family=average`)
     // and the quarantine test can prove the rest of the search survives.
     let canon = spec.canonical();
+    let (system, eval) = (ctx.system, ctx.eval);
     let body = move || -> CandidateOutcome {
         bsched_faults::with_cell_context(&canon, 0, || {
             if let Some(fault) = fault_point!(Site::TuneStall) {
@@ -173,7 +176,7 @@ fn evaluate_candidate(ctx: &Ctx, spec: PolicySpec) -> CandidateOutcome {
             }
             let measured = memo
                 .compile(&SchedulerChoice::Tuned(spec))
-                .and_then(|compiled| memo.evaluate(&compiled));
+                .and_then(|compiled| memo.evaluate(&compiled, &system, &eval));
             match measured {
                 Ok(e) => CandidateOutcome::Score(e.mean_runtime),
                 Err(e) => CandidateOutcome::Failed(e.to_string()),
@@ -327,7 +330,8 @@ fn fingerprint(
     function: &Function,
     system: &MemorySystem,
     cfg: &TuneConfig,
-    memo: &StageMemo,
+    pipeline: &Pipeline,
+    eval: &EvalConfig,
 ) -> String {
     let mut acc = fingerprint_mix(0, function.name().as_bytes());
     for block in function.blocks() {
@@ -347,7 +351,6 @@ fn fingerprint(
     acc = fingerprint_mix(acc, &(cfg.beam_width as u64).to_le_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.processor).as_bytes());
     acc = fingerprint_mix(acc, format!("{:?}", cfg.alias).as_bytes());
-    let (pipeline, eval) = (memo.pipeline(), memo.eval_config());
     let gates = (
         pipeline.validation,
         pipeline.analysis,
@@ -376,27 +379,26 @@ pub fn tune(
     system: &MemorySystem,
     cfg: &TuneConfig,
 ) -> Result<TuneReport, TuneError> {
-    search(
-        function,
-        system,
-        cfg,
-        Arc::new(stage_memo(function, system, cfg)),
-    )
+    search(function, system, cfg, Arc::new(stage_memo(function, cfg)))
 }
 
-/// The memo one search evaluates every candidate through.
-fn stage_memo(function: &Function, system: &MemorySystem, cfg: &TuneConfig) -> StageMemo {
+/// The memo one search compiles every candidate through.
+fn stage_memo(function: &Function, cfg: &TuneConfig) -> StageMemo {
     let pipeline = Pipeline {
         alias: cfg.alias,
         ..Pipeline::default()
     };
-    let eval = EvalConfig {
+    StageMemo::new(pipeline, function.clone())
+}
+
+/// The protocol one search measures every candidate with.
+fn eval_config(cfg: &TuneConfig) -> EvalConfig {
+    EvalConfig {
         runs: cfg.runs,
         processor: cfg.processor,
         seed: cfg.seed,
         ..EvalConfig::default()
-    };
-    StageMemo::new(pipeline, function.clone(), *system, eval)
+    }
 }
 
 /// [`tune`] through a given memo.
@@ -410,10 +412,11 @@ fn search(
         return Err(TuneError::EmptyFunction);
     }
     let space = CandidateSpace::for_system(system);
+    let eval = eval_config(cfg);
     let journal = match &cfg.journal {
         Some(path) => {
-            let j = TuneJournal::open(path, &fingerprint(function, system, cfg, &memo))
-                .map_err(TuneError::Journal)?;
+            let fp = fingerprint(function, system, cfg, memo.pipeline(), &eval);
+            let j = TuneJournal::open(path, &fp).map_err(TuneError::Journal)?;
             if j.discarded() > 0 {
                 eprintln!(
                     "warning: tune journal {}: fingerprint changed; discarded {} recorded \
@@ -428,6 +431,8 @@ fn search(
     };
     let ctx = Ctx {
         memo,
+        system: *system,
+        eval,
         timeout: cfg.candidate_timeout,
     };
     let mut search = SearchState {
@@ -502,7 +507,8 @@ mod tests {
             function,
             &system,
             &cfg,
-            &stage_memo(function, &system, &cfg),
+            stage_memo(function, &cfg).pipeline(),
+            &eval_config(&cfg),
         )
     }
 
@@ -532,7 +538,7 @@ mod tests {
             threads: 1,
             ..TuneConfig::default()
         };
-        let memo = Arc::new(stage_memo(&func, &system, &cfg));
+        let memo = Arc::new(stage_memo(&func, &cfg));
         let report = search(&func, &system, &cfg, Arc::clone(&memo)).unwrap();
         let counts = memo.counts();
         let blocks = func.blocks().len();
@@ -553,10 +559,9 @@ mod tests {
         let func = function(DAXPY);
         let system: MemorySystem = "N(30,5)".parse().unwrap();
         let cfg = TuneConfig::default();
-        let base = stage_memo(&func, &system, &cfg);
+        let base = stage_memo(&func, &cfg);
         let with = |pipeline: Pipeline, eval: EvalConfig| {
-            let memo = StageMemo::new(pipeline, func.clone(), system, eval);
-            fingerprint(&func, &system, &cfg, &memo)
+            fingerprint(&func, &system, &cfg, &pipeline, &eval)
         };
         // Every gate pinned off, so the baseline does not depend on the
         // ambient BSCHED_* settings.
@@ -568,7 +573,7 @@ mod tests {
         let eval = EvalConfig {
             validation: ValidationLevel::Off,
             cycle_budget: None,
-            ..*base.eval_config()
+            ..eval_config(&cfg)
         };
         bsched_faults::clear();
         let clean = with(pipeline, eval);

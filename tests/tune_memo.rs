@@ -55,7 +55,7 @@ fn check_space(function: &Function, validation: ValidationLevel) {
         validation,
         ..EvalConfig::default()
     };
-    let memo = StageMemo::new(pipeline, function.clone(), system, eval);
+    let memo = StageMemo::new(pipeline, function.clone());
     let space = CandidateSpace::for_system(&system);
     for spec in space.enumerate() {
         let choice = SchedulerChoice::Tuned(spec);
@@ -76,7 +76,7 @@ fn check_space(function: &Function, validation: ValidationLevel) {
             assert_eq!(f.spill_count, m.spill_count, "{name}: spill count differs");
         }
         let fresh = try_evaluate_serial(&fresh, &system, &eval);
-        let memoized = memo.evaluate(&memoized);
+        let memoized = memo.evaluate(&memoized, &system, &eval);
         match (fresh, memoized) {
             (Ok(f), Ok(m)) => assert_eq!(bits(&f), bits(&m), "{name}: score differs"),
             (Err(f), Err(m)) => assert_eq!(f, m, "{name}: evaluation errors differ"),
