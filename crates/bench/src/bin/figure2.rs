@@ -14,7 +14,7 @@ use bsched_dag::{CodeDag, DepKind};
 use bsched_ir::{BasicBlock, Inst, InstId, MemAccess, MemLoc, Opcode, RegionId};
 
 /// Builds the Figure 1 DAG: `L0 → L1 → X4`, with `X0..X3` independent.
-fn figure1_dag() -> CodeDag {
+fn figure1_dag() -> (BasicBlock, CodeDag) {
     let load = |name: &str| {
         Inst::new(
             Opcode::Ldc1,
@@ -40,25 +40,25 @@ fn figure1_dag() -> CodeDag {
     let mut dag = CodeDag::new(&block);
     dag.add_edge(InstId::new(0), InstId::new(1), DepKind::True);
     dag.add_edge(InstId::new(1), InstId::new(6), DepKind::True);
-    dag
+    (block, dag)
 }
 
-fn schedule_names(dag: &CodeDag, assigner: &dyn WeightAssigner) -> Vec<String> {
+fn schedule_names(block: &BasicBlock, dag: &CodeDag, assigner: &dyn WeightAssigner) -> Vec<String> {
     let sched = ListScheduler::new()
         .with_direction(Direction::TopDown)
         .run(dag, assigner);
     sched
         .order()
         .iter()
-        .map(|&i| dag.name(i).to_owned())
+        .map(|&i| block.label(i).into_owned())
         .collect()
 }
 
 fn main() {
-    let dag = figure1_dag();
-    let greedy = schedule_names(&dag, &TraditionalWeights::new(Ratio::from_int(5)));
-    let lazy = schedule_names(&dag, &TraditionalWeights::new(Ratio::ONE));
-    let balanced = schedule_names(&dag, &BalancedWeights::new());
+    let (block, dag) = figure1_dag();
+    let greedy = schedule_names(&block, &dag, &TraditionalWeights::new(Ratio::from_int(5)));
+    let lazy = schedule_names(&block, &dag, &TraditionalWeights::new(Ratio::ONE));
+    let balanced = schedule_names(&block, &dag, &BalancedWeights::new());
 
     let header: Vec<String> = ["slot", "Traditional W=5", "Traditional W=1", "Balanced"]
         .iter()

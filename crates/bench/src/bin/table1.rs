@@ -12,7 +12,7 @@ use bsched_ir::{BasicBlock, Inst, InstId, MemAccess, MemLoc, Opcode, RegionId};
 /// Reconstruction of the Figure 7 DAG (see `bsched-core`'s tests and
 /// EXPERIMENTS.md). Program order:
 /// `0:L2 1:L3 2:L4 3:L5 4:L6 5:X1 6:X2 7:X3 8:X4 9:L1`.
-fn figure7_dag() -> CodeDag {
+fn figure7_dag() -> (BasicBlock, CodeDag) {
     let load = |name: &str| {
         Inst::new(
             Opcode::Ldc1,
@@ -51,17 +51,17 @@ fn figure7_dag() -> CodeDag {
     ] {
         dag.add_edge(InstId::new(a), InstId::new(b), DepKind::True);
     }
-    dag
+    (block, dag)
 }
 
 fn main() {
-    let dag = figure7_dag();
+    let (block, dag) = figure7_dag();
     let loads = dag.load_ids();
     let closures = Closures::compute(&dag);
 
     // Contribution matrix: contribution[load][donor].
     let mut header = vec!["Load".to_owned()];
-    header.extend(dag.node_ids().map(|i| dag.name(i).to_owned()));
+    header.extend(dag.node_ids().map(|i| block.label(i).into_owned()));
     header.push("Weight".to_owned());
 
     let weights = BalancedWeights::new().assign(&dag);
@@ -80,7 +80,7 @@ fn main() {
                 }
             }
         }
-        let mut cells = vec![dag.name(l).to_owned()];
+        let mut cells = vec![block.label(l).into_owned()];
         cells.extend(contribution.iter().map(|c| {
             if *c == Ratio::ZERO {
                 "0".to_owned()

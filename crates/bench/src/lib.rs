@@ -1421,7 +1421,9 @@ mod tests {
                     processor: ProcessorModel::Unlimited,
                 })
                 .collect();
+            let built = bsched_dag::builds_on_this_thread();
             let (reports, memos) = run_cells(&jobs);
+            let builds = bsched_dag::builds_on_this_thread() - built;
             assert!(reports.iter().all(|r| r.status == CellStatus::Ok));
             assert_eq!(memos.len(), 1, "one memo per stand-in");
             let counts = memos[0].counts();
@@ -1470,6 +1472,30 @@ mod tests {
             let name = bench.name();
             assert_eq!(counts.dags, released(blocks), "{name}: pass-1 DAGs");
             assert_eq!(counts.allocs, released(allocs.len()), "{name}: allocations");
+            // Every DAG the column built: one per block for pass 1, one
+            // per allocation for pass 2, and whatever the validators and
+            // the analysis gate build around each program's compile.
+            let plain = |pipeline: Pipeline| {
+                let built = bsched_dag::builds_on_this_thread();
+                pipeline
+                    .compile(bench.function(), &SchedulerChoice::balanced())
+                    .expect("compiles");
+                bsched_dag::builds_on_this_thread() - built
+            };
+            let unchecked = Pipeline {
+                validation: bsched_verify::ValidationLevel::Off,
+                analysis: bsched_pipeline::AnalysisGate::Off,
+                ..Pipeline::default()
+            };
+            assert_eq!(plain(unchecked), 2 * blocks, "{name}: one DAG a pass");
+            let around = plain(Pipeline::default()) - plain(unchecked);
+            let latencies: HashSet<Ratio> = rows.iter().map(|r| r.optimistic).collect();
+            let programs = 1 + latencies.len();
+            assert_eq!(
+                builds,
+                counts.dags.computed + counts.allocs.computed + programs * around,
+                "{name}: DAG builds"
+            );
             assert_eq!(counts.stats, once(stat_keys), "{name}: block statistics");
             assert_eq!(
                 counts.stats_tables,
@@ -1487,6 +1513,46 @@ mod tests {
         // block batches with the memo, then the batches without it
         // (two programs a cell, each simulating every block).
         assert_eq!(totals, [32, 202, 861, 1088]);
+    }
+
+    #[test]
+    fn all_of_table2_at_two_threads_computes_each_stage_once_per_distinct_key() {
+        // Two workers share each stand-in's memo: a key one of them is
+        // computing is waited for, not computed again. The totals are
+        // those one thread computes.
+        let _guard = env_lock();
+        std::env::set_var("BSCHED_RUNS", "2");
+        std::env::set_var("BSCHED_THREADS", "2");
+        let rows = table2_rows();
+        let benches = perfect_club();
+        let jobs: Vec<CellJob> = benches
+            .iter()
+            .flat_map(|bench| {
+                rows.iter().map(move |row| CellJob {
+                    bench,
+                    row,
+                    processor: ProcessorModel::Unlimited,
+                })
+            })
+            .collect();
+        let (reports, memos) = run_cells(&jobs);
+        std::env::remove_var("BSCHED_THREADS");
+        std::env::remove_var("BSCHED_RUNS");
+        assert!(reports.iter().all(|r| r.status == CellStatus::Ok));
+        assert_eq!(memos.len(), benches.len(), "one memo per stand-in");
+        let mut totals = [0; 3];
+        for memo in &memos {
+            let counts = memo.counts();
+            let stages = [counts.dags, counts.allocs, counts.stats];
+            for (total, stage) in totals.iter_mut().zip(stages) {
+                *total += stage.computed;
+            }
+        }
+        assert_eq!(
+            totals,
+            [32, 202, 861],
+            "pass-1 DAGs, allocations, statistics"
+        );
     }
 
     #[test]

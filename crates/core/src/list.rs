@@ -323,9 +323,9 @@ mod tests {
         InstId::new(i)
     }
 
-    /// The Figure 1 DAG laid out in the paper's generation order:
-    /// 0:L0 1:L1 2:X0 3:X1 4:X2 5:X3 6:X4, edges L0→L1→X4.
-    fn figure1_dag() -> CodeDag {
+    /// The Figure 1 block in the paper's generation order:
+    /// 0:L0 1:L1 2:X0 3:X1 4:X2 5:X3 6:X4.
+    fn figure1_block() -> BasicBlock {
         let mk_load = |name: &str| {
             Inst::new(
                 Opcode::Ldc1,
@@ -336,7 +336,7 @@ mod tests {
             .with_name(name)
         };
         let mk_x = |name: &str| Inst::new(Opcode::FMove, vec![], vec![], None).with_name(name);
-        let block = BasicBlock::new(
+        BasicBlock::new(
             "fig1",
             vec![
                 mk_load("L0"),
@@ -347,18 +347,23 @@ mod tests {
                 mk_x("X3"),
                 mk_x("X4"),
             ],
-        );
-        let mut dag = CodeDag::new(&block);
+        )
+    }
+
+    /// The Figure 1 DAG: edges L0→L1→X4.
+    fn figure1_dag() -> CodeDag {
+        let mut dag = CodeDag::new(&figure1_block());
         dag.add_edge(id(0), id(1), DepKind::True);
         dag.add_edge(id(1), id(6), DepKind::True);
         dag
     }
 
-    fn names(dag: &CodeDag, schedule: &Schedule) -> Vec<String> {
+    fn names(schedule: &Schedule) -> Vec<String> {
+        let block = figure1_block();
         schedule
             .order()
             .iter()
-            .map(|&i| dag.name(i).to_string())
+            .map(|&i| block.label(i).into_owned())
             .collect()
     }
 
@@ -368,10 +373,7 @@ mod tests {
         let sched = ListScheduler::new()
             .with_direction(Direction::TopDown)
             .run(&dag, &TraditionalWeights::new(Ratio::from_int(5)));
-        assert_eq!(
-            names(&dag, &sched),
-            ["L0", "X0", "X1", "X2", "X3", "L1", "X4"]
-        );
+        assert_eq!(names(&sched), ["L0", "X0", "X1", "X2", "X3", "L1", "X4"]);
         assert!(sched.verify(&dag).is_ok());
         // X4 had to wait for L1's 5-cycle latency: 4 virtual no-ops.
         assert_eq!(sched.vnop_count(), 4);
@@ -383,10 +385,7 @@ mod tests {
         let sched = ListScheduler::new()
             .with_direction(Direction::TopDown)
             .run(&dag, &TraditionalWeights::new(Ratio::ONE));
-        assert_eq!(
-            names(&dag, &sched),
-            ["L0", "L1", "X0", "X1", "X2", "X3", "X4"]
-        );
+        assert_eq!(names(&sched), ["L0", "L1", "X0", "X1", "X2", "X3", "X4"]);
         assert_eq!(sched.vnop_count(), 0);
     }
 
@@ -396,10 +395,7 @@ mod tests {
         let sched = ListScheduler::new()
             .with_direction(Direction::TopDown)
             .run(&dag, &BalancedWeights::new());
-        assert_eq!(
-            names(&dag, &sched),
-            ["L0", "X0", "X1", "L1", "X2", "X3", "X4"]
-        );
+        assert_eq!(names(&sched), ["L0", "X0", "X1", "L1", "X2", "X3", "X4"]);
         assert_eq!(
             sched.vnop_count(),
             0,
@@ -413,7 +409,7 @@ mod tests {
         // followed by two independent instructions before its use.
         let dag = figure1_dag();
         let sched = ListScheduler::new().run(&dag, &BalancedWeights::new());
-        let order = names(&dag, &sched);
+        let order = names(&sched);
         assert!(sched.verify(&dag).is_ok());
         assert_eq!(sched.vnop_count(), 0);
         let pos = |n: &str| order.iter().position(|x| x == n).unwrap();

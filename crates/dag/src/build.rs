@@ -1,10 +1,11 @@
 //! Dependence analysis: turning a basic block into a code DAG.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 
-use bsched_ir::{BasicBlock, InstId, MemAccess, Reg};
+use bsched_ir::inst::MAX_USES;
+use bsched_ir::{BasicBlock, InstId, MemAccess, Reg, RegClass};
 
-use crate::dag::{CodeDag, DepKind};
+use crate::dag::{CodeDag, DepKind, Edge};
 
 /// How aggressively memory references are disambiguated (paper Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -54,6 +55,18 @@ impl std::str::FromStr for AliasModel {
     }
 }
 
+thread_local! {
+    static BUILDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many DAGs [`build_dag`] has built on the calling thread. A
+/// measurement hook for tests; it is no part of any report.
+#[doc(hidden)]
+#[must_use]
+pub fn builds_on_this_thread() -> usize {
+    BUILDS.get()
+}
+
 /// Builds the code DAG of `block` under `alias`.
 ///
 /// Edges produced:
@@ -69,51 +82,185 @@ impl std::str::FromStr for AliasModel {
 /// exactly why the paper's first scheduling pass has maximal freedom.
 #[must_use]
 pub fn build_dag(block: &BasicBlock, alias: AliasModel) -> CodeDag {
-    let mut dag = CodeDag::new(block);
+    const NONE: u32 = u32::MAX;
+    BUILDS.set(BUILDS.get() + 1);
+    let n = block.len();
+    let slots = RegSlots::of(block);
+    // Per register: its last definition, and the uses since then as a
+    // list threaded through `chain` (user, next), oldest first.
+    let mut last_def = vec![NONE; slots.len()];
+    let mut first_use = vec![NONE; slots.len()];
+    let mut last_use = vec![NONE; slots.len()];
+    let mut chain: Vec<(InstId, u32)> = Vec::with_capacity(n * MAX_USES);
+    // Every edge in the order the adjacency rows keep it: each node's
+    // register in-edges in turn, then the memory edges. `seen[from]` is
+    // the index of the latest edge out of `from`; it belongs to the
+    // current node's row when it is at least the row's start.
+    let mut edges: Vec<Edge> = Vec::with_capacity(2 * n);
+    let mut rows: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut seen = vec![NONE; n];
 
     // Register dependences.
-    let mut last_def: HashMap<Reg, InstId> = HashMap::new();
-    let mut uses_since_def: HashMap<Reg, Vec<InstId>> = HashMap::new();
-
     for (id, inst) in block.iter_ids() {
-        for &u in inst.uses() {
-            if let Some(&d) = last_def.get(&u) {
-                dag.add_edge(d, id, DepKind::True);
+        let row = edges.len();
+        rows.push(row as u32);
+        let mut add = |from: InstId, kind: DepKind| {
+            let at = seen[from.index()];
+            if at != NONE && at as usize >= row {
+                let edge = &mut edges[at as usize];
+                if kind == DepKind::True {
+                    edge.kind = DepKind::True;
+                }
+            } else {
+                seen[from.index()] = edges.len() as u32;
+                edges.push(Edge { from, to: id, kind });
             }
-            uses_since_def.entry(u).or_default().push(id);
+        };
+        for &u in inst.uses() {
+            let r = slots.slot(u);
+            if last_def[r] != NONE {
+                add(InstId::new(last_def[r]), DepKind::True);
+            }
+            let link = chain.len() as u32;
+            chain.push((id, NONE));
+            match last_use[r] {
+                NONE => first_use[r] = link,
+                tail => chain[tail as usize].1 = link,
+            }
+            last_use[r] = link;
         }
         for &d in inst.defs() {
-            if let Some(users) = uses_since_def.get(&d) {
-                for &user in users {
-                    if user != id {
-                        dag.add_edge(user, id, DepKind::Anti);
-                    }
+            let r = slots.slot(d);
+            let mut link = first_use[r];
+            while link != NONE {
+                let (user, next) = chain[link as usize];
+                if user != id {
+                    add(user, DepKind::Anti);
                 }
+                link = next;
             }
-            if let Some(&prev) = last_def.get(&d) {
-                if prev != id {
-                    dag.add_edge(prev, id, DepKind::Output);
-                }
+            if last_def[r] != NONE && last_def[r] != id.raw() {
+                add(InstId::new(last_def[r]), DepKind::Output);
             }
-            last_def.insert(d, id);
-            uses_since_def.insert(d, Vec::new());
+            last_def[r] = id.raw();
+            first_use[r] = NONE;
+            last_use[r] = NONE;
         }
     }
+    rows.push(edges.len() as u32);
 
-    // Memory dependences.
+    // Memory dependences, skipping pairs a register edge already orders
+    // (only a true dependence would strengthen one).
+    seen.fill(NONE);
     let mem_ops: Vec<(InstId, MemAccess)> = block
         .iter_ids()
         .filter_map(|(id, i)| i.mem().map(|m| (id, m)))
         .collect();
     for (later_pos, &(later_id, later_acc)) in mem_ops.iter().enumerate() {
+        let later = later_id.index();
+        for e in rows[later] as usize..rows[later + 1] as usize {
+            seen[edges[e].from.index()] = later_id.raw();
+        }
         for &(earlier_id, earlier_acc) in &mem_ops[..later_pos] {
-            if alias.conflicts(earlier_acc, later_acc) {
-                dag.add_edge(earlier_id, later_id, DepKind::Memory);
+            if seen[earlier_id.index()] != later_id.raw() && alias.conflicts(earlier_acc, later_acc)
+            {
+                edges.push(Edge {
+                    from: earlier_id,
+                    to: later_id,
+                    kind: DepKind::Memory,
+                });
             }
         }
     }
 
-    dag
+    CodeDag::with_edges(block, &edges)
+}
+
+/// Dense numbers `0..len` for the registers one block names, so the
+/// builder keeps per-register state in flat tables instead of hash maps.
+enum RegSlots {
+    /// Indices are dense within each (virtual or physical, class) group,
+    /// as the block builder and the allocator number them: a register's
+    /// slot is its group's start plus its offset from the group's
+    /// smallest index.
+    Offsets {
+        min: [u32; 4],
+        start: [usize; 4],
+        len: usize,
+    },
+    /// Indices too sparse to offset: a register's slot is its position
+    /// among the block's distinct registers, sorted.
+    Sorted(Vec<Reg>),
+}
+
+impl RegSlots {
+    fn group(reg: Reg) -> usize {
+        let class = match reg.class() {
+            RegClass::Int => 0,
+            RegClass::Float => 1,
+        };
+        2 * usize::from(!reg.is_virt()) + class
+    }
+
+    fn index(reg: Reg) -> u32 {
+        match reg {
+            Reg::Virt(v) => v.index(),
+            Reg::Phys(p) => p.index(),
+        }
+    }
+
+    fn of(block: &BasicBlock) -> Self {
+        let operands = || {
+            block
+                .insts()
+                .iter()
+                .flat_map(|i| i.defs().iter().chain(i.uses()).copied())
+        };
+        let mut min = [u32::MAX; 4];
+        let mut max = [0; 4];
+        let mut count = 0;
+        for reg in operands() {
+            let (g, i) = (Self::group(reg), Self::index(reg));
+            min[g] = min[g].min(i);
+            max[g] = max[g].max(i);
+            count += 1;
+        }
+        let mut start = [0; 4];
+        let mut len = 0;
+        for g in 0..4 {
+            start[g] = len;
+            if min[g] <= max[g] {
+                len += (max[g] - min[g]) as usize + 1;
+            }
+        }
+        if len <= 4 * count + 64 {
+            RegSlots::Offsets { min, start, len }
+        } else {
+            let mut regs: Vec<Reg> = operands().collect();
+            regs.sort_unstable();
+            regs.dedup();
+            RegSlots::Sorted(regs)
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            RegSlots::Offsets { len, .. } => *len,
+            RegSlots::Sorted(regs) => regs.len(),
+        }
+    }
+
+    fn slot(&self, reg: Reg) -> usize {
+        match self {
+            RegSlots::Offsets { min, start, .. } => {
+                let g = Self::group(reg);
+                start[g] + (Self::index(reg) - min[g]) as usize
+            }
+            RegSlots::Sorted(regs) => regs
+                .binary_search(&reg)
+                .expect("every operand was numbered"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +429,35 @@ mod tests {
         let _ = b.load_region("x", region, base, Some(800));
         let dag = build_dag(&b.finish(), AliasModel::Fortran);
         assert_eq!(dag.edge_kind(id(2), id(3)), Some(DepKind::Memory));
+    }
+
+    #[test]
+    fn sparse_register_numbers_build_the_same_dag_as_dense_ones() {
+        // r1 = li ; r2 = add r1, r1 ; r1 = li ; store r2
+        let block = |one: u32, two: u32| {
+            let r1: bsched_ir::Reg = PhysReg::new(RegClass::Int, one).into();
+            let r2: bsched_ir::Reg = PhysReg::new(RegClass::Int, two).into();
+            let w = bsched_ir::MemAccess::write(bsched_ir::MemLoc::known(
+                bsched_ir::RegionId::new(0),
+                0,
+            ));
+            bsched_ir::BasicBlock::new(
+                "t",
+                vec![
+                    Inst::new(Opcode::Li, vec![r1], vec![], None),
+                    Inst::new(Opcode::Add, vec![r2], vec![r1, r1], None),
+                    Inst::new(Opcode::Li, vec![r1], vec![], None),
+                    Inst::new(Opcode::Sw, vec![], vec![r2, r1], Some(w)),
+                ],
+            )
+        };
+        let edges = |b: &bsched_ir::BasicBlock| -> Vec<_> {
+            build_dag(b, AliasModel::Fortran).edges().collect()
+        };
+        let dense = edges(&block(1, 2));
+        assert_eq!(dense.len(), 5, "{dense:?}");
+        assert_eq!(edges(&block(7, 4_000_000_000)), dense);
+        assert_eq!(edges(&block(4_000_000_000, 7)), dense);
     }
 
     #[test]

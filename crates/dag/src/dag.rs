@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use bsched_ir::{BasicBlock, Inst, InstId, Opcode};
+use bsched_ir::{BasicBlock, InstId, Opcode};
 
 /// Kind of dependence edge between two instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +52,18 @@ pub struct Edge {
     pub kind: DepKind,
 }
 
+/// Per-node facts copied from the block at construction.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    opcode: Opcode,
+    /// Mirrors the opcode's classification unless
+    /// [`CodeDag::mark_load_like`] set it.
+    is_load: bool,
+    /// `uses − defs`, the paper's first tie-break (§4.1); the opcode
+    /// arity table bounds it to a few registers.
+    pressure_delta: i8,
+}
+
 /// The code DAG of one basic block.
 ///
 /// Nodes are the block's instruction ids (`0..len`); edges always point
@@ -59,67 +71,87 @@ pub struct Edge {
 /// construction. Multiple dependences between the same pair are collapsed
 /// to the strongest ([`DepKind::True`] wins, since only it carries
 /// latency).
+///
+/// Edges are stored in compressed sparse row form: one array holds every
+/// node's successors, then every node's predecessors, and per-node
+/// offsets in each direction slice it. Node names stay with the block
+/// ([`BasicBlock::label`]).
 #[derive(Debug, Clone)]
 pub struct CodeDag {
-    n: usize,
-    /// Forward adjacency: `succs[i]` lists (successor, kind).
-    succs: Vec<Vec<(InstId, DepKind)>>,
-    /// Backward adjacency: `preds[i]` lists (predecessor, kind).
-    preds: Vec<Vec<(InstId, DepKind)>>,
-    /// `is_load[i]` mirrors the block's opcode classification.
-    is_load: Vec<bool>,
-    /// The instruction opcodes, for latency tables and diagnostics.
-    opcodes: Vec<Opcode>,
-    /// `uses − defs` per instruction, the paper's first tie-break (§4.1).
-    pressure_delta: Vec<i64>,
-    /// Display names copied from the block (L0, X1, … in the paper).
-    names: Vec<String>,
-    edge_count: usize,
+    nodes: Vec<Node>,
+    /// `adj[succ_at[i]..succ_at[i + 1]]` lists node `i`'s (successor,
+    /// kind) pairs.
+    succ_at: Vec<u32>,
+    /// `adj[pred_at[i]..pred_at[i + 1]]` lists node `i`'s (predecessor,
+    /// kind) pairs; every offset is at least the edge count.
+    pred_at: Vec<u32>,
+    adj: Vec<(InstId, DepKind)>,
 }
 
 impl CodeDag {
     /// Creates an edgeless DAG over the instructions of `block`.
     #[must_use]
     pub fn new(block: &BasicBlock) -> Self {
-        let n = block.len();
-        let is_load = block.insts().iter().map(Inst::is_load).collect();
-        let opcodes = block.insts().iter().map(Inst::opcode).collect();
-        let pressure_delta = block.insts().iter().map(Inst::pressure_delta).collect();
-        let names = block
-            .iter_ids()
-            .map(|(id, i)| i.name().map_or_else(|| id.to_string(), str::to_owned))
+        let nodes = block
+            .insts()
+            .iter()
+            .map(|i| Node {
+                opcode: i.opcode(),
+                is_load: i.is_load(),
+                pressure_delta: i8::try_from(i.pressure_delta())
+                    .expect("operand arity bounds the pressure delta"),
+            })
             .collect();
         Self {
-            n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-            is_load,
-            opcodes,
-            pressure_delta,
-            names,
-            edge_count: 0,
+            nodes,
+            succ_at: vec![0; block.len() + 1],
+            pred_at: vec![0; block.len() + 1],
+            adj: Vec::new(),
         }
+    }
+
+    /// The DAG of `block` with `edges`, each pair listed once, in the
+    /// order each node's successor and predecessor lists keep them.
+    pub(crate) fn with_edges(block: &BasicBlock, edges: &[Edge]) -> Self {
+        let mut dag = Self::new(block);
+        let count = u32::try_from(edges.len()).expect("edge count exceeds u32");
+        dag.adj = vec![(InstId::new(0), DepKind::True); 2 * edges.len()];
+        fill_rows(&mut dag.succ_at, &mut dag.adj, 0, edges, |e| (e.from, e.to));
+        fill_rows(&mut dag.pred_at, &mut dag.adj, count, edges, |e| {
+            (e.to, e.from)
+        });
+        dag
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.nodes.len()
     }
 
     /// `true` when the DAG has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.nodes.is_empty()
     }
 
     /// Number of (collapsed) edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.adj.len() / 2
     }
 
-    /// Adds a dependence `from → to` of the given kind.
+    fn succ_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.succ_at[i] as usize..self.succ_at[i + 1] as usize
+    }
+
+    fn pred_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.pred_at[i] as usize..self.pred_at[i + 1] as usize
+    }
+
+    /// Adds a dependence `from → to` of the given kind, for DAGs built by
+    /// hand; [`build_dag`](crate::build_dag) lays out all its edges at
+    /// once. Each call moves the edges stored after the new one.
     ///
     /// If an edge already exists between the pair, the kinds are merged:
     /// a [`DepKind::True`] edge subsumes any other kind.
@@ -130,39 +162,50 @@ impl CodeDag {
     /// what guarantees acyclicity) or either id is out of range.
     pub fn add_edge(&mut self, from: InstId, to: InstId, kind: DepKind) {
         assert!(
-            from.index() < self.n && to.index() < self.n,
+            from.index() < self.len() && to.index() < self.len(),
             "node out of range"
         );
         assert!(
             from < to,
             "edges must go forward in program order ({from} -> {to})"
         );
-        if let Some(slot) = self.succs[from.index()].iter_mut().find(|(t, _)| *t == to) {
-            if kind == DepKind::True && slot.1 != DepKind::True {
-                slot.1 = DepKind::True;
-                let back = self.preds[to.index()]
+        let (f, t) = (from.index(), to.index());
+        let succs = self.succ_range(f);
+        if let Some(k) = self.adj[succs.clone()].iter().position(|(x, _)| *x == to) {
+            if kind == DepKind::True && self.adj[succs.start + k].1 != DepKind::True {
+                self.adj[succs.start + k].1 = DepKind::True;
+                let preds = self.pred_range(t);
+                let back = self.adj[preds]
                     .iter_mut()
-                    .find(|(f, _)| *f == from)
+                    .find(|(x, _)| *x == from)
                     .expect("adjacency lists out of sync");
                 back.1 = DepKind::True;
             }
             return;
         }
-        self.succs[from.index()].push((to, kind));
-        self.preds[to.index()].push((from, kind));
-        self.edge_count += 1;
+        self.adj.insert(succs.end, (to, kind));
+        for at in &mut self.succ_at[f + 1..] {
+            *at += 1;
+        }
+        for at in &mut self.pred_at {
+            *at += 1;
+        }
+        self.adj.insert(self.pred_at[t + 1] as usize, (from, kind));
+        for at in &mut self.pred_at[t + 1..] {
+            *at += 1;
+        }
     }
 
     /// `true` if an edge `from → to` exists (any kind).
     #[must_use]
     pub fn has_edge(&self, from: InstId, to: InstId) -> bool {
-        from.index() < self.n && self.succs[from.index()].iter().any(|(t, _)| *t == to)
+        from.index() < self.len() && self.succs(from).iter().any(|(t, _)| *t == to)
     }
 
     /// The kind of the edge `from → to`, if present.
     #[must_use]
     pub fn edge_kind(&self, from: InstId, to: InstId) -> Option<DepKind> {
-        self.succs[from.index()]
+        self.succs(from)
             .iter()
             .find(|(t, _)| *t == to)
             .map(|(_, k)| *k)
@@ -171,28 +214,25 @@ impl CodeDag {
     /// Direct successors of `id` with edge kinds.
     #[must_use]
     pub fn succs(&self, id: InstId) -> &[(InstId, DepKind)] {
-        &self.succs[id.index()]
+        &self.adj[self.succ_range(id.index())]
     }
 
     /// Direct predecessors of `id` with edge kinds.
     #[must_use]
     pub fn preds(&self, id: InstId) -> &[(InstId, DepKind)] {
-        &self.preds[id.index()]
+        &self.adj[self.pred_range(id.index())]
     }
 
     /// `true` if instruction `id` is a load.
     #[must_use]
     pub fn is_load(&self, id: InstId) -> bool {
-        self.is_load[id.index()]
+        self.nodes[id.index()].is_load
     }
 
     /// Ids of all load nodes.
     #[must_use]
     pub fn load_ids(&self) -> Vec<InstId> {
-        (0..self.n)
-            .filter(|&i| self.is_load[i])
-            .map(InstId::from_usize)
-            .collect()
+        self.node_ids().filter(|&id| self.is_load(id)).collect()
     }
 
     /// The instruction's `uses − defs` register-count difference, copied
@@ -200,13 +240,13 @@ impl CodeDag {
     /// tie-break, §4.1).
     #[must_use]
     pub fn pressure_delta(&self, id: InstId) -> i64 {
-        self.pressure_delta[id.index()]
+        i64::from(self.nodes[id.index()].pressure_delta)
     }
 
     /// The instruction's opcode.
     #[must_use]
     pub fn opcode(&self, id: InstId) -> Opcode {
-        self.opcodes[id.index()]
+        self.nodes[id.index()].opcode
     }
 
     /// Reclassifies a non-load node as load-like for weighting purposes.
@@ -216,28 +256,21 @@ impl CodeDag {
     /// load-like makes the weight assigners treat its latency as
     /// uncertain. The simulator keys off real opcodes, not this flag.
     pub fn mark_load_like(&mut self, id: InstId) {
-        self.is_load[id.index()] = true;
-    }
-
-    /// Display name of a node.
-    #[must_use]
-    pub fn name(&self, id: InstId) -> &str {
-        &self.names[id.index()]
+        self.nodes[id.index()].is_load = true;
     }
 
     /// Iterates all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = InstId> {
-        (0..self.n).map(InstId::from_usize)
+        (0..self.len()).map(InstId::from_usize)
     }
 
-    /// Iterates every edge.
+    /// Iterates every edge, by source node and then in each node's
+    /// successor order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.succs.iter().enumerate().flat_map(|(i, list)| {
-            list.iter().map(move |&(to, kind)| Edge {
-                from: InstId::from_usize(i),
-                to,
-                kind,
-            })
+        self.node_ids().flat_map(move |from| {
+            self.succs(from)
+                .iter()
+                .map(move |&(to, kind)| Edge { from, to, kind })
         })
     }
 
@@ -256,6 +289,35 @@ impl CodeDag {
             .filter(|id| self.succs(*id).is_empty())
             .collect()
     }
+}
+
+/// Lays `edges` out as rows of `adj` starting at `base`, one row per
+/// `row_of(edge).0` and in `edges` order within a row (a stable counting
+/// sort), and writes the row offsets to `at`.
+fn fill_rows(
+    at: &mut [u32],
+    adj: &mut [(InstId, DepKind)],
+    base: u32,
+    edges: &[Edge],
+    row_of: impl Fn(&Edge) -> (InstId, InstId),
+) {
+    for e in edges {
+        at[row_of(e).0.index() + 1] += 1;
+    }
+    at[0] = base;
+    for i in 1..at.len() {
+        at[i] += at[i - 1];
+    }
+    // `at[r]` is row r's write cursor; once every edge is placed it has
+    // reached row r + 1's start, and shifting by one restores the starts.
+    for e in edges {
+        let (row, other) = row_of(e);
+        let slot = &mut at[row.index()];
+        adj[*slot as usize] = (other, e.kind);
+        *slot += 1;
+    }
+    at.copy_within(..at.len() - 1, 1);
+    at[0] = base;
 }
 
 #[cfg(test)]
@@ -327,9 +389,29 @@ mod tests {
 
     #[test]
     fn names_come_from_block() {
-        let d = three_node_dag();
-        assert_eq!(d.name(InstId::new(0)), "base");
-        assert_eq!(d.name(InstId::new(1)), "x");
+        // The DAG stores no names: its nodes are labelled by the block.
+        let mut b = BlockBuilder::new("t");
+        let base = b.def_int("base");
+        let _ = b.load("x", base, 0);
+        let block = b.finish();
+        let d = CodeDag::new(&block);
+        let labels: Vec<_> = d.node_ids().map(|id| block.label(id)).collect();
+        assert_eq!(labels, ["base", "x"]);
+    }
+
+    #[test]
+    fn add_edge_keeps_each_row_in_insertion_order() {
+        let mut d = three_node_dag();
+        d.add_edge(InstId::new(1), InstId::new(2), DepKind::Memory);
+        d.add_edge(InstId::new(0), InstId::new(2), DepKind::Anti);
+        d.add_edge(InstId::new(0), InstId::new(1), DepKind::True);
+        let (i0, i1, i2) = (InstId::new(0), InstId::new(1), InstId::new(2));
+        assert_eq!(d.succs(i0), &[(i2, DepKind::Anti), (i1, DepKind::True)]);
+        assert_eq!(d.succs(i1), &[(i2, DepKind::Memory)]);
+        assert_eq!(d.preds(i2), &[(i1, DepKind::Memory), (i0, DepKind::Anti)]);
+        assert_eq!(d.preds(i1), &[(i0, DepKind::True)]);
+        assert!(d.preds(i0).is_empty() && d.succs(i2).is_empty());
+        assert_eq!(d.edge_count(), 3);
     }
 
     #[test]

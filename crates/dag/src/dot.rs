@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use bsched_ir::InstId;
+use bsched_ir::{BasicBlock, InstId};
 
 use crate::dag::{CodeDag, DepKind};
 
@@ -23,9 +23,9 @@ pub struct DotOverlay {
     pub caption: String,
 }
 
-/// Renders `dag` as a Graphviz `digraph`.
+/// Renders `dag`, the code DAG of `block`, as a Graphviz `digraph`.
 ///
-/// Load nodes are drawn as boxes (like the paper's figures), other
+/// Nodes are labelled by the block ([`BasicBlock::label`]). Load nodes are drawn as boxes (like the paper's figures), other
 /// instructions as ellipses; non-true dependences are dashed and labelled
 /// with their kind.
 ///
@@ -39,20 +39,26 @@ pub struct DotOverlay {
 /// let base = b.def_int("base");
 /// let x = b.load("L0", base, 0);
 /// let _ = b.fadd("X0", x, x);
-/// let dot = to_dot(&build_dag(&b.finish(), AliasModel::Fortran), "ex");
+/// let block = b.finish();
+/// let dot = to_dot(&build_dag(&block, AliasModel::Fortran), &block, "ex");
 /// assert!(dot.contains("digraph"));
 /// assert!(dot.contains("L0"));
 /// ```
 #[must_use]
-pub fn to_dot(dag: &CodeDag, title: &str) -> String {
-    to_dot_annotated(dag, title, &DotOverlay::default())
+pub fn to_dot(dag: &CodeDag, block: &BasicBlock, title: &str) -> String {
+    to_dot_annotated(dag, block, title, &DotOverlay::default())
 }
 
 /// Like [`to_dot`], with analysis results from `overlay` drawn on top:
 /// per-node label lines, a pressure heat fill, and a graph caption. An
 /// empty overlay renders exactly what [`to_dot`] does.
 #[must_use]
-pub fn to_dot_annotated(dag: &CodeDag, title: &str, overlay: &DotOverlay) -> String {
+pub fn to_dot_annotated(
+    dag: &CodeDag,
+    block: &BasicBlock,
+    title: &str,
+    overlay: &DotOverlay,
+) -> String {
     let note_of = |id: InstId| {
         overlay
             .node_notes
@@ -76,7 +82,7 @@ pub fn to_dot_annotated(dag: &CodeDag, title: &str, overlay: &DotOverlay) -> Str
     }
     for id in dag.node_ids() {
         let shape = if dag.is_load(id) { "box" } else { "ellipse" };
-        let mut label = dag.name(id).to_owned();
+        let mut label = block.label(id).into_owned();
         if let Some(note) = note_of(id) {
             label.push_str("\\n");
             label.push_str(note);
@@ -119,8 +125,9 @@ mod tests {
         let base = b.def_int("base");
         let x = b.load("L0", base, 0);
         let _ = b.fadd("X0", x, x);
-        let dag = build_dag(&b.finish(), AliasModel::Fortran);
-        let dot = to_dot(&dag, "t");
+        let block = b.finish();
+        let dag = build_dag(&block, AliasModel::Fortran);
+        let dot = to_dot(&dag, &block, "t");
         assert!(dot.starts_with("digraph \"t\""));
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("n1 -> n2"));
@@ -134,13 +141,14 @@ mod tests {
         let base = b.def_int("base");
         let x = b.load("L0", base, 0);
         let _ = b.fadd("X0", x, x);
-        let dag = build_dag(&b.finish(), AliasModel::Fortran);
+        let block = b.finish();
+        let dag = build_dag(&block, AliasModel::Fortran);
         let overlay = DotOverlay {
             node_notes: vec![(InstId::new(1), "w=5/2".to_owned())],
             pressure: vec![(InstId::new(1), 1), (InstId::new(2), 2)],
             caption: "MaxLive: 2 float".to_owned(),
         };
-        let dot = to_dot_annotated(&dag, "t", &overlay);
+        let dot = to_dot_annotated(&dag, &block, "t", &overlay);
         assert!(dot.contains("L0\\nw=5/2"), "{dot}");
         assert!(dot.contains("style=filled"), "{dot}");
         assert!(
@@ -161,10 +169,11 @@ mod tests {
         let base = b.def_int("base");
         let x = b.load("L0", base, 0);
         let _ = b.fadd("X0", x, x);
-        let dag = build_dag(&b.finish(), AliasModel::Fortran);
+        let block = b.finish();
+        let dag = build_dag(&block, AliasModel::Fortran);
         assert_eq!(
-            to_dot(&dag, "t"),
-            to_dot_annotated(&dag, "t", &DotOverlay::default())
+            to_dot(&dag, &block, "t"),
+            to_dot_annotated(&dag, &block, "t", &DotOverlay::default())
         );
     }
 
@@ -176,8 +185,9 @@ mod tests {
         let v = b.fconst("v", 0.0);
         b.store_region(region, v, base, Some(0));
         let _ = b.load_region("l", region, base, Some(0));
-        let dag = build_dag(&b.finish(), AliasModel::Fortran);
-        let dot = to_dot(&dag, "t");
+        let block = b.finish();
+        let dag = build_dag(&block, AliasModel::Fortran);
+        let dot = to_dot(&dag, &block, "t");
         assert!(dot.contains("style=dashed"));
         assert!(dot.contains("memory"));
     }

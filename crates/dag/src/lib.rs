@@ -53,7 +53,7 @@ pub mod workspace;
 
 pub use analysis::{alap_levels, asap_levels, critical_path_length, slack, DagProfile};
 pub use bitset::BitSet;
-pub use build::{build_dag, AliasModel};
+pub use build::{build_dag, builds_on_this_thread, AliasModel};
 pub use closure::Closures;
 pub use components::connected_components;
 pub use dag::{CodeDag, DepKind, Edge};

@@ -1,6 +1,8 @@
 //! Basic blocks.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::inst::{Inst, InstId};
 
@@ -13,7 +15,7 @@ use crate::inst::{Inst, InstId};
 /// register allocator and the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
-    name: String,
+    name: Arc<str>,
     insts: Vec<Inst>,
     frequency: f64,
 }
@@ -21,7 +23,7 @@ pub struct BasicBlock {
 impl BasicBlock {
     /// Creates a block with execution frequency 1.
     #[must_use]
-    pub fn new(name: impl Into<String>, insts: Vec<Inst>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, insts: Vec<Inst>) -> Self {
         Self {
             name: name.into(),
             insts,
@@ -64,6 +66,20 @@ impl BasicBlock {
     #[must_use]
     pub fn inst(&self, id: InstId) -> &Inst {
         &self.insts[id.index()]
+    }
+
+    /// The display label of instruction `id`: its name, or its id
+    /// (`i3`) when it has none. DOT dumps and the paper's tables print
+    /// nodes by this label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[must_use]
+    pub fn label(&self, id: InstId) -> Cow<'_, str> {
+        self.inst(id)
+            .name()
+            .map_or_else(|| Cow::Owned(id.to_string()), Cow::Borrowed)
     }
 
     /// Number of instructions.
@@ -188,6 +204,9 @@ mod tests {
         assert_eq!(b.load_ids(), vec![InstId::new(0), InstId::new(2)]);
         assert_eq!(b.spill_count(), 0);
         assert_eq!(b.inst(InstId::new(1)).opcode(), Opcode::FAdd);
+        assert_eq!(b.label(InstId::new(1)), "i1");
+        let named = BasicBlock::new("n", vec![b.inst(InstId::new(1)).clone().with_name("X1")]);
+        assert_eq!(named.label(InstId::new(0)), "X1");
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl BlockBuilder {
     pub fn def_int(&mut self, name: &str) -> Reg {
         let d = self.fresh_reg(RegClass::Int);
         self.insts
-            .push(Inst::new(Opcode::Li, vec![d], vec![], None).with_name(name));
+            .push(Inst::new(Opcode::Li, [d], [], None).with_name(name));
         d
     }
 
@@ -100,7 +100,7 @@ impl BlockBuilder {
     pub fn fconst(&mut self, name: &str, _value: f64) -> Reg {
         let d = self.fresh_reg(RegClass::Float);
         self.insts
-            .push(Inst::new(Opcode::FMove, vec![d], vec![], None).with_name(name));
+            .push(Inst::new(Opcode::FMove, [d], [], None).with_name(name));
         d
     }
 
@@ -109,7 +109,7 @@ impl BlockBuilder {
     pub fn int_to_addr(&mut self, name: &str, src: Reg) -> Reg {
         let d = self.fresh_reg(RegClass::Int);
         self.insts
-            .push(Inst::new(Opcode::Add, vec![d], vec![src], None).with_name(name));
+            .push(Inst::new(Opcode::Add, [d], [src], None).with_name(name));
         d
     }
 
@@ -138,15 +138,8 @@ impl BlockBuilder {
             Some(k) => MemLoc::known(region, k),
             None => MemLoc::unknown(region),
         };
-        self.insts.push(
-            Inst::new(
-                Opcode::Ldc1,
-                vec![d],
-                vec![base],
-                Some(MemAccess::read(loc)),
-            )
-            .with_name(name),
-        );
+        self.insts
+            .push(Inst::new(Opcode::Ldc1, [d], [base], Some(MemAccess::read(loc))).with_name(name));
         d
     }
 
@@ -163,9 +156,8 @@ impl BlockBuilder {
             Some(k) => MemLoc::known(region, k),
             None => MemLoc::unknown(region),
         };
-        self.insts.push(
-            Inst::new(Opcode::Lw, vec![d], vec![base], Some(MemAccess::read(loc))).with_name(name),
-        );
+        self.insts
+            .push(Inst::new(Opcode::Lw, [d], [base], Some(MemAccess::read(loc))).with_name(name));
         d
     }
 
@@ -190,8 +182,8 @@ impl BlockBuilder {
         };
         self.insts.push(Inst::new(
             Opcode::Sdc1,
-            vec![],
-            vec![value, base],
+            [],
+            [value, base],
             Some(MemAccess::write(loc)),
         ));
         self
@@ -200,7 +192,7 @@ impl BlockBuilder {
     fn binop(&mut self, op: Opcode, name: &str, a: Reg, b: Reg) -> Reg {
         let d = self.fresh_reg(op.value_class());
         self.insts
-            .push(Inst::new(op, vec![d], vec![a, b], None).with_name(name));
+            .push(Inst::new(op, [d], [a, b], None).with_name(name));
         d
     }
 

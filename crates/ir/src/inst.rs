@@ -1,10 +1,11 @@
 //! Instructions.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::mem::MemAccess;
 use crate::opcode::Opcode;
-use crate::reg::Reg;
+use crate::reg::{PhysReg, Reg, RegClass};
 
 /// Position of an instruction within its basic block.
 ///
@@ -49,16 +50,33 @@ impl fmt::Display for InstId {
     }
 }
 
+/// Most registers any opcode writes: the length of an instruction's
+/// inline def array. No [`Opcode::max_defs`] exceeds it.
+pub const MAX_DEFS: usize = 1;
+
+/// Most registers any opcode reads: the length of an instruction's
+/// inline use array. No [`Opcode::max_uses`] exceeds it.
+pub const MAX_USES: usize = 2;
+
+/// What fills an operand slot past the instruction's arity. It is never
+/// read: [`Inst::defs`] and [`Inst::uses`] stop at the live count.
+const UNUSED: Reg = Reg::Phys(PhysReg::new(RegClass::Int, 0));
+
 /// One RISC instruction: opcode, defined and used registers, optional
 /// memory access, and an optional human-readable name used in examples and
 /// DOT dumps (the paper labels nodes `L0`, `X1`, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Operands live inline, in arrays sized by the opcode arity table, and
+/// the name is shared: cloning an instruction allocates nothing.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Inst {
     opcode: Opcode,
-    defs: Vec<Reg>,
-    uses: Vec<Reg>,
+    def_count: u8,
+    use_count: u8,
+    defs: [Reg; MAX_DEFS],
+    uses: [Reg; MAX_USES],
     mem: Option<MemAccess>,
-    name: Option<String>,
+    name: Option<Arc<str>>,
 }
 
 impl Inst {
@@ -68,9 +86,16 @@ impl Inst {
     ///
     /// Panics if a load/store opcode is given no memory access, or a
     /// non-memory opcode is given one; these invariants keep the DAG
-    /// builder honest.
+    /// builder honest. Panics, too, if `defs` or `uses` is longer than
+    /// the opcode's [`max_defs`](Opcode::max_defs) or
+    /// [`max_uses`](Opcode::max_uses).
     #[must_use]
-    pub fn new(opcode: Opcode, defs: Vec<Reg>, uses: Vec<Reg>, mem: Option<MemAccess>) -> Self {
+    pub fn new(
+        opcode: Opcode,
+        defs: impl AsRef<[Reg]>,
+        uses: impl AsRef<[Reg]>,
+        mem: Option<MemAccess>,
+    ) -> Self {
         let is_mem_op = opcode.is_load() || opcode.is_store();
         assert_eq!(
             is_mem_op,
@@ -84,18 +109,32 @@ impl Inst {
                 "access kind must match opcode {opcode}"
             );
         }
-        Self {
+        let (defs, uses) = (defs.as_ref(), uses.as_ref());
+        assert!(
+            defs.len() <= opcode.max_defs() && uses.len() <= opcode.max_uses(),
+            "{opcode} takes at most {} defs and {} uses, not {} and {}",
+            opcode.max_defs(),
+            opcode.max_uses(),
+            defs.len(),
+            uses.len()
+        );
+        let mut inst = Self {
             opcode,
-            defs,
-            uses,
+            def_count: defs.len() as u8,
+            use_count: uses.len() as u8,
+            defs: [UNUSED; MAX_DEFS],
+            uses: [UNUSED; MAX_USES],
             mem,
             name: None,
-        }
+        };
+        inst.defs[..defs.len()].copy_from_slice(defs);
+        inst.uses[..uses.len()].copy_from_slice(uses);
+        inst
     }
 
     /// Attaches a display name (builder-style).
     #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+    pub fn with_name(mut self, name: impl Into<Arc<str>>) -> Self {
         self.name = Some(name.into());
         self
     }
@@ -109,13 +148,13 @@ impl Inst {
     /// Registers written by this instruction.
     #[must_use]
     pub fn defs(&self) -> &[Reg] {
-        &self.defs
+        &self.defs[..usize::from(self.def_count)]
     }
 
     /// Registers read by this instruction.
     #[must_use]
     pub fn uses(&self) -> &[Reg] {
-        &self.uses
+        &self.uses[..usize::from(self.use_count)]
     }
 
     /// The memory access, for loads and stores.
@@ -157,24 +196,34 @@ impl Inst {
     /// shrink the set of live values.
     #[must_use]
     pub fn pressure_delta(&self) -> i64 {
-        let mut uses = self.uses.clone();
-        uses.sort_unstable();
-        uses.dedup();
-        let mut defs = self.defs.clone();
-        defs.sort_unstable();
-        defs.dedup();
-        uses.len() as i64 - defs.len() as i64
+        fn distinct(regs: &[Reg]) -> i64 {
+            let firsts = (0..regs.len()).filter(|&i| !regs[..i].contains(&regs[i]));
+            firsts.count() as i64
+        }
+        distinct(self.uses()) - distinct(self.defs())
     }
 
     /// Rewrites every register operand through `f` (used by the register
     /// allocator to substitute physical for virtual registers).
     pub fn map_regs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
-        for d in &mut self.defs {
+        for d in &mut self.defs[..usize::from(self.def_count)] {
             *d = f(*d);
         }
-        for u in &mut self.uses {
+        for u in &mut self.uses[..usize::from(self.use_count)] {
             *u = f(*u);
         }
+    }
+}
+
+impl fmt::Debug for Inst {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inst")
+            .field("opcode", &self.opcode)
+            .field("defs", &self.defs())
+            .field("uses", &self.uses())
+            .field("mem", &self.mem)
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -185,11 +234,11 @@ impl fmt::Display for Inst {
         }
         write!(f, "{}", self.opcode)?;
         let mut first = true;
-        for d in &self.defs {
+        for d in self.defs() {
             write!(f, "{} {}", if first { "" } else { "," }, d)?;
             first = false;
         }
-        for u in &self.uses {
+        for u in self.uses() {
             write!(f, "{} {}", if first { "" } else { "," }, u)?;
             first = false;
         }
@@ -256,6 +305,65 @@ mod tests {
         assert_eq!(j.pressure_delta(), 1);
         let store = Inst::new(Opcode::Sdc1, vec![], vec![vf(0), vr(1)], Some(write_acc()));
         assert_eq!(store.pressure_delta(), 2);
+    }
+
+    #[test]
+    fn arity_table_pins_every_opcode_and_construction_stops_at_it() {
+        use Opcode::*;
+        let table = [
+            (Lw, 1, 1),
+            (Ldc1, 1, 1),
+            (Sw, 0, 2),
+            (Sdc1, 0, 2),
+            (Add, 1, 2),
+            (Sub, 1, 2),
+            (Mul, 1, 2),
+            (Sll, 1, 2),
+            (Li, 1, 0),
+            (Move, 1, 1),
+            (FAdd, 1, 2),
+            (FSub, 1, 2),
+            (FMul, 1, 2),
+            (FDiv, 1, 2),
+            (FNeg, 1, 1),
+            (FMove, 1, 1),
+            (FAbs, 1, 1),
+            (SpillLoad, 1, 0),
+            (SpillStore, 0, 1),
+            (VNop, 0, 0),
+        ];
+        assert_eq!(table.len(), Opcode::ALL.len() + 1, "every opcode and VNop");
+        let widest = table.iter().fold((0, 0), |(d, u), &(_, defs, uses)| {
+            (d.max(defs), u.max(uses))
+        });
+        assert_eq!(
+            (MAX_DEFS, MAX_USES),
+            widest,
+            "the inline arrays fit the table"
+        );
+        let mem = |op: Opcode| {
+            if op.is_load() {
+                Some(read_acc())
+            } else if op.is_store() {
+                Some(write_acc())
+            } else {
+                None
+            }
+        };
+        let quiet = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for (op, defs, uses) in table {
+            assert_eq!((op.max_defs(), op.max_uses()), (defs, uses), "{op}");
+            let at = Inst::new(op, vec![vr(0); defs], vec![vr(1); uses], mem(op));
+            assert_eq!((at.defs().len(), at.uses().len()), (defs, uses), "{op}");
+            for (d, u) in [(defs + 1, uses), (defs, uses + 1)] {
+                let past = std::panic::catch_unwind(|| {
+                    Inst::new(op, vec![vr(0); d], vec![vr(1); u], mem(op))
+                });
+                assert!(past.is_err(), "{op} accepted {d} defs and {u} uses");
+            }
+        }
+        std::panic::set_hook(quiet);
     }
 
     #[test]

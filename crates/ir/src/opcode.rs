@@ -133,6 +133,42 @@ impl Opcode {
         }
     }
 
+    /// Most registers an instruction of this opcode writes: the arity
+    /// table that sizes [`Inst`](crate::Inst)'s inline operand arrays.
+    #[must_use]
+    pub fn max_defs(self) -> usize {
+        match self {
+            Opcode::Sw | Opcode::Sdc1 | Opcode::SpillStore | Opcode::VNop => 0,
+            _ => 1,
+        }
+    }
+
+    /// Most registers an instruction of this opcode reads: a load's base,
+    /// a store's value and base, an operation's operands.
+    #[must_use]
+    pub fn max_uses(self) -> usize {
+        match self {
+            Opcode::Li | Opcode::SpillLoad | Opcode::VNop => 0,
+            Opcode::Lw
+            | Opcode::Ldc1
+            | Opcode::Move
+            | Opcode::FNeg
+            | Opcode::FMove
+            | Opcode::FAbs
+            | Opcode::SpillStore => 1,
+            Opcode::Sw
+            | Opcode::Sdc1
+            | Opcode::Add
+            | Opcode::Sub
+            | Opcode::Mul
+            | Opcode::Sll
+            | Opcode::FAdd
+            | Opcode::FSub
+            | Opcode::FMul
+            | Opcode::FDiv => 2,
+        }
+    }
+
     /// Issue slots this instruction occupies (`IssueSlots(i)` in Fig. 6).
     ///
     /// 1 for every opcode on the paper's single-issue machine.

@@ -54,7 +54,7 @@ pub struct VirtReg {
 impl VirtReg {
     /// Creates a virtual register of `class` with arbitrary `index`.
     #[must_use]
-    pub fn new(class: RegClass, index: u32) -> Self {
+    pub const fn new(class: RegClass, index: u32) -> Self {
         Self { class, index }
     }
 
@@ -90,7 +90,7 @@ pub struct PhysReg {
 impl PhysReg {
     /// Creates a physical register of `class` with hardware number `index`.
     #[must_use]
-    pub fn new(class: RegClass, index: u32) -> Self {
+    pub const fn new(class: RegClass, index: u32) -> Self {
         Self { class, index }
     }
 

@@ -15,7 +15,7 @@
 //! |---|---|
 //! | pass-1 DAG | block |
 //! | pass-1 weights | (block, weight family) |
-//! | allocated block and spill count | (block, pass-1 order) |
+//! | allocated block, spill count and pass-2 DAG | (block, pass-1 order) |
 //! | pass-2 weights | (block, pass-1 order, weight family) |
 //! | block statistics (bootstrap means, interlocks) | (memory system, [`EvalConfig`], block, pass-1 order, pass-2 order) |
 //!
@@ -37,12 +37,15 @@
 //! memo stores the stage's whole `Result`, so a cached failure is
 //! returned again on every hit.
 //!
-//! The memo is safe to share between threads. No lock is held while a
-//! stage computes; two threads that race on one key both compute the
-//! same pure value and the first to store it wins. The one stage result
+//! The memo is safe to share between threads, and single-flight: the
+//! first caller to miss on a key marks it in flight and computes it with
+//! no lock held, and a second caller on that key waits for its result
+//! instead of computing the same pure value again. The one stage result
 //! that is not pure — a simulation cut short by a watchdog's cancel
-//! token — is returned but never stored. Fault sites inside the stages
-//! decide per fault cell context and count their visits, so while a
+//! token — is returned but never stored; its waiters then compute for
+//! themselves, as they do when the computation panics. Fault sites
+//! inside the stages decide per fault cell context and count their
+//! visits, so while a
 //! fault plan is installed a caller gives each compile or evaluation
 //! that runs under a context of its own a [`fresh`](StageMemo::fresh)
 //! memo.
@@ -50,7 +53,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use bsched_core::Weights;
 use bsched_cpusim::SimError;
@@ -65,62 +68,123 @@ use crate::policy::WeightFamily;
 
 /// One stage's results, keyed by what the stage depends on.
 pub(crate) struct Table<K, V> {
-    map: Mutex<HashMap<K, V>>,
+    map: Mutex<HashMap<K, Slot<V>>>,
+    /// Signalled whenever a key stops being in flight.
+    settled: Condvar,
     computed: AtomicUsize,
+}
+
+/// A key's state: being computed by one caller, or computed and stored.
+enum Slot<V> {
+    InFlight,
+    Ready(V),
 }
 
 impl<K, V> Default for Table<K, V> {
     fn default() -> Self {
         Self {
             map: Mutex::new(HashMap::new()),
+            settled: Condvar::new(),
             computed: AtomicUsize::new(0),
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> Table<K, V> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<K, V>> {
+impl<K: Eq + Hash + Clone, V: Clone> Table<K, V> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
         self.map
             .lock()
             .expect("no stage computes under the memo lock, so nothing can poison it")
     }
 
     /// The stored value for `key`, or `compute`'s, stored only if `keep`
-    /// accepts it.
+    /// accepts it. One caller computes a key at a time: the others wait
+    /// for its result, and compute for themselves only when it was not
+    /// stored (or its computation panicked).
     fn get_or_compute(
         &self,
         key: K,
         compute: impl FnOnce() -> V,
         keep: impl FnOnce(&V) -> bool,
     ) -> V {
-        let hit = self.lock().get(&key).cloned();
-        if let Some(value) = hit {
-            return value;
+        let mut map = self.lock();
+        loop {
+            match map.get(&key) {
+                Some(Slot::Ready(value)) => return value.clone(),
+                Some(Slot::InFlight) => {
+                    map = self
+                        .settled
+                        .wait(map)
+                        .expect("no stage computes under the memo lock, so nothing can poison it");
+                }
+                None => break,
+            }
         }
+        map.insert(key.clone(), Slot::InFlight);
+        drop(map);
+        let mut flight = Flight {
+            table: self,
+            key: Some(key),
+        };
         let value = compute();
         self.computed.fetch_add(1, Ordering::Relaxed);
+        let key = flight.key.take().expect("the flight still holds its key");
+        let mut map = self.lock();
         if keep(&value) {
-            self.lock().entry(key).or_insert_with(|| value.clone());
+            map.insert(key, Slot::Ready(value.clone()));
+        } else {
+            map.remove(&key);
         }
+        drop(map);
+        self.settled.notify_all();
         value
     }
 
     fn count(&self) -> StageCount {
+        let map = self.lock();
         StageCount {
             computed: self.computed.load(Ordering::Relaxed),
-            entries: self.lock().len(),
+            entries: map.values().filter(|s| matches!(s, Slot::Ready(_))).count(),
         }
     }
 
-    /// Drops every stored entry; the computation count is kept.
+    /// Drops every stored entry and frees the map's spare room; the
+    /// computation count is kept.
     fn release(&self) {
-        *self.lock() = HashMap::new();
+        let mut map = self.lock();
+        map.retain(|_, slot| matches!(slot, Slot::InFlight));
+        map.shrink_to_fit();
+    }
+}
+
+/// A key one caller is computing. If the computation unwinds, dropping
+/// the flight clears the key and wakes its waiters, who compute it
+/// themselves.
+struct Flight<'t, K: Eq + Hash + Clone, V: Clone> {
+    table: &'t Table<K, V>,
+    key: Option<K>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Drop for Flight<'_, K, V> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            // Removing one key leaves the map valid, so a poisoned lock is
+            // taken as is: a panic here, mid-unwind, would abort.
+            let mut map = self
+                .table
+                .map
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            map.remove(&key);
+            drop(map);
+            self.table.settled.notify_all();
+        }
     }
 }
 
 /// Runs one compile stage: through `table` under `key` when a memo is
 /// present, otherwise straight through `compute`.
-pub(crate) fn through<K: Eq + Hash, V: Clone>(
+pub(crate) fn through<K: Eq + Hash + Clone, V: Clone>(
     slot: Option<(&Table<K, V>, K)>,
     compute: impl FnOnce() -> V,
 ) -> V {
@@ -334,6 +398,24 @@ mod tests {
     use crate::eval::try_evaluate_serial;
     use crate::policy::PolicySpec;
     use bsched_faults::CancelToken;
+
+    #[test]
+    fn a_computation_that_panics_leaves_its_key_to_the_next_caller() {
+        let table: Table<u32, u32> = Table::default();
+        let panicked = std::panic::catch_unwind(|| {
+            table.get_or_compute(1, || panic!("stage failed"), |_| true)
+        });
+        assert!(panicked.is_err());
+        assert_eq!(table.get_or_compute(1, || 5, |_| true), 5);
+        assert_eq!(table.get_or_compute(1, || 6, |_| true), 5);
+        assert_eq!(
+            table.count(),
+            StageCount {
+                computed: 1,
+                entries: 1
+            }
+        );
+    }
 
     #[test]
     fn a_cancelled_evaluation_stores_nothing_and_later_candidates_score() {

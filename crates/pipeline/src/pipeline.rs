@@ -308,11 +308,13 @@ impl Default for Pipeline {
 }
 
 /// The allocator's output on one pass-1 order, renamed when the pipeline
-/// renames after allocation.
+/// renames after allocation, with the block's pass-2 DAG when the
+/// pipeline schedules twice. Both depend only on the allocation's key.
 #[derive(Debug, Clone)]
 pub(crate) struct Allocated {
     block: BasicBlock,
     spill_count: usize,
+    dag: Option<CodeDag>,
 }
 
 /// The two list-scheduling orders that fix a compiled block exactly,
@@ -371,20 +373,19 @@ impl Pipeline {
             || self.allocate_stage(&sched1.apply(block)).map(Arc::new),
         )?;
 
-        // Pass 2: integrate spill code under physical-register deps. Its
-        // DAG is rebuilt every time: it is cheap next to what it would
-        // cost to keep one per pass-1 order.
+        // Pass 2: integrate spill code under physical-register deps, on
+        // the DAG the allocation stage built with the allocated block.
         let spill_count = alloc.spill_count;
-        let (final_block, order2) = if self.second_pass {
-            let dag2 = build_dag(&alloc.block, self.alias);
-            let weights2 = through(
-                memo.map(|(m, b)| (&m.weights2, (b, sched1.order().to_vec(), family))),
-                || Arc::new(assigner.assign(&dag2)),
-            );
-            let sched2 = self.schedule_pass(&alloc.block, &dag2, &weights2, &scheduler)?;
-            (sched2.apply(&alloc.block), sched2.order().to_vec())
-        } else {
-            (Arc::unwrap_or_clone(alloc).block, Vec::new())
+        let (final_block, order2) = match &alloc.dag {
+            Some(dag2) => {
+                let weights2 = through(
+                    memo.map(|(m, b)| (&m.weights2, (b, sched1.order().to_vec(), family))),
+                    || Arc::new(assigner.assign(dag2)),
+                );
+                let sched2 = self.schedule_pass(&alloc.block, dag2, &weights2, &scheduler)?;
+                (sched2.apply(&alloc.block), sched2.order().to_vec())
+            }
+            None => (Arc::unwrap_or_clone(alloc).block, Vec::new()),
         };
 
         let compiled = CompiledBlock {
@@ -436,7 +437,8 @@ impl Pipeline {
     }
 
     /// Register allocation on a pass-1-ordered block, then optional
-    /// renaming, value-flow checked at [`ValidationLevel::Full`].
+    /// renaming, value-flow checked at [`ValidationLevel::Full`], and the
+    /// pass-2 DAG of the result.
     fn allocate_stage(&self, ordered: &BasicBlock) -> Result<Allocated, PipelineError> {
         let alloc = match self.allocation {
             AllocationStrategy::BeladyScan => allocate(ordered, &self.allocator)?,
@@ -451,7 +453,12 @@ impl Pipeline {
         if self.validation >= ValidationLevel::Full {
             verify_allocation(ordered, &block, &self.allocator)?;
         }
-        Ok(Allocated { block, spill_count })
+        let dag = self.second_pass.then(|| build_dag(&block, self.alias));
+        Ok(Allocated {
+            block,
+            spill_count,
+            dag,
+        })
     }
 
     /// Compiles every block of `func`.

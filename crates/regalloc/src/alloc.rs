@@ -211,8 +211,8 @@ pub fn allocate(block: &BasicBlock, config: &AllocatorConfig) -> Result<AllocRes
                 out.push(
                     Inst::new(
                         op,
-                        vec![phys.into()],
-                        vec![],
+                        [Reg::from(phys)],
+                        [],
                         Some(MemAccess::new(
                             MemLoc::known(SPILL_REGION, slot),
                             AccessKind::Read,
@@ -288,8 +288,8 @@ pub fn allocate(block: &BasicBlock, config: &AllocatorConfig) -> Result<AllocRes
                     out.push(
                         Inst::new(
                             Opcode::SpillStore,
-                            vec![],
-                            vec![PhysReg::new(victim.class(), victim_reg).into()],
+                            [],
+                            [Reg::from(PhysReg::new(victim.class(), victim_reg))],
                             Some(MemAccess::new(
                                 MemLoc::known(SPILL_REGION, slot),
                                 AccessKind::Write,

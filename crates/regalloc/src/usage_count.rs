@@ -152,8 +152,8 @@ pub fn allocate_usage_count(
                 out.push(
                     Inst::new(
                         Opcode::SpillLoad,
-                        vec![phys.into()],
-                        vec![],
+                        [Reg::from(phys)],
+                        [],
                         Some(MemAccess::new(
                             MemLoc::known(SPILL_REGION, slot),
                             AccessKind::Read,
@@ -190,8 +190,8 @@ pub fn allocate_usage_count(
                 stores_after.push(
                     Inst::new(
                         Opcode::SpillStore,
-                        vec![],
-                        vec![phys.into()],
+                        [],
+                        [Reg::from(phys)],
                         Some(MemAccess::new(
                             MemLoc::known(SPILL_REGION, slot),
                             AccessKind::Write,

@@ -539,12 +539,38 @@ mod tests {
             ..TuneConfig::default()
         };
         let memo = Arc::new(stage_memo(&func, &cfg));
+        let built = bsched_dag::builds_on_this_thread();
         let report = search(&func, &system, &cfg, Arc::clone(&memo)).unwrap();
+        let builds = bsched_dag::builds_on_this_thread() - built;
         let counts = memo.counts();
         let blocks = func.blocks().len();
         assert_eq!(counts.dags.computed, blocks, "{counts:?}");
         assert_eq!(counts.dags.entries, blocks, "{counts:?}");
+        assert_eq!(counts.allocs.computed, counts.allocs.entries, "{counts:?}");
         assert_eq!(counts.stats.computed, counts.stats.entries, "{counts:?}");
+        // Every DAG the search built: one per block for pass 1, one per
+        // allocation for pass 2, and whatever the validators and the
+        // analysis gate build around each candidate's compile.
+        assert_eq!(report.skipped, 0);
+        let plain = |pipeline: Pipeline| {
+            let built = bsched_dag::builds_on_this_thread();
+            pipeline
+                .compile(&func, &SchedulerChoice::balanced())
+                .unwrap();
+            bsched_dag::builds_on_this_thread() - built
+        };
+        let unchecked = Pipeline {
+            validation: bsched_verify::ValidationLevel::Off,
+            analysis: bsched_pipeline::AnalysisGate::Off,
+            ..*memo.pipeline()
+        };
+        assert_eq!(plain(unchecked), 2 * blocks, "one DAG a pass");
+        let around = plain(*memo.pipeline()) - plain(unchecked);
+        assert_eq!(
+            builds,
+            counts.dags.computed + counts.allocs.computed + report.evaluated * around,
+            "{counts:?}"
+        );
         // Reuse is real: candidates that land on an already-simulated
         // order pair cost no simulation at all.
         let measured = report.evaluated * blocks;

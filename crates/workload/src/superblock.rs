@@ -68,8 +68,8 @@ pub fn fuse_blocks(name: &str, blocks: &[&BasicBlock]) -> BasicBlock {
                     let new_access = bsched_ir::MemAccess::new(loc, access.kind(), access.width());
                     let mut inst2 = Inst::new(
                         renamed.opcode(),
-                        renamed.defs().to_vec(),
-                        renamed.uses().to_vec(),
+                        renamed.defs(),
+                        renamed.uses(),
                         Some(new_access),
                     );
                     if let Some(n) = renamed.name() {

@@ -40,7 +40,7 @@ fn main() {
     for id in dag.load_ids() {
         println!(
             "  {:7} balanced weight {} -> pinned {}",
-            dag.name(id),
+            block.label(id),
             plain.weight(id),
             pinned.weight(id)
         );
@@ -82,7 +82,7 @@ fn main() {
     );
 
     let sched = ListScheduler::new().run_with_weights(&dag, &after);
-    let names: Vec<&str> = sched.order().iter().map(|&i| dag.name(i)).collect();
+    let names: Vec<_> = sched.order().iter().map(|&i| block.label(i)).collect();
     println!("  schedule: {}", names.join(" "));
     assert!(sched.verify(&dag).is_ok());
 

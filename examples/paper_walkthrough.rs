@@ -24,7 +24,7 @@ fn x(name: &str) -> Inst {
 }
 
 /// Figure 1: L0 → L1 → X4 with X0..X3 independent.
-fn figure1() -> CodeDag {
+fn figure1() -> (BasicBlock, CodeDag) {
     let block = BasicBlock::new(
         "fig1",
         vec![
@@ -40,11 +40,11 @@ fn figure1() -> CodeDag {
     let mut dag = CodeDag::new(&block);
     dag.add_edge(InstId::new(0), InstId::new(1), DepKind::True);
     dag.add_edge(InstId::new(1), InstId::new(6), DepKind::True);
-    dag
+    (block, dag)
 }
 
 /// Figure 4: L0 and L1 independent, X4 consumes both, X0..X3 independent.
-fn figure4() -> CodeDag {
+fn figure4() -> (BasicBlock, CodeDag) {
     let block = BasicBlock::new(
         "fig4",
         vec![
@@ -60,22 +60,22 @@ fn figure4() -> CodeDag {
     let mut dag = CodeDag::new(&block);
     dag.add_edge(InstId::new(0), InstId::new(6), DepKind::True);
     dag.add_edge(InstId::new(1), InstId::new(6), DepKind::True);
-    dag
+    (block, dag)
 }
 
-fn show_schedule(dag: &CodeDag, title: &str, assigner: &dyn WeightAssigner) {
+fn show_schedule(block: &BasicBlock, dag: &CodeDag, title: &str, assigner: &dyn WeightAssigner) {
     let sched = ListScheduler::new()
         .with_direction(Direction::TopDown)
         .run(dag, assigner);
-    let names: Vec<&str> = sched.order().iter().map(|&i| dag.name(i)).collect();
+    let names: Vec<_> = sched.order().iter().map(|&i| block.label(i)).collect();
     println!("  {title:<18} {}", names.join(" "));
 }
 
 fn main() {
-    let fig1 = figure1();
+    let (fig1_block, fig1) = figure1();
     println!(
         "Figure 1 code DAG (Graphviz):\n{}",
-        to_dot(&fig1, "figure1")
+        to_dot(&fig1, &fig1_block, "figure1")
     );
 
     // §3: weights on Figure 1 are 1 + 4/2 = 3 per load.
@@ -88,12 +88,23 @@ fn main() {
 
     println!("Figure 2 schedules (top-down, as illustrated in the paper):");
     show_schedule(
+        &fig1_block,
         &fig1,
         "greedy (w=5):",
         &TraditionalWeights::new(Ratio::from_int(5)),
     );
-    show_schedule(&fig1, "lazy (w=1):", &TraditionalWeights::new(Ratio::ONE));
-    show_schedule(&fig1, "balanced (w=3):", &BalancedWeights::new());
+    show_schedule(
+        &fig1_block,
+        &fig1,
+        "lazy (w=1):",
+        &TraditionalWeights::new(Ratio::ONE),
+    );
+    show_schedule(
+        &fig1_block,
+        &fig1,
+        "balanced (w=3):",
+        &BalancedWeights::new(),
+    );
 
     // Figure 3: interlocks vs actual latency. We reuse the bench binary's
     // logic in miniature: schedule shapes are fixed, only latency varies.
@@ -101,7 +112,7 @@ fn main() {
     println!("  cargo run --release -p bsched-bench --bin figure3");
 
     // Figure 4/5: independent loads share their padding set.
-    let fig4 = figure4();
+    let (fig4_block, fig4) = figure4();
     let w4 = BalancedWeights::new().assign(&fig4);
     println!(
         "\nFigure 4 weights (parallel loads share the pad set): L0 = {}, L1 = {}",
@@ -111,6 +122,6 @@ fn main() {
     let sched = ListScheduler::new()
         .with_direction(Direction::TopDown)
         .run(&fig4, &BalancedWeights::new());
-    let names: Vec<&str> = sched.order().iter().map(|&i| fig4.name(i)).collect();
+    let names: Vec<_> = sched.order().iter().map(|&i| fig4_block.label(i)).collect();
     println!("Figure 5 schedule: {}", names.join(" "));
 }

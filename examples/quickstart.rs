@@ -31,7 +31,7 @@ fn main() {
     let weights = BalancedWeights::new().assign(&dag);
     println!("Balanced load weights (1 + shared issue slots / chances):");
     for id in dag.load_ids() {
-        println!("  {:6} -> {}", dag.name(id), weights.weight(id));
+        println!("  {:6} -> {}", block.label(id), weights.weight(id));
     }
     let priorities = compute_priorities(&dag, &weights);
     println!("Priorities (weight + max successor priority): {priorities:?}\n");

@@ -227,9 +227,9 @@ fn run() -> Result<(), String> {
                 let dag = build_dag(block, alias_of(&args)?);
                 if args.is_set("overlay") {
                     let overlay = overlay_of(&dag, block);
-                    print!("{}", to_dot_annotated(&dag, block.name(), &overlay));
+                    print!("{}", to_dot_annotated(&dag, block, block.name(), &overlay));
                 } else {
-                    print!("{}", to_dot(&dag, block.name()));
+                    print!("{}", to_dot(&dag, block, block.name()));
                 }
             }
             Ok(())
@@ -243,7 +243,7 @@ fn run() -> Result<(), String> {
                 let weights = BalancedWeights::new().assign(&dag);
                 println!("{}: {profile}", block.name());
                 for id in dag.load_ids() {
-                    println!("  {:10} weight {}", dag.name(id), weights.weight(id));
+                    println!("  {:10} weight {}", block.label(id), weights.weight(id));
                 }
             }
             Ok(())
