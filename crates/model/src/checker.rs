@@ -68,7 +68,6 @@ pub enum OpKind {
     AtomicStore,
     /// Read-modify-write: swap, fetch_add/sub, compare_exchange.
     AtomicRmw,
-    Fence,
     MutexLock,
     MutexUnlock,
     /// Atomically release the mutex and start waiting on the condvar.
@@ -93,13 +92,6 @@ impl OpKind {
                 | OpKind::CondWait
                 | OpKind::CondNotifyOne
                 | OpKind::CondNotifyAll
-        )
-    }
-
-    fn is_atomic(self) -> bool {
-        matches!(
-            self,
-            OpKind::AtomicLoad | OpKind::AtomicStore | OpKind::AtomicRmw | OpKind::Fence
         )
     }
 }
@@ -128,16 +120,13 @@ fn same_op(a: &Op, b: &Op) -> bool {
 /// Dependence relation for the sleep-set reduction. Conservative:
 /// `true` when reordering the two ops might matter.
 fn conflicts(a: &Op, b: &Op) -> bool {
-    use OpKind::{Fence, Join, Sleep, Spawn, Start, Yield};
+    use OpKind::{Join, Sleep, Spawn, Start, Yield};
     let structural = |k: OpKind| matches!(k, Start | Spawn | Join);
     if structural(a.kind) || structural(b.kind) {
         return true;
     }
     if matches!(a.kind, Sleep | Yield) || matches!(b.kind, Sleep | Yield) {
         return false;
-    }
-    if a.kind == Fence || b.kind == Fence {
-        return a.kind.is_atomic() && b.kind.is_atomic();
     }
     let overlap = (a.obj != 0 && (a.obj == b.obj || a.obj == b.obj2))
         || (a.obj2 != 0 && (a.obj2 == b.obj || a.obj2 == b.obj2));

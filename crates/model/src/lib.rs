@@ -1,14 +1,14 @@
 //! `bsched-model`: an in-repo concurrency model checker (mini-loom).
 //!
-//! The repo's hot paths — the Chase–Lev deque, the `WorkerPool`
-//! park/unpark protocol, the serve-side stats and cache counters — are
-//! hand-rolled lock-free/low-lock code, exactly the kind of code where
-//! interleaving bugs hide from ordinary tests. This crate makes those
-//! interleavings *enumerable*: a model test runs a closure over N
-//! model threads whose every sync operation (atomic access, mutex
-//! lock/unlock, condvar wait/notify, spawn/join, sleep/yield) is a
-//! scheduler yield point, and the checker re-executes the closure once
-//! per distinct schedule.
+//! The repo's hot paths — the `WorkerPool` park/unpark and
+//! submit-versus-shutdown protocols, the serve-side stats and cache
+//! counters, the health prober — are hand-rolled low-lock code, exactly
+//! the kind of code where interleaving bugs hide from ordinary tests.
+//! This crate makes those interleavings *enumerable*: a model test runs
+//! a closure over N model threads whose every sync operation (atomic
+//! access, mutex lock/unlock, condvar wait/notify, spawn/join,
+//! sleep/yield) is a scheduler yield point, and the checker re-executes
+//! the closure once per distinct schedule.
 //!
 //! Two exploration strategies:
 //!

@@ -5,17 +5,18 @@
 //! The fall-through design is what lets one binary serve both worlds:
 //! `cargo test -p bsched-model` exercises the checker through these
 //! types with no special cfg, while `--cfg bsched_model` builds of
-//! `bsched-par`/`bsched-serve` route the *production* deque, pool,
-//! stats, and prober through them. Outside a model run every method is
+//! `bsched-par`/`bsched-serve` route the *production* pool, stats,
+//! and prober through them. Outside a model run every method is
 //! a thread-local lookup (`None`) plus the std call; inside one, the
 //! method declares the op to the controller and blocks until granted.
 //!
 //! API notes:
 //! - Memory orderings are accepted and forwarded to std, but the model
 //!   explores *sequentially consistent* interleavings only: it finds
-//!   ordering bugs expressible as interleavings of SC steps (which is
-//!   what the deque/pool bugs of PR 6 were), not relaxed-memory
-//!   reorderings — that is what the Miri/TSan CI jobs are for.
+//!   ordering bugs expressible as interleavings of SC steps (a lost
+//!   wakeup, a job stranded by a submit racing shutdown), not
+//!   relaxed-memory reorderings — that is what the Miri/TSan CI jobs
+//!   are for.
 //! - `thread::sleep` under the model is a pure yield: model time does
 //!   not pass, so timing can never mask an interleaving.
 
@@ -33,15 +34,6 @@ fn op(addr: usize, kind: OpKind, name: &'static str) {
     if let Some((exec, me)) = checker::current_ctx() {
         exec.yield_op(me, kind, addr, 0, name, Location::caller(), usize::MAX);
     }
-}
-
-/// An atomic fence. Under the model this is a yield point that
-/// conflicts with every atomic op (the deque's push/steal protocol
-/// hinges on its two `SeqCst` fences).
-#[track_caller]
-pub fn fence(order: Ordering) {
-    op(0, OpKind::Fence, "fence");
-    std::sync::atomic::fence(order);
 }
 
 macro_rules! model_atomic {
@@ -161,12 +153,6 @@ model_atomic_int!(
     "Instrumented `std::sync::atomic::AtomicUsize`."
 );
 model_atomic_int!(
-    AtomicIsize,
-    std::sync::atomic::AtomicIsize,
-    isize,
-    "Instrumented `std::sync::atomic::AtomicIsize`."
-);
-model_atomic_int!(
     AtomicU64,
     std::sync::atomic::AtomicU64,
     u64,
@@ -185,45 +171,6 @@ model_atomic!(
     false,
     "Instrumented `std::sync::atomic::AtomicBool`."
 );
-
-/// Instrumented `std::sync::atomic::AtomicPtr`.
-pub struct AtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-}
-
-impl<T> AtomicPtr<T> {
-    /// A new atomic pointer holding `p`.
-    #[must_use]
-    pub const fn new(p: *mut T) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicPtr::new(p),
-        }
-    }
-
-    #[track_caller]
-    pub fn load(&self, order: Ordering) -> *mut T {
-        op(self as *const Self as usize, OpKind::AtomicLoad, "load");
-        self.inner.load(order)
-    }
-
-    #[track_caller]
-    pub fn store(&self, p: *mut T, order: Ordering) {
-        op(self as *const Self as usize, OpKind::AtomicStore, "store");
-        self.inner.store(p, order);
-    }
-
-    #[track_caller]
-    pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-        op(self as *const Self as usize, OpKind::AtomicRmw, "swap");
-        self.inner.swap(p, order)
-    }
-}
-
-impl<T> fmt::Debug for AtomicPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Mutex / Condvar

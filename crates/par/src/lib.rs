@@ -37,12 +37,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-// Private normally; public under `--cfg bsched_model` so the model
-// tests can drive push/pop/steal schedules directly.
-#[cfg(not(bsched_model))]
-mod deque;
-#[cfg(bsched_model)]
-pub mod deque;
 pub mod pool;
 pub mod sync;
 

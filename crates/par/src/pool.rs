@@ -1,4 +1,4 @@
-//! A long-lived work-stealing worker pool.
+//! A long-lived worker pool fed from one FIFO queue.
 //!
 //! [`parallel_map`](crate::parallel_map) originally spawned OS threads
 //! on every call; fine for table harnesses that fan out once, wasteful
@@ -12,19 +12,17 @@
 //!   which borrows the item slice and the mapping closure from the
 //!   caller's stack).
 //!
-//! ## Dispatch: per-worker deques, stealing, and an injector
+//! ## Dispatch: one locked queue
 //!
-//! The pool used to feed every worker from one `Mutex<mpsc::Receiver>`;
-//! under load the lock serialised job *fetch* across all workers, which
-//! is exactly the dispatch ceiling the serving benchmarks hit. Now each
-//! worker owns a Chase–Lev deque (the private `deque` module): it
-//! pushes and pops its own work LIFO at the bottom, and when it runs
-//! dry it steals FIFO from the top of a randomly chosen victim. Jobs submitted from
-//! outside the pool land in a shared *injector* queue; a dry worker
-//! grabs a batch from the injector into its own deque so subsequent
-//! fetches (its own and thieves') are lock-free. No worker ever holds a
-//! lock while fetching from another worker's queue, so one slow job can
-//! never stall anyone else's fetch path.
+//! Every job goes through one `Mutex<VecDeque<Job>>`: a submit pushes
+//! at the back, and a worker pops one job from the front per lock. The
+//! lock is held only around the push or pop, never across a job. The
+//! pool sees no nested fork-join: IO threads submit requests,
+//! `parallel_map` callers submit drain jobs, a `scope` inside a worker
+//! runs inline, and only the daemon's background tune search is spawned
+//! from a worker. Per-worker deques with stealing therefore had almost
+//! nothing local to keep; measured against this queue on the serving
+//! benchmarks, they bought nothing (DESIGN.md §11).
 //!
 //! Idle workers park on a `Condvar` (not a spin loop: the daemon is
 //! mostly idle between bursts and spinning would burn the very cores
@@ -43,50 +41,22 @@
 //! budgets (`BSCHED_THREADS`, explicit `_with` arguments) are enforced
 //! by how many drain jobs a fan-out submits, not by resizing the pool.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use crate::deque::{Deque, Steal};
 use crate::sync::{thread, AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 use crate::{in_parallel_worker, IN_PARALLEL};
 
-/// A queued unit of work: boxed so one thin pointer moves through the
-/// deques and injector.
+/// A queued unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How many injector jobs a dry worker moves into its own deque in one
-/// grab (the first is run immediately). Batching amortises the injector
-/// lock and gives thieves something to steal.
-const INJECTOR_BATCH: usize = 16;
-
-thread_local! {
-    /// `(pool id, worker index)` of the pool worker running on this
-    /// thread, if any — lets `submit` push to its own deque and tests
-    /// observe which worker ran an item.
-    static WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
-/// Monotone pool ids so the thread-local worker registration can never
-/// be confused across pools.
-fn next_pool_id() -> u64 {
-    // Deliberately `std`: a process-wide id counter is bookkeeping, not
-    // part of the pool's concurrency protocol, and a model run must not
-    // interleave on it.
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
 
 /// A point-in-time snapshot of the pool's dispatch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
-    /// Jobs a worker took from another worker's deque.
-    pub steals: u64,
     /// Times a worker went to sleep on the parking `Condvar`.
     pub parks: u64,
-    /// Jobs currently queued (injector + all deques), excluding jobs
-    /// already executing.
+    /// Jobs currently queued, excluding jobs already executing.
     pub queued: usize,
 }
 
@@ -97,36 +67,28 @@ struct Parking {
 }
 
 struct Shared {
-    id: u64,
-    deques: Box<[Deque]>,
-    /// External submissions and deque overflow. Locked only around
-    /// push/batch-pop — never across job execution or a steal.
-    injector: Mutex<VecDeque<Job>>,
+    /// Every submitted job, oldest first. Locked only around one push
+    /// or pop — never across job execution.
+    queue: Mutex<VecDeque<Job>>,
     parking: Parking,
     shutdown: AtomicBool,
-    steals: AtomicU64,
     parks: AtomicU64,
 }
 
 impl Shared {
-    /// Whether any queue in the pool plausibly holds work. Races are
-    /// fine everywhere this is called *outside* the parking lock; under
-    /// the parking lock it is exact enough to prevent lost wakeups (see
-    /// `worker_loop`).
-    fn has_work(&self) -> bool {
-        !self.injector.lock().unwrap().is_empty() || self.deques.iter().any(|d| !d.is_empty())
+    fn pop(&self) -> Option<Job> {
+        self.queue.lock().unwrap().pop_front()
     }
 
     fn queued(&self) -> usize {
-        self.injector.lock().unwrap().len() + self.deques.iter().map(Deque::len).sum::<usize>()
+        self.queue.lock().unwrap().len()
     }
 
     /// Wakes one parked worker. Always takes the parking mutex: a
     /// worker parks only while holding it, so the notify is ordered
     /// either before the worker's final work re-check (which will see
     /// the just-pushed job) or after it began waiting (so it hears the
-    /// notify). Cheap when uncontended — and submissions vastly
-    /// outnumber parks under load.
+    /// notify).
     fn notify_one(&self) {
         let _guard = self.parking.lock.lock().unwrap();
         self.parking.available.notify_one();
@@ -137,28 +99,21 @@ impl Shared {
         self.parking.available.notify_all();
     }
 
-    /// Runs every job still sitting in the injector inline on the
-    /// calling thread. Only meaningful once `shutdown` is set: jobs
-    /// stranded by a submit racing the shutdown must still run —
-    /// `scope` hangs on its latch forever otherwise. The lock is never
-    /// held across a job, so a stranded job that itself submits cannot
-    /// deadlock.
+    /// Runs every job still sitting in the queue inline on the calling
+    /// thread. Only meaningful once `shutdown` is set: jobs stranded by
+    /// a submit racing the shutdown must still run — `scope` hangs on
+    /// its latch forever otherwise. The lock is never held across a
+    /// job, so a stranded job that itself submits cannot deadlock.
     #[cfg_attr(bsched_model_mutant, allow(dead_code))]
     fn run_stranded_inline(&self) {
-        loop {
-            let job = self.injector.lock().unwrap().pop_front();
-            match job {
-                Some(job) => {
-                    let _ = catch_unwind(AssertUnwindSafe(job));
-                }
-                None => return,
-            }
+        while let Some(job) = self.pop() {
+            let _ = catch_unwind(AssertUnwindSafe(job));
         }
     }
 }
 
-/// A fixed-size set of long-lived worker threads with per-worker
-/// work-stealing deques and a shared injector for external submissions.
+/// A fixed-size set of long-lived worker threads sharing one FIFO job
+/// queue.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -171,15 +126,12 @@ impl WorkerPool {
     pub fn new(size: usize) -> WorkerPool {
         let size = size.max(1);
         let shared = Arc::new(Shared {
-            id: next_pool_id(),
-            deques: (0..size).map(|_| Deque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             parking: Parking {
                 lock: Mutex::new(()),
                 available: Condvar::new(),
             },
             shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
         });
         let handles = (0..size)
@@ -187,7 +139,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("bsched-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -204,28 +156,13 @@ impl WorkerPool {
         self.size
     }
 
-    /// Steal/park counters and current queue depth, for `/stats`.
+    /// Park counter and current queue depth, for `/stats`.
     #[must_use]
     pub fn metrics(&self) -> PoolMetrics {
         PoolMetrics {
-            steals: self.shared.steals.load(Ordering::Relaxed),
             parks: self.shared.parks.load(Ordering::Relaxed),
             queued: self.shared.queued(),
         }
-    }
-
-    /// The index of the pool worker running the calling thread, if the
-    /// calling thread belongs to *this* pool. Tests use this to assert
-    /// work distribution; it is `None` on every other thread.
-    #[must_use]
-    pub fn current_worker_index(&self) -> Option<usize> {
-        WORKER.with(Cell::get).and_then(|(pool, index)| {
-            if pool == self.shared.id {
-                Some(index)
-            } else {
-                None
-            }
-        })
     }
 
     /// Submits a fire-and-forget job. A panic inside `job` is caught on
@@ -292,7 +229,7 @@ impl WorkerPool {
         }
         // A submit racing this shutdown can read `shutdown == false`,
         // get preempted, and enqueue after the workers drained and
-        // exited. Sweep the injector now that the join is done;
+        // exited. Sweep the queue now that the join is done;
         // `submit`'s own post-enqueue re-check covers a push that lands
         // after this sweep. (`bsched_model_mutant` reverts this fix so
         // the model suite can prove the checker catches the PR-6 race.)
@@ -307,26 +244,15 @@ impl WorkerPool {
             let _ = catch_unwind(AssertUnwindSafe(job));
             return;
         }
-        // A worker spawning from inside a job keeps the work local
-        // (LIFO, cache-warm, lock-free); everyone else goes through the
-        // injector. A full deque overflows into the injector too.
-        let job = match self.current_worker_index() {
-            Some(index) => self.shared.deques[index].push(job).err(),
-            None => Some(job),
-        };
-        if let Some(job) = job {
-            self.shared.injector.lock().unwrap().push_back(job);
-        }
+        self.shared.queue.lock().unwrap().push_back(job);
         self.shared.notify_one();
         // Close the race with `shutdown()`: if the flag flipped between
         // the check above and the enqueue, the workers (and shutdown's
-        // own injector sweep) may already be gone, leaving the job
+        // own queue sweep) may already be gone, leaving the job
         // stranded — and a `scope` latch waiting on it forever. SeqCst
         // orders this load against the store in `shutdown`, so either
         // we see the flag here and drain, or our push is visible to
-        // shutdown's sweep. Deque pushes (the worker fast path) are
-        // safe without this: the pushing worker is still alive inside a
-        // job, and drains its own deque before exiting.
+        // shutdown's sweep.
         #[cfg(not(bsched_model_mutant))]
         if self.shared.shutdown.load(Ordering::SeqCst) {
             self.shared.run_stranded_inline();
@@ -340,16 +266,12 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One worker: fetch → run → repeat, parking when the whole pool is
-/// dry, exiting when shut down *and* dry.
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
+/// One worker: pop → run → repeat, parking when the queue is empty,
+/// exiting when shut down *and* empty.
+fn worker_loop(shared: &Shared) {
     IN_PARALLEL.with(|flag| flag.set(true));
-    WORKER.with(|w| w.set(Some((shared.id, index))));
-    // Randomised victim order, seeded per worker (splitmix64): thieves
-    // starting at different victims spread contention.
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1);
     loop {
-        if let Some(job) = find_work(shared, index, &mut rng) {
+        if let Some(job) = shared.pop() {
             let _ = catch_unwind(AssertUnwindSafe(job));
             // A job that set a fault context or cancel token and then
             // panicked must not leak it into the next job on this
@@ -358,12 +280,12 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             bsched_faults::set_cancel_token(None);
             continue;
         }
-        // Nothing anywhere: park. The final re-check happens under the
+        // Nothing queued: park. The final re-check happens under the
         // parking mutex, which every submission also takes to notify —
         // so either we see the job here, or the submitter's notify
         // comes after we started waiting.
         let guard = shared.parking.lock.lock().unwrap();
-        if shared.has_work() {
+        if shared.queued() > 0 {
             continue;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -372,76 +294,6 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         shared.parks.fetch_add(1, Ordering::Relaxed);
         drop(shared.parking.available.wait(guard));
     }
-}
-
-/// The fetch path: own deque (LIFO), then an injector batch, then
-/// stealing from randomised victims. Lock-free except the brief
-/// injector pop.
-fn find_work(shared: &Shared, index: usize, rng: &mut u64) -> Option<Job> {
-    if let Some(job) = shared.deques[index].pop() {
-        return Some(job);
-    }
-    // Dry: refill from the injector, keeping the first job to run now
-    // and parking the rest in our own deque where fetches are
-    // lock-free and thieves can reach them.
-    {
-        let mut injector = shared.injector.lock().unwrap();
-        if let Some(first) = injector.pop_front() {
-            let mut moved = 0;
-            while moved < INJECTOR_BATCH - 1 {
-                let Some(job) = injector.pop_front() else {
-                    break;
-                };
-                if let Err(job) = shared.deques[index].push(job) {
-                    injector.push_front(job);
-                    break;
-                }
-                moved += 1;
-            }
-            drop(injector);
-            if moved > 0 {
-                // Let sleepers know there is suddenly stealable work.
-                shared.notify_one();
-            }
-            return Some(first);
-        }
-    }
-    // Steal, visiting every other worker once in a rotated order; a
-    // `Retry` (lost race) means work exists, so sweep again a few
-    // times before giving up and letting the caller park.
-    let n = shared.deques.len();
-    if n <= 1 {
-        return None;
-    }
-    for _sweep in 0..4 {
-        let mut contended = false;
-        // splitmix64 step for the rotation.
-        *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        #[allow(clippy::cast_possible_truncation)]
-        let start = (z ^ (z >> 31)) as usize % n;
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if victim == index {
-                continue;
-            }
-            match shared.deques[victim].steal() {
-                Steal::Taken(job) => {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(job);
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-        std::hint::spin_loop();
-    }
-    None
 }
 
 /// The pool behind [`parallel_map`](crate::parallel_map), created on
@@ -698,64 +550,36 @@ mod tests {
         slow_rx.recv_timeout(Duration::from_secs(10)).unwrap();
     }
 
-    /// Steal-heavy skewed workload: one worker hoards a deque full of
-    /// children and sleeps; the only way the children run promptly is
-    /// for the other workers to steal them. Every worker must complete
-    /// at least one item.
+    /// Children spawned from inside a running job go to the shared
+    /// queue, where the other worker picks them up: with 2 workers, all
+    /// of them finish while their parent is still running.
     #[test]
-    fn skewed_workload_is_stolen_and_every_worker_participates() {
-        const WORKERS: usize = 4;
-        let pool = Arc::new(WorkerPool::new(WORKERS));
-        let seen: Arc<Mutex<std::collections::HashSet<usize>>> =
-            Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let child = |seen: &Arc<Mutex<std::collections::HashSet<usize>>>| {
-            let seen = Arc::clone(seen);
-            let pool = Arc::clone(&pool);
-            move || {
-                if let Some(w) = pool.current_worker_index() {
-                    seen.lock().unwrap().insert(w);
-                }
-            }
-        };
-        // The hoarder parks 64 children in its *own* deque and then
-        // sleeps: while it sleeps, those children can only run by being
-        // stolen.
-        let (done_tx, done_rx) = mpsc::channel();
-        let hoarder_pool = Arc::clone(&pool);
-        let hoarder_seen = Arc::clone(&seen);
-        let hoarder_child = child(&seen);
+    fn children_spawned_by_a_running_job_finish_while_it_runs() {
+        const CHILDREN: usize = 64;
+        let pool = Arc::new(WorkerPool::new(2));
+        let finished = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let parent_pool = Arc::clone(&pool);
+        let parent_finished = Arc::clone(&finished);
         pool.spawn(move || {
-            for _ in 0..64 {
-                let job = hoarder_child.clone();
-                hoarder_pool.spawn(job);
+            for _ in 0..CHILDREN {
+                let finished = Arc::clone(&parent_finished);
+                parent_pool.spawn(move || {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
             }
-            // Sleep until the thieves have visibly run some children.
-            for _ in 0..200 {
-                std::thread::sleep(Duration::from_millis(5));
-                if !hoarder_seen.lock().unwrap().is_empty() {
-                    break;
-                }
+            // The parent holds its worker until the children are done;
+            // only the other worker can run them.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while parent_finished.load(Ordering::SeqCst) < CHILDREN && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            done_tx.send(()).unwrap();
+            tx.send(parent_finished.load(Ordering::SeqCst)).unwrap();
         });
-        done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("hoarder finished");
-        // Keep feeding small waves through the injector until every
-        // worker (now including the freed hoarder) has run at least one
-        // item.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while seen.lock().unwrap().len() < WORKERS {
-            assert!(Instant::now() < deadline, "a worker never ran an item");
-            for _ in 0..8 {
-                pool.spawn(child(&seen));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let metrics = pool.metrics();
-        assert!(
-            metrics.steals > 0,
-            "children in a sleeping worker's deque can only run via steals"
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(30)),
+            Ok(CHILDREN),
+            "every child finishes while its parent is still running"
         );
     }
 
@@ -770,21 +594,5 @@ mod tests {
         let metrics = pool.metrics();
         assert_eq!(metrics.queued, 0);
         assert!(metrics.parks > 0, "idle workers park instead of spinning");
-    }
-
-    #[test]
-    fn worker_index_is_none_outside_the_pool() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.current_worker_index(), None);
-        let other = WorkerPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        let probe = Arc::new(pool);
-        let probe_inner = Arc::clone(&probe);
-        other.spawn(move || {
-            // A worker of a *different* pool is not a worker of this
-            // one.
-            tx.send(probe_inner.current_worker_index()).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(None));
     }
 }

@@ -19,9 +19,7 @@ pub use bsched_model::sync::*;
 
 #[cfg(not(bsched_model))]
 mod std_alias {
-    pub use std::sync::atomic::{
-        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
     pub use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// The `std::thread` subset the concurrency core uses.

@@ -1,4 +1,5 @@
-//! Model-checked interleaving proofs for the work-stealing core.
+//! Model-checked interleaving proofs for the worker pool's parking and
+//! shutdown protocols.
 //!
 //! Build with `RUSTFLAGS="--cfg bsched_model"` (the CI `model` job);
 //! without the cfg this file is empty and tier-1 never pays for it.
@@ -8,120 +9,28 @@
 #![cfg(bsched_model)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use bsched_model::{explore, explore_pct, Config};
-use bsched_par::deque::{Deque, Steal};
-use bsched_par::pool::{Job, WorkerPool};
+use bsched_model::{explore_pct, Config};
+use bsched_par::pool::WorkerPool;
 
-fn record(log: &Arc<Mutex<Vec<usize>>>, id: usize) -> Job {
-    let log = Arc::clone(log);
-    Box::new(move || log.lock().unwrap().push(id))
-}
-
-/// The PR-6 boundary race, exhaustively: one job in the deque, the
-/// owner's `pop` racing a thief's `steal` for it. Every interleaving
-/// of the two protocols is explored; in each one the job must run
-/// exactly once — never zero times (lost), never twice (duplicated).
+/// A scope submitted from outside a two-worker pool, with no shutdown
+/// until it returns: the job must run and the scope must return under
+/// 2,000 PCT schedules. Both workers race to park while the job is
+/// pushed; without the queue re-check under the parking mutex, two
+/// workers that found the queue empty can both sleep through the only
+/// notify, and the scope latch waits forever (a detected deadlock).
 #[test]
-fn take_steal_boundary_race_is_exhaustive_and_exactly_once() {
-    let owner_wins = Arc::new(AtomicUsize::new(0));
-    let thief_wins = Arc::new(AtomicUsize::new(0));
-    let (ow, tw) = (Arc::clone(&owner_wins), Arc::clone(&thief_wins));
-    let report = explore(&Config::default(), move || {
-        let deque = Arc::new(Deque::new());
-        let log = Arc::new(Mutex::new(Vec::new()));
-        // Push before spawning the thief: the contested state is the
-        // *last element*, which is where the epoch CAS matters.
-        deque.push(record(&log, 7)).ok().expect("capacity");
-        let thief = {
-            let deque = Arc::clone(&deque);
-            bsched_par::sync::thread::spawn(move || match deque.steal() {
-                Steal::Taken(job) => {
-                    job();
-                    true
-                }
-                Steal::Empty | Steal::Retry => false,
-            })
-        };
-        let popped = match deque.pop() {
-            Some(job) => {
-                job();
-                true
-            }
-            None => false,
-        };
-        let stolen = thief.join().unwrap();
-        let ran = log.lock().unwrap().clone();
-        assert_eq!(ran, vec![7], "job must run exactly once, ran: {ran:?}");
-        assert!(
-            popped ^ stolen,
-            "exactly one side wins the boundary race (popped={popped}, stolen={stolen})"
-        );
-        if popped {
-            ow.fetch_add(1, Ordering::SeqCst);
-        } else {
-            tw.fetch_add(1, Ordering::SeqCst);
-        }
-    });
-    assert!(
-        report.failure.is_none(),
-        "{}",
-        report.failure.map_or_else(String::new, |f| f.render())
-    );
-    assert!(report.complete, "the boundary race must be exhausted");
-    assert!(
-        owner_wins.load(Ordering::SeqCst) > 0 && thief_wins.load(Ordering::SeqCst) > 0,
-        "exploration must witness both outcomes (owner {}, thief {})",
-        owner_wins.load(Ordering::SeqCst),
-        thief_wins.load(Ordering::SeqCst)
-    );
-    assert!(
-        report.schedules_run >= 10,
-        "expected a real interleaving space, got {} schedules",
-        report.schedules_run
-    );
-}
-
-/// Deeper deque traffic under bounded-exhaustive search (preemption
-/// bound 2): three jobs, the thief stealing until dry, the owner
-/// popping the rest — the multiset of executed jobs always equals the
-/// submissions.
-#[test]
-fn multi_job_take_steal_preserves_the_multiset() {
-    let cfg = Config {
-        preemption_bound: Some(2),
-        ..Config::default()
-    };
-    let report = explore(&cfg, || {
-        let deque = Arc::new(Deque::new());
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for id in 0..3 {
-            deque.push(record(&log, id)).ok().expect("capacity");
-        }
-        let thief = {
-            let deque = Arc::clone(&deque);
-            bsched_par::sync::thread::spawn(move || loop {
-                match deque.steal() {
-                    Steal::Taken(job) => job(),
-                    Steal::Retry => {}
-                    Steal::Empty => break,
-                }
-            })
-        };
-        while let Some(job) = deque.pop() {
-            job();
-        }
-        thief.join().unwrap();
-        // The owner's pop loop can see None on the lost last-element
-        // race, but the winner ran it: drain anything left and compare
-        // multisets.
-        while let Some(job) = deque.pop() {
-            job();
-        }
-        let mut ran = log.lock().unwrap().clone();
-        ran.sort_unstable();
-        assert_eq!(ran, vec![0, 1, 2], "no job lost or duplicated");
+fn scope_on_two_workers_never_loses_its_wakeup() {
+    let report = explore_pct(&Config::default(), 0x2B0C, 2_000, 3, || {
+        let pool = WorkerPool::new(2);
+        let ran = AtomicUsize::new(0);
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        })];
+        pool.scope(jobs, || {});
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "scoped job must have run");
+        pool.shutdown();
     });
     assert!(
         report.failure.is_none(),
@@ -157,7 +66,7 @@ fn drain_never_strands_a_job() {
     );
 }
 
-/// The PR-6 submit/shutdown race model: a `scope` on one thread racing
+/// The submit/shutdown race model: a `scope` on one thread racing
 /// `shutdown()` on another. The fixed code must survive 10k PCT
 /// schedules without a hang (a stranded job = the scope latch waits
 /// forever = a detected deadlock, not a wedged test).
@@ -197,11 +106,11 @@ fn submit_racing_shutdown_passes_10k_pct_schedules() {
 }
 
 /// With the fix mechanically reverted (`--cfg bsched_model_mutant`
-/// gates out both shutdown's post-join injector sweep and submit's
+/// gates out both shutdown's post-join queue sweep and submit's
 /// post-enqueue re-check), the checker must *find* the race — the
 /// scope latch deadlock — and the recorded schedule must replay to the
-/// same failure. This is the proof that the model suite would have
-/// caught the PR-6 bug.
+/// same failure. This is the proof that the model suite catches the
+/// stranded-scope bug.
 #[cfg(bsched_model_mutant)]
 #[test]
 fn mutant_submit_shutdown_race_is_detected_and_replayable() {
@@ -239,66 +148,4 @@ fn mutant_submit_shutdown_race_is_detected_and_replayable() {
         "replayed failure differs: {}",
         refound.message
     );
-}
-
-/// Satellite: random push/pop/steal op-sequences through the
-/// model-checked deque. For every generated sequence, every explored
-/// schedule must preserve the job multiset.
-mod random_op_sequences {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn run_sequence(mask: u32, ops: usize, steals: usize) {
-        let cfg = Config {
-            preemption_bound: Some(2),
-            ..Config::default()
-        };
-        let report = explore(&cfg, move || {
-            let deque = Arc::new(Deque::new());
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let thief = {
-                let deque = Arc::clone(&deque);
-                bsched_par::sync::thread::spawn(move || {
-                    for _ in 0..steals {
-                        if let Steal::Taken(job) = deque.steal() {
-                            job();
-                        }
-                    }
-                })
-            };
-            let mut pushed = Vec::new();
-            for i in 0..ops {
-                if mask & (1 << i) != 0 {
-                    deque.push(record(&log, i)).ok().expect("capacity");
-                    pushed.push(i);
-                } else if let Some(job) = deque.pop() {
-                    job();
-                }
-            }
-            thief.join().unwrap();
-            while let Some(job) = deque.pop() {
-                job();
-            }
-            let mut ran = log.lock().unwrap().clone();
-            ran.sort_unstable();
-            assert_eq!(ran, pushed, "multiset of completed jobs != submissions");
-        });
-        assert!(
-            report.failure.is_none(),
-            "mask={mask:#x} ops={ops} steals={steals}: {}",
-            report.failure.map_or_else(String::new, |f| f.render())
-        );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-        #[test]
-        fn deque_preserves_job_multiset_under_every_schedule(
-            mask in 0u32..16,
-            ops in 1usize..5,
-            steals in 1usize..3,
-        ) {
-            run_sequence(mask, ops, steals);
-        }
-    }
 }

@@ -64,6 +64,8 @@ pub use router::{Router, RouterConfig};
 pub use server::{install_signal_handlers, Server, ServerConfig};
 pub use stats::ServerStats;
 
+use std::borrow::Cow;
+
 use bsched_analyze::json;
 use bsched_analyze::{render_json, Analyzer, FailureKind};
 use bsched_ir::Function;
@@ -80,7 +82,8 @@ pub type RequestError = (FailureKind, String);
 struct ResolvedKernel {
     /// Cache-identity text: inline/file *content*, or `benchmark:NAME`.
     identity: String,
-    function: Function,
+    /// Borrowed for a stand-in, so a cache hit never copies it.
+    function: Cow<'static, Function>,
     /// Parallel to `function.blocks()`; `None` for stand-ins.
     maps: Vec<Option<SourceMap>>,
 }
@@ -116,7 +119,7 @@ fn resolve_source(source: &KernelSource) -> Result<ResolvedKernel, RequestError>
             let maps = bench.function().blocks().iter().map(|_| None).collect();
             return Ok(ResolvedKernel {
                 identity: format!("benchmark:{}", bench.name()),
-                function: bench.function().clone(),
+                function: Cow::Borrowed(bench.function()),
                 maps,
             });
         }
@@ -138,7 +141,7 @@ fn resolve_source(source: &KernelSource) -> Result<ResolvedKernel, RequestError>
         .map_or_else(|| "program".to_owned(), |b| b.name().to_owned());
     Ok(ResolvedKernel {
         identity: text,
-        function: Function::new(name, blocks),
+        function: Cow::Owned(Function::new(name, blocks)),
         maps,
     })
 }

@@ -548,13 +548,14 @@ fn render_stats(inner: &Inner, id: Option<&str>) -> String {
             let (appends, compactions) = log.counters();
             (appends, compactions, log.file_bytes())
         });
+    // `"steals":0` stays, as a literal: the benchmark (`benchmark/src/serve.rs`) reads the key.
     format!(
         "{{{}\"status\":\"ok\",\"stats\":{{{},\"cache_hits\":{cache_hits},\
          \"cache_misses\":{cache_misses},\"cache_entries\":{cache_entries},\
          \"persist_appends\":{persist_appends},\"persist_compactions\":{persist_compactions},\
          \"persist_bytes\":{persist_bytes},\"persist_errors\":{},\
          \"tuned_installs\":{},\"tuning_in_flight\":{},\
-         \"workers\":{},\"queue_capacity\":{},\"steals\":{},\"parks\":{},\
+         \"workers\":{},\"queue_capacity\":{},\"steals\":0,\"parks\":{},\
          \"pool_queued\":{},\"io_threads\":{},\"open_connections\":{},\
          \"max_line_bytes\":{},\"write_cap_bytes\":{},\
          \"draining\":{}}}}}",
@@ -565,7 +566,6 @@ fn render_stats(inner: &Inner, id: Option<&str>) -> String {
         inner.tuning.lock().unwrap().len(),
         inner.cfg.workers.max(1),
         inner.cfg.queue_capacity.max(1),
-        pool.steals,
         pool.parks,
         pool.queued,
         inner.cfg.io_threads.max(1),

@@ -1,13 +1,15 @@
-//! Differential tests for the work-stealing execution path.
+//! Differential tests: `evaluate` is bit-identical at every thread
+//! count.
 //!
 //! `evaluate` promises bit-identical results to `evaluate_serial`
-//! however the per-block work is scheduled across workers: per-block
-//! streams depend only on the block index and master seed, and block
-//! contributions are folded in block order. The tests here exercise
-//! that contract across the whole Perfect Club stand-in suite, both
-//! schedulers, and several `BSCHED_THREADS` settings — including 7,
-//! which oversubscribes any test machine and forces heavy stealing on
-//! the Chase–Lev deques.
+//! however the per-block work is spread across the worker pool:
+//! per-block streams depend only on the block index and master seed,
+//! and block contributions are folded in block order. The tests here
+//! exercise that contract across the whole Perfect Club stand-in suite,
+//! both schedulers, and several `BSCHED_THREADS` settings — including
+//! 7, which oversubscribes any test machine, so drain jobs queue behind
+//! each other and blocks land on workers in a different order every
+//! run.
 //!
 //! The tests live in their own integration-test binary (own process)
 //! because they mutate `BSCHED_THREADS`; a single `#[test]` body keeps
@@ -94,7 +96,7 @@ fn schedule_fingerprint(prog: &CompiledProgram) -> Vec<String> {
 }
 
 #[test]
-fn work_stealing_matches_serial_bit_for_bit() {
+fn every_thread_count_matches_serial_bit_for_bit() {
     let suite = perfect_club();
     let pipeline = Pipeline::default();
     let mem = MemorySystem::Cache(CacheModel::l80_5());
@@ -153,9 +155,9 @@ fn parity_holds_under_network_latency() {
         let _guard = ThreadsGuard::set("1");
         evaluate_serial(&prog, &mem, &cfg)
     };
-    let stolen = {
+    let parallel = {
         let _guard = ThreadsGuard::set("7");
         evaluate(&prog, &mem, &cfg)
     };
-    assert_bits_eq(&serial, &stolen, "network model, BSCHED_THREADS=7");
+    assert_bits_eq(&serial, &parallel, "network model, BSCHED_THREADS=7");
 }
