@@ -49,7 +49,6 @@ pub mod journal;
 pub mod json;
 pub mod lints;
 pub mod profile;
-pub mod unsafe_audit;
 
 pub use analyzer::{Analyzer, BenchmarkReport};
 pub use diag::{
@@ -60,4 +59,3 @@ pub use failure::{failure_json, FailureKind};
 pub use profile::{
     benchmark_json, max_live, pressure_profile, suite_json, BenchmarkProfile, BlockProfile,
 };
-pub use unsafe_audit::{audit_tree, UnsafeViolation};

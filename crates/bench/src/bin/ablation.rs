@@ -52,6 +52,7 @@ fn workload_runtime(
 }
 
 fn main() {
+    bsched_pipeline::check_environment();
     let base = Pipeline::default();
     let fixed_pool = AllocatorConfig::gcc_original();
     let variants: Vec<(&str, Pipeline, SchedulerChoice)> = vec![

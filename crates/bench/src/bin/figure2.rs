@@ -55,6 +55,7 @@ fn schedule_names(block: &BasicBlock, dag: &CodeDag, assigner: &dyn WeightAssign
 }
 
 fn main() {
+    bsched_pipeline::check_environment();
     let (block, dag) = figure1_dag();
     let greedy = schedule_names(&block, &dag, &TraditionalWeights::new(Ratio::from_int(5)));
     let lazy = schedule_names(&block, &dag, &TraditionalWeights::new(Ratio::ONE));

@@ -46,6 +46,7 @@ fn reorder(block: &BasicBlock, names: &[&str]) -> BasicBlock {
 }
 
 fn main() {
+    bsched_pipeline::check_environment();
     let block = figure1_block();
     // The three Figure 2 schedules.
     let schedules = [

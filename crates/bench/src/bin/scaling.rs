@@ -60,6 +60,7 @@ fn row(measure: &str, n: usize, time: Duration) -> Vec<String> {
 }
 
 fn main() {
+    bsched_pipeline::check_environment();
     let mut rows = Vec::new();
     for n in [25usize, 50, 100, 200, 400] {
         let dag = build_dag(&block_of(n), AliasModel::Fortran);

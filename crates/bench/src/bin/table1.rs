@@ -55,6 +55,7 @@ fn figure7_dag() -> (BasicBlock, CodeDag) {
 }
 
 fn main() {
+    bsched_pipeline::check_environment();
     let (block, dag) = figure7_dag();
     let loads = dag.load_ids();
     let closures = Closures::compute(&dag);

@@ -6,21 +6,22 @@
 //! (`BSCHED_RUNS=5` for a quick pass).
 
 use bsched_bench::{
-    env_knob, failure_label, print_table, report_cell_reports, run_cells_reported, table2_rows,
-    CellJob,
+    failure_label, print_table, report_cell_reports, run_cells_reported, table2_rows, CellJob,
 };
 use bsched_cpusim::ProcessorModel;
 use bsched_memsim::LatencyModel;
+use bsched_par::env;
 use bsched_workload::perfect_club;
 
 fn main() {
+    bsched_pipeline::check_environment();
     // The paper's Table 2 uses UNLIMITED; it reports that MAX-8 and
     // LEN-8 behave similarly (means 10.0% and 8.7% vs 9.9%). Set
     // BSCHED_PROCESSOR=max8|len8 to regenerate the table for those.
-    let processor: ProcessorModel = env_knob("BSCHED_PROCESSOR").unwrap_or_default();
+    let processor: ProcessorModel = env::var("BSCHED_PROCESSOR").unwrap_or_default();
     // BSCHED_CI=1 prints each cell as mean±halfwidth of its 95%
     // bootstrap confidence interval (§4.3).
-    let with_ci = std::env::var("BSCHED_CI").as_deref() == Ok("1");
+    let with_ci = env::switch("BSCHED_CI");
     let benchmarks = perfect_club();
     let mut header: Vec<String> = vec!["System".to_owned(), "OptLat".to_owned()];
     header.extend(benchmarks.iter().map(|b| b.name().to_owned()));

@@ -10,18 +10,17 @@ use bsched_bench::{
 };
 use bsched_cpusim::ProcessorModel;
 use bsched_memsim::LatencyModel;
+use bsched_par::env;
 use bsched_workload::perfect_club;
 
 fn main() {
+    bsched_pipeline::check_environment();
     // The paper details MDG; BSCHED_BENCH=<name> details any stand-in.
-    let wanted = std::env::var("BSCHED_BENCH").unwrap_or_else(|_| "MDG".to_owned());
+    let wanted: String = env::var("BSCHED_BENCH").unwrap_or_else(|| "MDG".to_owned());
     let mdg = perfect_club()
         .into_iter()
         .find(|b| b.name().eq_ignore_ascii_case(&wanted))
-        .unwrap_or_else(|| {
-            eprintln!("unknown benchmark {wanted:?}; defaulting to MDG");
-            bsched_workload::perfect::mdg()
-        });
+        .unwrap_or_else(|| env::invalid("BSCHED_BENCH", &wanted, &"no stand-in by that name"));
     let header: Vec<String> = [
         "System", "OptLat", "TIns", "BIns", "U:Imp%", "U:TI%", "U:BI%", "M8:Imp%", "M8:TI%",
         "M8:BI%", "L8:Imp%", "L8:TI%", "L8:BI%",

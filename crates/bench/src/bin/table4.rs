@@ -13,13 +13,11 @@ use bsched_pipeline::{AllocationStrategy, Pipeline, SchedulerChoice};
 use bsched_workload::perfect_club;
 
 fn main() {
+    bsched_pipeline::check_environment();
     // BSCHED_ALLOC=usage swaps in the 1992-vintage usage-count allocator
     // that recreates GCC 2.2.2's spill-everywhere behaviour — the
     // allocator regime the paper's Table 4 was measured under.
-    let allocation = match std::env::var("BSCHED_ALLOC").as_deref() {
-        Ok("usage") => AllocationStrategy::UsageCount,
-        _ => AllocationStrategy::BeladyScan,
-    };
+    let allocation: AllocationStrategy = bsched_par::env::var("BSCHED_ALLOC").unwrap_or_default();
     // The optimistic-latency columns of Table 4.
     let latencies: Vec<(String, Ratio)> = [
         ("2", Ratio::from_int(2)),

@@ -14,6 +14,7 @@ use bsched_memsim::NetworkModel;
 use bsched_workload::perfect_club;
 
 fn main() {
+    bsched_pipeline::check_environment();
     let row = SystemRow {
         system: NetworkModel::new(30.0, 5.0).into(),
         optimistic: Ratio::from_int(30),

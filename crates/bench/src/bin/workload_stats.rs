@@ -11,6 +11,7 @@ use bsched_dag::{build_dag, AliasModel, DagProfile};
 use bsched_workload::perfect_club;
 
 fn main() {
+    bsched_pipeline::check_environment();
     let header: Vec<String> = [
         "Block", "Freq", "Insts", "Loads", "Edges", "Depth", "Width", "SerLoads", "MaxW", "MeanW",
     ]

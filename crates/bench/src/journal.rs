@@ -6,12 +6,14 @@
 //! recorded cells verbatim instead of re-evaluating them. The file
 //! format, atomic rewrite and whole-file discard on a fingerprint
 //! mismatch live in [`bsched_analyze::journal`]; this module holds only
-//! the cell line codec and the environment hook.
+//! the cell line codec and [`open`].
 //!
 //! The fingerprint covers everything that determines cell values (master
 //! seed, runs, fault plan, the shape of the job list, and the validation
 //! level, analysis gate and cycle budget that decide whether a cell
-//! fails); a mismatch is reported on stderr by [`from_env`].
+//! fails); a mismatch is reported on stderr by [`open`].
+
+use std::path::Path;
 
 use bsched_analyze::journal::{hex, unhex, Record};
 use bsched_analyze::json::{self, Json};
@@ -38,26 +40,23 @@ pub enum JournalEntry {
     },
 }
 
-/// Opens the journal named by `BSCHED_JOURNAL`, if set. I/O failures
-/// are reported to stderr and disable journaling rather than abort the
-/// run; a fingerprint mismatch (the journal came from a run with a
-/// different seed, run count, job list, fault plan, validation level,
-/// analysis gate or cycle budget) reports how many recorded cells were
-/// discarded.
+/// Opens the journal at `path` (the harness's `BSCHED_JOURNAL`). I/O
+/// failures are reported to stderr and disable journaling rather than
+/// abort the run; a fingerprint mismatch (the journal came from a run
+/// with a different seed, run count, job list, fault plan, validation
+/// level, analysis gate or cycle budget) reports how many recorded
+/// cells were discarded.
 #[must_use]
-pub fn from_env(fingerprint: &str) -> Option<Journal> {
-    let path = std::env::var("BSCHED_JOURNAL").ok()?;
-    if path.trim().is_empty() {
-        return None;
-    }
-    match Journal::open(path.clone(), fingerprint) {
+pub fn open(path: &Path, fingerprint: &str) -> Option<Journal> {
+    match Journal::open(path, fingerprint) {
         Ok(j) => {
             if j.discarded() > 0 {
                 eprintln!(
-                    "warning: BSCHED_JOURNAL={path}: fingerprint changed (seed, runs, \
+                    "warning: BSCHED_JOURNAL={}: fingerprint changed (seed, runs, \
                      job list, fault plan, validation, analysis or cycle budget differ); \
                      discarded {} recorded cell{} \
                      instead of resuming",
+                    path.display(),
                     j.discarded(),
                     if j.discarded() == 1 { "" } else { "s" }
                 );
@@ -65,7 +64,10 @@ pub fn from_env(fingerprint: &str) -> Option<Journal> {
             Some(j)
         }
         Err(e) => {
-            eprintln!("warning: BSCHED_JOURNAL={path}: {e}; journaling disabled");
+            eprintln!(
+                "warning: BSCHED_JOURNAL={}: {e}; journaling disabled",
+                path.display()
+            );
             None
         }
     }

@@ -23,13 +23,15 @@
 //! worker threads used by [`run_cells_reported`] and the per-block
 //! parallelism in `evaluate` — any value produces identical output,
 //! because all randomness is counter-split from the master seed and
-//! results are folded in deterministic order.
+//! results are folded in deterministic order. `bsched_par::env` lists
+//! every variable and when it is read.
 
 #![warn(missing_docs)]
 
 pub mod journal;
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,6 +42,7 @@ use bsched_core::Ratio;
 use bsched_cpusim::ProcessorModel;
 use bsched_faults::{fault_point, Site};
 use bsched_memsim::{CacheModel, LatencyModel, MemorySystem, MixedModel, NetworkModel};
+use bsched_par::env::{self, Limit};
 use bsched_pipeline::{
     compare, try_evaluate, CompiledProgram, EvalConfig, MemoProgram, Pipeline, PipelineError,
     ProgramEval, SchedulerChoice, StageMemo,
@@ -109,44 +112,25 @@ pub fn table2_rows() -> Vec<SystemRow> {
 }
 
 /// Evaluation configuration from the environment (`BSCHED_RUNS`,
-/// `BSCHED_SEED`), defaulting to the paper's protocol.
+/// `BSCHED_SEED`, read at each call), defaulting to the paper's
+/// protocol.
+///
+/// # Panics
+///
+/// When either variable is set to a value that does not parse.
 #[must_use]
 pub fn eval_config(processor: ProcessorModel) -> EvalConfig {
     let mut cfg = EvalConfig {
         processor,
         ..EvalConfig::default()
     };
-    if let Some(runs) = env_knob::<u32>("BSCHED_RUNS") {
+    if let Some(runs) = env::var::<u32>("BSCHED_RUNS") {
         cfg.runs = runs.max(2);
     }
-    if let Some(seed) = env_knob("BSCHED_SEED") {
+    if let Some(seed) = env::var("BSCHED_SEED") {
         cfg.seed = seed;
     }
     cfg
-}
-
-/// The one reader for the harness's `BSCHED_*` knobs: unset or empty
-/// reads as `None`, anything else must parse as `T`.
-///
-/// # Panics
-///
-/// On a value `T` cannot parse, with a message that starts with the
-/// variable's name — the policy `bsched_faults::init_from_env` applies
-/// to `BSCHED_FAULTS`: a typo fails loudly instead of silently running
-/// with the default.
-#[must_use]
-pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = std::env::var(name).ok()?;
-    match raw.trim() {
-        "" => None,
-        v => Some(
-            v.parse()
-                .unwrap_or_else(|e| panic!("{name}: invalid value {v:?}: {e}")),
-        ),
-    }
 }
 
 /// Result of one (benchmark, system, processor) comparison cell.
@@ -168,17 +152,7 @@ pub struct Cell {
 /// processor model, returning the full comparison cell.
 #[must_use]
 pub fn run_cell(bench: &Benchmark, row: &SystemRow, processor: ProcessorModel) -> Cell {
-    let pipeline = Pipeline::default();
-    let balanced = pipeline
-        .compile(bench.function(), &SchedulerChoice::balanced())
-        .expect("compile balanced");
-    let traditional = pipeline
-        .compile(
-            bench.function(),
-            &SchedulerChoice::traditional(row.optimistic),
-        )
-        .expect("compile traditional");
-    try_run_cell_compiled(&balanced, &traditional, row, processor).expect("evaluate cell")
+    Harness::from_env().run_cell(bench, row, processor)
 }
 
 /// Evaluates one comparison cell from already-compiled programs.
@@ -198,16 +172,35 @@ pub fn try_run_cell_compiled(
     row: &SystemRow,
     processor: ProcessorModel,
 ) -> Result<Cell, PipelineError> {
-    let cfg = eval_config(processor);
-    let b_eval = try_evaluate(balanced, &row.system, &cfg)?;
-    let t_eval = try_evaluate(traditional, &row.system, &cfg)?;
-    Ok(Cell {
+    measure(balanced, traditional, row, &eval_config(processor))
+}
+
+/// Evaluates both programs under `row`'s system and `cfg`.
+fn measure(
+    balanced: &CompiledProgram,
+    traditional: &CompiledProgram,
+    row: &SystemRow,
+    cfg: &EvalConfig,
+) -> Result<Cell, PipelineError> {
+    let b_eval = try_evaluate(balanced, &row.system, cfg)?;
+    let t_eval = try_evaluate(traditional, &row.system, cfg)?;
+    Ok(cell_of(balanced, traditional, b_eval, t_eval))
+}
+
+/// Pairs two programs' evaluations into a comparison cell.
+fn cell_of(
+    balanced: &CompiledProgram,
+    traditional: &CompiledProgram,
+    b_eval: ProgramEval,
+    t_eval: ProgramEval,
+) -> Cell {
+    Cell {
         improvement: compare(&t_eval, &b_eval),
         traditional_spill_percent: traditional.spill_percent(),
         balanced_spill_percent: balanced.spill_percent(),
         traditional: t_eval,
         balanced: b_eval,
-    })
+    }
 }
 
 /// One entry in a table's work list: which benchmark to evaluate under
@@ -351,61 +344,120 @@ impl CellError {
     }
 }
 
-/// The per-cell wall-clock limit from `BSCHED_TIMEOUT_MS` (`0`/`off`/
-/// empty/unset disables the watchdog).
-fn timeout_from_env() -> Option<Duration> {
-    if std::env::var("BSCHED_TIMEOUT_MS").is_ok_and(|v| v.trim() == "off") {
-        return None;
-    }
-    env_knob("BSCHED_TIMEOUT_MS")
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
+/// Everything one harness call runs under. [`run_cells_reported`] and
+/// [`run_cell`] read it from the environment once per call; tests build
+/// it directly.
+#[derive(Debug, Clone)]
+struct Harness {
+    /// Compiles every program.
+    pipeline: Pipeline,
+    /// The measurement protocol; each cell substitutes its processor.
+    eval: EvalConfig,
+    /// Worker threads for the compiles and the first attempts
+    /// (`BSCHED_THREADS`).
+    threads: usize,
+    /// Serial retries after the parallel first attempt
+    /// (`BSCHED_RETRIES`).
+    retries: u32,
+    /// Backoff before retry *r*: `backoff_ms × 2^(r-1)` ms, capped at
+    /// 2 s (`BSCHED_BACKOFF_MS`).
+    backoff_ms: u64,
+    /// Per-attempt wall-clock budget (`BSCHED_TIMEOUT_MS`).
+    timeout: Option<Duration>,
+    /// The crash-safe journal's path (`BSCHED_JOURNAL`).
+    journal: Option<PathBuf>,
 }
 
-/// Fingerprint of everything that determines cell values this run: the
-/// journal refuses to resume across a change in any of these. That
-/// includes the settings that decide whether a cell fails — the
-/// validation level, the analysis gate and the per-run cycle budget — so
-/// a clean journal never stands in for a stricter rerun.
-fn run_fingerprint(keys: &[String]) -> String {
-    let cfg = eval_config(ProcessorModel::Unlimited);
-    // FNV-1a over the ordered, newline-terminated key list captures the
-    // job-list shape.
-    let shape = keys.iter().fold(fingerprint_mix(0, b""), |h, key| {
-        fingerprint_mix(fingerprint_mix(h, key.as_bytes()), b"\n")
-    });
-    let plan = bsched_faults::installed_plan().map_or_else(|| "none".to_owned(), |p| p.to_string());
-    let budget = cfg
-        .cycle_budget
-        .map_or_else(|| "off".to_owned(), |b| b.to_string());
-    format!(
-        "v1;seed={};runs={};cells={};shape={shape:016x};faults={plan};validate={:?};\
-         analyze={:?};cycle_budget={budget}",
-        cfg.seed,
-        cfg.runs,
-        keys.len(),
-        cfg.validation,
-        Pipeline::default().analysis,
-    )
+impl Harness {
+    /// The configuration the environment names now.
+    ///
+    /// # Panics
+    ///
+    /// On a variable whose value does not parse (see `bsched_par::env`).
+    fn from_env() -> Harness {
+        Harness {
+            pipeline: Pipeline::default(),
+            eval: eval_config(ProcessorModel::Unlimited),
+            threads: bsched_par::max_threads(),
+            retries: env::var("BSCHED_RETRIES").unwrap_or(1),
+            backoff_ms: env::var("BSCHED_BACKOFF_MS").unwrap_or(25),
+            timeout: env::var::<Limit>("BSCHED_TIMEOUT_MS")
+                .and_then(|limit| limit.0)
+                .map(Duration::from_millis),
+            journal: env::var("BSCHED_JOURNAL"),
+        }
+    }
+
+    /// The protocol under `processor`.
+    fn eval_for(&self, processor: ProcessorModel) -> EvalConfig {
+        EvalConfig {
+            processor,
+            ..self.eval
+        }
+    }
+
+    /// Compiles and evaluates one cell on its own, the reference the
+    /// shared-memo path of [`Harness::run_cells`] must match.
+    fn run_cell(&self, bench: &Benchmark, row: &SystemRow, processor: ProcessorModel) -> Cell {
+        let compile = |choice: SchedulerChoice| {
+            self.pipeline
+                .compile(bench.function(), &choice)
+                .unwrap_or_else(|e| panic!("compile {}: {e}", choice.name()))
+        };
+        let balanced = compile(SchedulerChoice::balanced());
+        let traditional = compile(SchedulerChoice::traditional(row.optimistic));
+        measure(&balanced, &traditional, row, &self.eval_for(processor)).expect("evaluate cell")
+    }
+
+    /// Fingerprint of everything that determines cell values this run:
+    /// the journal refuses to resume across a change in any of these.
+    /// That includes the settings that decide whether a cell fails — the
+    /// validation level, the analysis gate and the per-run cycle budget
+    /// — so a clean journal never stands in for a stricter rerun.
+    fn fingerprint(&self, keys: &[String]) -> String {
+        let cfg = &self.eval;
+        // FNV-1a over the ordered, newline-terminated key list captures
+        // the job-list shape.
+        let shape = keys.iter().fold(fingerprint_mix(0, b""), |h, key| {
+            fingerprint_mix(fingerprint_mix(h, key.as_bytes()), b"\n")
+        });
+        let plan =
+            bsched_faults::installed_plan().map_or_else(|| "none".to_owned(), |p| p.to_string());
+        let budget = cfg
+            .cycle_budget
+            .map_or_else(|| "off".to_owned(), |b| b.to_string());
+        format!(
+            "v1;seed={};runs={};cells={};shape={shape:016x};faults={plan};validate={:?};\
+             analyze={:?};cycle_budget={budget}",
+            cfg.seed,
+            cfg.runs,
+            keys.len(),
+            cfg.validation,
+            self.pipeline.analysis,
+        )
+    }
 }
 
 /// The full watchdog/recovery harness: runs every job with per-cell
 /// fault isolation, bounded retry with exponential backoff, quarantine,
 /// optional wall-clock timeouts, and crash-safe journaling.
 ///
-/// Behaviour knobs (all environment variables):
+/// Its behaviour comes from the environment, read once per call (the
+/// table in `bsched_par::env` has each variable's default):
 ///
-/// - `BSCHED_RETRIES` (default 1) — serial retries after the parallel
-///   first attempt; backoff before retry *r* is
-///   `BSCHED_BACKOFF_MS × 2^(r-1)` ms (default base 25, capped at 2 s).
-/// - `BSCHED_TIMEOUT_MS` (default off) — per-attempt wall-clock budget,
-///   enforced by [`bsched_par::run_with_timeout`] with cooperative
-///   cancellation of the abandoned simulation.
-/// - `BSCHED_JOURNAL` (default off) — path of a crash-safe
+/// - `BSCHED_RETRIES` — serial retries after the parallel first
+///   attempt; backoff before retry *r* is `BSCHED_BACKOFF_MS × 2^(r-1)`
+///   ms, capped at 2 s.
+/// - `BSCHED_TIMEOUT_MS` — per-attempt wall-clock budget, enforced by
+///   [`bsched_par::run_with_timeout`] with cooperative cancellation of
+///   the abandoned simulation.
+/// - `BSCHED_JOURNAL` — path of a crash-safe
 ///   [`journal`](journal::Journal); cells recorded by a previous run
 ///   with the same fingerprint are resumed, not re-evaluated.
-/// - `BSCHED_FAULTS` (default off) — a [`bsched_faults::FaultPlan`]
-///   spec; installed once per process.
+/// - `BSCHED_FAULTS` — a [`bsched_faults::FaultPlan`] spec, installed
+///   once per process.
+/// - `BSCHED_THREADS`, `BSCHED_RUNS`, `BSCHED_SEED` and the pipeline
+///   defaults, as everywhere.
 ///
 /// Invariants:
 ///
@@ -419,90 +471,100 @@ fn run_fingerprint(keys: &[String]) -> String {
 /// - After a benchmark accumulates [`QUARANTINE_THRESHOLD`] unrecovered
 ///   failures, its remaining failed cells skip retries and report
 ///   [`CellStatus::Quarantined`].
+///
+/// # Panics
+///
+/// On a variable whose value does not parse (see `bsched_par::env`).
 #[must_use]
 pub fn run_cells_reported(jobs: &[CellJob<'_>]) -> Vec<CellReport> {
-    run_cells(jobs).0
+    env::install_fault_plan();
+    Harness::from_env().run_cells(jobs).0
 }
 
-/// [`run_cells_reported`], also returning each benchmark's memo (in
-/// first-job order) so tests can count the stages it computed.
-fn run_cells(jobs: &[CellJob<'_>]) -> (Vec<CellReport>, Vec<Arc<StageMemo>>) {
-    bsched_faults::init_from_env();
-    let keys: Vec<String> = jobs.iter().map(cell_key).collect();
-    let journal = journal::from_env(&run_fingerprint(&keys));
-    let timeout = timeout_from_env();
+impl Harness {
+    /// [`run_cells_reported`] under this configuration, also returning each
+    /// benchmark's memo (in first-job order) so tests can count the stages
+    /// it computed.
+    fn run_cells(&self, jobs: &[CellJob<'_>]) -> (Vec<CellReport>, Vec<Arc<StageMemo>>) {
+        let keys: Vec<String> = jobs.iter().map(cell_key).collect();
+        let journal = self
+            .journal
+            .as_deref()
+            .and_then(|path| journal::open(path, &self.fingerprint(&keys)));
 
-    // Compilation is independent of the memory system and processor
-    // model: the balanced schedule depends only on the benchmark, the
-    // traditional schedule only on (benchmark, optimistic latency).
-    // Table job lists repeat those pairs heavily — Table 2 alone names
-    // each benchmark's balanced program 17 times — so each distinct
-    // program is compiled once and shared across its cells. Each
-    // benchmark's programs compile and measure through one `StageMemo`:
-    // they share its pass-1 DAGs, allocations and, under one (system,
-    // protocol), the statistics of every block they compile alike.
-    // Compilation and measurement are deterministic, making the sharing
-    // bit-identical to compiling and evaluating per cell as [`run_cell`]
-    // does.
-    #[derive(PartialEq, Eq, Hash)]
-    enum Key {
-        Balanced(usize),
-        Traditional(usize, Ratio),
-    }
-    let mut memo_of: HashMap<usize, usize> = HashMap::new();
-    let mut memos: Vec<Arc<StageMemo>> = Vec::new();
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    let mut tasks: Vec<(&Benchmark, usize, SchedulerChoice)> = Vec::new();
-    let mut refs: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let bench_key = std::ptr::from_ref(job.bench) as usize;
-        let memo = *memo_of.entry(bench_key).or_insert_with(|| {
-            memos.push(Arc::new(StageMemo::new(
-                Pipeline::default(),
-                job.bench.function().clone(),
-            )));
-            memos.len() - 1
-        });
-        let balanced = *index.entry(Key::Balanced(bench_key)).or_insert_with(|| {
-            tasks.push((job.bench, memo, SchedulerChoice::balanced()));
-            tasks.len() - 1
-        });
-        let traditional = *index
-            .entry(Key::Traditional(bench_key, job.row.optimistic))
-            .or_insert_with(|| {
-                let choice = SchedulerChoice::traditional(job.row.optimistic);
-                tasks.push((job.bench, memo, choice));
+        // Compilation is independent of the memory system and processor
+        // model: the balanced schedule depends only on the benchmark, the
+        // traditional schedule only on (benchmark, optimistic latency).
+        // Table job lists repeat those pairs heavily — Table 2 alone names
+        // each benchmark's balanced program 17 times — so each distinct
+        // program is compiled once and shared across its cells. Each
+        // benchmark's programs compile and measure through one `StageMemo`:
+        // they share its pass-1 DAGs, allocations and, under one (system,
+        // protocol), the statistics of every block they compile alike.
+        // Compilation and measurement are deterministic, making the sharing
+        // bit-identical to compiling and evaluating per cell as [`run_cell`]
+        // does.
+        #[derive(PartialEq, Eq, Hash)]
+        enum Key {
+            Balanced(usize),
+            Traditional(usize, Ratio),
+        }
+        let mut memo_of: HashMap<usize, usize> = HashMap::new();
+        let mut memos: Vec<Arc<StageMemo>> = Vec::new();
+        let mut index: HashMap<Key, usize> = HashMap::new();
+        let mut tasks: Vec<(&Benchmark, usize, SchedulerChoice)> = Vec::new();
+        let mut refs: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let bench_key = std::ptr::from_ref(job.bench) as usize;
+            let memo = *memo_of.entry(bench_key).or_insert_with(|| {
+                memos.push(Arc::new(StageMemo::new(
+                    self.pipeline,
+                    job.bench.function().clone(),
+                )));
+                memos.len() - 1
+            });
+            let balanced = *index.entry(Key::Balanced(bench_key)).or_insert_with(|| {
+                tasks.push((job.bench, memo, SchedulerChoice::balanced()));
                 tasks.len() - 1
             });
-        refs.push((balanced, traditional));
-    }
-    // Fault sites inside the memoized stages decide per fault context
-    // and count their visits, so under a fault plan a stage's result is
-    // not a function of its key alone. Each compile and each evaluation
-    // then runs through a memo of its own, visiting every site exactly
-    // as an unshared compile or evaluation does.
-    let memo_for = |memo: usize| {
-        if bsched_faults::active() {
-            Arc::new(memos[memo].fresh())
-        } else {
-            Arc::clone(&memos[memo])
+            let traditional = *index
+                .entry(Key::Traditional(bench_key, job.row.optimistic))
+                .or_insert_with(|| {
+                    let choice = SchedulerChoice::traditional(job.row.optimistic);
+                    tasks.push((job.bench, memo, choice));
+                    tasks.len() - 1
+                });
+            refs.push((balanced, traditional));
         }
-    };
+        // Fault sites inside the memoized stages decide per fault context
+        // and count their visits, so under a fault plan a stage's result is
+        // not a function of its key alone. Each compile and each evaluation
+        // then runs through a memo of its own, visiting every site exactly
+        // as an unshared compile or evaluation does.
+        let memo_for = |memo: usize| {
+            if bsched_faults::active() {
+                Arc::new(memos[memo].fresh())
+            } else {
+                Arc::clone(&memos[memo])
+            }
+        };
 
-    // Compile each distinct program once, with panics and errors caught
-    // per program; a failed compile only poisons the cells that need it.
-    // Each compile runs under a `compile|<benchmark>|<scheduler>` fault
-    // context so plans can target it (parser reject, spill exhaustion).
-    let compile_one = |task: &(&Benchmark, usize, SchedulerChoice), attempt: u32| {
-        let ctx = format!("compile|{}|{}", task.0.name(), task.2.name());
-        bsched_faults::with_cell_context(&ctx, attempt, || {
-            memo_for(task.1)
-                .compile(&task.2)
-                .map_err(|e| (e.failure_kind(), e.to_string()))
-        })
-    };
-    let compiled: Vec<Result<MemoProgram, (FailureKind, String)>> =
-        bsched_par::parallel_map_catch(&tasks, |_, task| compile_one(task, 1))
+        // Compile each distinct program once, with panics and errors caught
+        // per program; a failed compile only poisons the cells that need it.
+        // Each compile runs under a `compile|<benchmark>|<scheduler>` fault
+        // context so plans can target it (parser reject, spill exhaustion).
+        let compile_one = |task: &(&Benchmark, usize, SchedulerChoice), attempt: u32| {
+            let ctx = format!("compile|{}|{}", task.0.name(), task.2.name());
+            bsched_faults::with_cell_context(&ctx, attempt, || {
+                memo_for(task.1)
+                    .compile(&task.2)
+                    .map_err(|e| (e.failure_kind(), e.to_string()))
+            })
+        };
+        let compiled: Vec<Result<MemoProgram, (FailureKind, String)>> =
+            bsched_par::parallel_map_catch_with(self.threads, &tasks, |_, task| {
+                compile_one(task, 1)
+            })
             .into_iter()
             .enumerate()
             .map(|(k, caught)| {
@@ -513,7 +575,7 @@ fn run_cells(jobs: &[CellJob<'_>]) -> (Vec<CellReport>, Vec<Arc<StageMemo>>) {
                     // (an injected fault with a limit, resource
                     // exhaustion under full fan-out) before every
                     // dependent cell is written off.
-                    Err(_) => bsched_par::parallel_map_catch(&tasks[k..=k], |_, task| {
+                    Err(_) => bsched_par::parallel_map_catch_with(1, &tasks[k..=k], |_, task| {
                         compile_one(task, 2)
                     })
                     .pop()
@@ -523,239 +585,239 @@ fn run_cells(jobs: &[CellJob<'_>]) -> (Vec<CellReport>, Vec<Arc<StageMemo>>) {
             })
             .collect();
 
-    // Every program is compiled, so no later call can hit a compile
-    // stage; only the block statistics are shared from here on.
-    for memo in &memos {
-        memo.release_compile_stages();
-    }
-
-    // One attempt at one cell, under its fault context. Any fire of a
-    // result-perturbing site during the attempt taints it.
-    let attempt = |i: usize, attempt_no: u32| -> Result<Cell, CellError> {
-        let (bi, ti) = refs[i];
-        let job = &jobs[i];
-        let key = &keys[i];
-        bsched_faults::with_cell_context(key, attempt_no, || {
-            // Both the slow-cell and eval-panic sites live *inside* the
-            // timed region, so the wall-clock watchdog covers them.
-            fn eval_body(
-                key: &str,
-                b_memo: &StageMemo,
-                balanced: &MemoProgram,
-                t_memo: &StageMemo,
-                traditional: &MemoProgram,
-                row: &SystemRow,
-                processor: ProcessorModel,
-            ) -> Result<Cell, PipelineError> {
-                if let Some(fault) = fault_point!(Site::SlowCell) {
-                    std::thread::sleep(Duration::from_millis(fault.arg.min(10_000)));
-                }
-                if fault_point!(Site::EvalPanic).is_some() {
-                    panic!("injected failure (eval-panic in {key})");
-                }
-                let cfg = eval_config(processor);
-                let b_eval = b_memo.evaluate(balanced, &row.system, &cfg)?;
-                let t_eval = t_memo.evaluate(traditional, &row.system, &cfg)?;
-                let (balanced, traditional) = (balanced.program(), traditional.program());
-                Ok(Cell {
-                    improvement: compare(&t_eval, &b_eval),
-                    traditional_spill_percent: traditional.spill_percent(),
-                    balanced_spill_percent: balanced.spill_percent(),
-                    traditional: t_eval,
-                    balanced: b_eval,
-                })
-            }
-            let balanced = compiled[bi]
-                .as_ref()
-                .map_err(|(kind, e)| CellError::Compile {
-                    kind: *kind,
-                    reason: format!("compiling {}: {e}", tasks[bi].2.name()),
-                })?;
-            let traditional = compiled[ti]
-                .as_ref()
-                .map_err(|(kind, e)| CellError::Compile {
-                    kind: *kind,
-                    reason: format!("compiling {}: {e}", tasks[ti].2.name()),
-                })?;
-            let (b_memo, t_memo) = (memo_for(tasks[bi].1), memo_for(tasks[ti].1));
-            let cell = match timeout {
-                Some(limit) => {
-                    // The watchdog thread needs owned inputs; cloning the
-                    // compiled programs costs nothing next to the limit
-                    // we are prepared to wait.
-                    let key = key.clone();
-                    let b = balanced.clone();
-                    let t = traditional.clone();
-                    let row = job.row.clone();
-                    let processor = job.processor;
-                    bsched_par::run_with_timeout(limit, move || {
-                        eval_body(&key, &b_memo, &b, &t_memo, &t, &row, processor)
-                    })
-                    .map_err(|t| CellError::Timeout(t.limit))?
-                    .map_err(CellError::Pipeline)?
-                }
-                None => eval_body(
-                    key,
-                    &b_memo,
-                    balanced,
-                    &t_memo,
-                    traditional,
-                    job.row,
-                    job.processor,
-                )
-                .map_err(CellError::Pipeline)?,
-            };
-            let perturbing: Vec<&str> = bsched_faults::take_fired(key, attempt_no)
-                .iter()
-                .filter(|f| matches!(f.site, Site::LatencyJitter | Site::SimStall))
-                .map(|f| f.site.id())
-                .collect();
-            if perturbing.is_empty() {
-                Ok(cell)
-            } else {
-                Err(CellError::Tainted(perturbing.join(", ")))
-            }
-        })
-    };
-    let caught_to_err = |p: bsched_par::CaughtPanic| CellError::Panic(p.message().to_owned());
-
-    // First attempt: every not-yet-journaled cell, in parallel. Clean
-    // results are journaled as they land — a kill mid-table loses at
-    // most the in-flight cells.
-    let pending: Vec<usize> = (0..jobs.len())
-        .filter(|&i| {
-            journal
-                .as_ref()
-                .is_none_or(|j| j.lookup(&keys[i]).is_none())
-        })
-        .collect();
-    let mut firsts: Vec<Option<Result<Cell, CellError>>> = (0..jobs.len()).map(|_| None).collect();
-    let first_results = bsched_par::parallel_map_catch(&pending, |_, &i| {
-        let result = attempt(i, 1);
-        if let (Ok(cell), Some(j)) = (&result, journal.as_ref()) {
-            j.record(&keys[i], &JournalEntry::Ok(cell.clone()));
+        // Every program is compiled, so no later call can hit a compile
+        // stage; only the block statistics are shared from here on.
+        for memo in &memos {
+            memo.release_compile_stages();
         }
-        result
-    });
-    for (&slot, caught) in pending.iter().zip(first_results) {
-        firsts[slot] = Some(caught.unwrap_or_else(|p| Err(caught_to_err(p))));
-    }
 
-    // Recovery pass: serial, in job order, so retry/quarantine decisions
-    // are deterministic for any thread count.
-    let retries = env_knob("BSCHED_RETRIES").unwrap_or(1u32);
-    let backoff_ms = env_knob("BSCHED_BACKOFF_MS").unwrap_or(25u64);
-    let mut strikes: HashMap<String, u32> = HashMap::new();
-    let mut reports = Vec::with_capacity(jobs.len());
-    let record_failed = |key: &str, kind: FailureKind, reason: &str| {
-        if let Some(j) = journal.as_ref() {
-            j.record(
-                key,
-                &JournalEntry::Failed {
-                    kind,
-                    reason: reason.to_owned(),
-                },
-            );
-        }
-    };
-    for (i, first) in firsts.into_iter().enumerate() {
-        let key = keys[i].clone();
-        let report = match first {
-            None => {
-                // Resumed from the journal.
-                let entry = journal
+        // One attempt at one cell, under its fault context. Any fire of a
+        // result-perturbing site during the attempt taints it.
+        let attempt = |i: usize, attempt_no: u32| -> Result<Cell, CellError> {
+            let (bi, ti) = refs[i];
+            let job = &jobs[i];
+            let key = &keys[i];
+            bsched_faults::with_cell_context(key, attempt_no, || {
+                // Both the slow-cell and eval-panic sites live *inside* the
+                // timed region, so the wall-clock watchdog covers them.
+                fn eval_body(
+                    key: &str,
+                    b_memo: &StageMemo,
+                    balanced: &MemoProgram,
+                    t_memo: &StageMemo,
+                    traditional: &MemoProgram,
+                    system: &MemorySystem,
+                    cfg: &EvalConfig,
+                ) -> Result<Cell, PipelineError> {
+                    if let Some(fault) = fault_point!(Site::SlowCell) {
+                        std::thread::sleep(Duration::from_millis(fault.arg.min(10_000)));
+                    }
+                    if fault_point!(Site::EvalPanic).is_some() {
+                        panic!("injected failure (eval-panic in {key})");
+                    }
+                    let b_eval = b_memo.evaluate(balanced, system, cfg)?;
+                    let t_eval = t_memo.evaluate(traditional, system, cfg)?;
+                    Ok(cell_of(
+                        balanced.program(),
+                        traditional.program(),
+                        b_eval,
+                        t_eval,
+                    ))
+                }
+                let balanced = compiled[bi]
                     .as_ref()
-                    .and_then(|j| j.lookup(&key))
-                    .expect("unattempted cells come from the journal");
-                match entry {
-                    JournalEntry::Ok(cell) => CellReport {
+                    .map_err(|(kind, e)| CellError::Compile {
+                        kind: *kind,
+                        reason: format!("compiling {}: {e}", tasks[bi].2.name()),
+                    })?;
+                let traditional =
+                    compiled[ti]
+                        .as_ref()
+                        .map_err(|(kind, e)| CellError::Compile {
+                            kind: *kind,
+                            reason: format!("compiling {}: {e}", tasks[ti].2.name()),
+                        })?;
+                let (b_memo, t_memo) = (memo_for(tasks[bi].1), memo_for(tasks[ti].1));
+                let cfg = self.eval_for(job.processor);
+                let cell = match self.timeout {
+                    Some(limit) => {
+                        // The watchdog thread needs owned inputs; cloning the
+                        // compiled programs costs nothing next to the limit
+                        // we are prepared to wait.
+                        let key = key.clone();
+                        let b = balanced.clone();
+                        let t = traditional.clone();
+                        let system = job.row.system;
+                        bsched_par::run_with_timeout(limit, move || {
+                            eval_body(&key, &b_memo, &b, &t_memo, &t, &system, &cfg)
+                        })
+                        .map_err(|t| CellError::Timeout(t.limit))?
+                        .map_err(CellError::Pipeline)?
+                    }
+                    None => eval_body(
                         key,
-                        resumed: true,
-                        status: CellStatus::Ok,
-                        cell: Some(cell),
-                    },
-                    JournalEntry::Failed { kind, reason } => CellReport {
-                        key,
-                        resumed: true,
-                        status: if kind == FailureKind::Quarantined {
-                            CellStatus::Quarantined { reason }
-                        } else {
-                            CellStatus::Failed { kind, reason }
-                        },
-                        cell: None,
-                    },
+                        &b_memo,
+                        balanced,
+                        &t_memo,
+                        traditional,
+                        &job.row.system,
+                        &cfg,
+                    )
+                    .map_err(CellError::Pipeline)?,
+                };
+                let perturbing: Vec<&str> = bsched_faults::take_fired(key, attempt_no)
+                    .iter()
+                    .filter(|f| matches!(f.site, Site::LatencyJitter | Site::SimStall))
+                    .map(|f| f.site.id())
+                    .collect();
+                if perturbing.is_empty() {
+                    Ok(cell)
+                } else {
+                    Err(CellError::Tainted(perturbing.join(", ")))
                 }
+            })
+        };
+        let caught_to_err = |p: bsched_par::CaughtPanic| CellError::Panic(p.message().to_owned());
+
+        // First attempt: every not-yet-journaled cell, in parallel. Clean
+        // results are journaled as they land — a kill mid-table loses at
+        // most the in-flight cells.
+        let pending: Vec<usize> = (0..jobs.len())
+            .filter(|&i| {
+                journal
+                    .as_ref()
+                    .is_none_or(|j| j.lookup(&keys[i]).is_none())
+            })
+            .collect();
+        let mut firsts: Vec<Option<Result<Cell, CellError>>> =
+            (0..jobs.len()).map(|_| None).collect();
+        let first_results = bsched_par::parallel_map_catch_with(self.threads, &pending, |_, &i| {
+            let result = attempt(i, 1);
+            if let (Ok(cell), Some(j)) = (&result, journal.as_ref()) {
+                j.record(&keys[i], &JournalEntry::Ok(cell.clone()));
             }
-            Some(Ok(cell)) => CellReport {
-                key,
-                resumed: false,
-                status: CellStatus::Ok,
-                cell: Some(cell),
-            },
-            Some(Err(mut err)) => {
-                let bench = jobs[i].bench.name().to_owned();
-                let prior = strikes.get(&bench).copied().unwrap_or(0);
-                if prior >= QUARANTINE_THRESHOLD {
-                    let reason = format!(
+            result
+        });
+        for (&slot, caught) in pending.iter().zip(first_results) {
+            firsts[slot] = Some(caught.unwrap_or_else(|p| Err(caught_to_err(p))));
+        }
+
+        // Recovery pass: serial, in job order, so retry/quarantine decisions
+        // are deterministic for any thread count.
+        let mut strikes: HashMap<String, u32> = HashMap::new();
+        let mut reports = Vec::with_capacity(jobs.len());
+        let record_failed = |key: &str, kind: FailureKind, reason: &str| {
+            if let Some(j) = journal.as_ref() {
+                j.record(
+                    key,
+                    &JournalEntry::Failed {
+                        kind,
+                        reason: reason.to_owned(),
+                    },
+                );
+            }
+        };
+        for (i, first) in firsts.into_iter().enumerate() {
+            let key = keys[i].clone();
+            let report = match first {
+                None => {
+                    // Resumed from the journal.
+                    let entry = journal
+                        .as_ref()
+                        .and_then(|j| j.lookup(&key))
+                        .expect("unattempted cells come from the journal");
+                    match entry {
+                        JournalEntry::Ok(cell) => CellReport {
+                            key,
+                            resumed: true,
+                            status: CellStatus::Ok,
+                            cell: Some(cell),
+                        },
+                        JournalEntry::Failed { kind, reason } => CellReport {
+                            key,
+                            resumed: true,
+                            status: if kind == FailureKind::Quarantined {
+                                CellStatus::Quarantined { reason }
+                            } else {
+                                CellStatus::Failed { kind, reason }
+                            },
+                            cell: None,
+                        },
+                    }
+                }
+                Some(Ok(cell)) => CellReport {
+                    key,
+                    resumed: false,
+                    status: CellStatus::Ok,
+                    cell: Some(cell),
+                },
+                Some(Err(mut err)) => {
+                    let bench = jobs[i].bench.name().to_owned();
+                    let prior = strikes.get(&bench).copied().unwrap_or(0);
+                    if prior >= QUARANTINE_THRESHOLD {
+                        let reason = format!(
                         "{bench} quarantined after {prior} unrecovered failures; this cell's first error: {}",
                         err.reason()
                     );
-                    record_failed(&key, FailureKind::Quarantined, &reason);
-                    CellReport {
-                        key,
-                        resumed: false,
-                        status: CellStatus::Quarantined { reason },
-                        cell: None,
-                    }
-                } else {
-                    let mut recovered = None;
-                    for retry in 0..retries {
-                        let delay = backoff_ms.saturating_mul(1 << retry.min(6)).min(2_000);
-                        if delay > 0 {
-                            std::thread::sleep(Duration::from_millis(delay));
+                        record_failed(&key, FailureKind::Quarantined, &reason);
+                        CellReport {
+                            key,
+                            resumed: false,
+                            status: CellStatus::Quarantined { reason },
+                            cell: None,
                         }
-                        let caught =
-                            bsched_par::parallel_map_catch(&[i], |_, &i| attempt(i, retry + 2))
-                                .pop()
-                                .expect("one result per item");
-                        match caught.unwrap_or_else(|p| Err(caught_to_err(p))) {
-                            Ok(cell) => {
-                                recovered = Some((cell, retry + 2));
-                                break;
+                    } else {
+                        let mut recovered = None;
+                        for retry in 0..self.retries {
+                            let delay =
+                                self.backoff_ms.saturating_mul(1 << retry.min(6)).min(2_000);
+                            if delay > 0 {
+                                std::thread::sleep(Duration::from_millis(delay));
                             }
-                            Err(e) => err = e,
-                        }
-                    }
-                    match recovered {
-                        Some((cell, attempts)) => {
-                            if let Some(j) = journal.as_ref() {
-                                j.record(&key, &JournalEntry::Ok(cell.clone()));
-                            }
-                            CellReport {
-                                key,
-                                resumed: false,
-                                status: CellStatus::Recovered { attempts },
-                                cell: Some(cell),
+                            let caught = bsched_par::parallel_map_catch_with(1, &[i], |_, &i| {
+                                attempt(i, retry + 2)
+                            })
+                            .pop()
+                            .expect("one result per item");
+                            match caught.unwrap_or_else(|p| Err(caught_to_err(p))) {
+                                Ok(cell) => {
+                                    recovered = Some((cell, retry + 2));
+                                    break;
+                                }
+                                Err(e) => err = e,
                             }
                         }
-                        None => {
-                            *strikes.entry(bench).or_insert(0) += 1;
-                            let (kind, reason) = (err.kind(), err.reason());
-                            record_failed(&key, kind, &reason);
-                            CellReport {
-                                key,
-                                resumed: false,
-                                status: CellStatus::Failed { kind, reason },
-                                cell: None,
+                        match recovered {
+                            Some((cell, attempts)) => {
+                                if let Some(j) = journal.as_ref() {
+                                    j.record(&key, &JournalEntry::Ok(cell.clone()));
+                                }
+                                CellReport {
+                                    key,
+                                    resumed: false,
+                                    status: CellStatus::Recovered { attempts },
+                                    cell: Some(cell),
+                                }
+                            }
+                            None => {
+                                *strikes.entry(bench).or_insert(0) += 1;
+                                let (kind, reason) = (err.kind(), err.reason());
+                                record_failed(&key, kind, &reason);
+                                CellReport {
+                                    key,
+                                    resumed: false,
+                                    status: CellStatus::Failed { kind, reason },
+                                    cell: None,
+                                }
                             }
                         }
                     }
                 }
-            }
-        };
-        reports.push(report);
+            };
+            reports.push(report);
+        }
+        (reports, memos)
     }
-    (reports, memos)
 }
 
 /// Prints resume/retry/failure detail from a [`run_cells_reported`] pass
@@ -818,7 +880,7 @@ pub fn table_to_json(title: &str, header: &[String], rows: &[Vec<String>]) -> St
 /// Pretty-prints a header followed by aligned rows — or, when
 /// `BSCHED_JSON=1`, one machine-readable JSON object per table.
 pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    if std::env::var("BSCHED_JSON").as_deref() == Ok("1") {
+    if env::switch("BSCHED_JSON") {
         println!("{}", table_to_json(title, header, rows));
         return;
     }
@@ -848,16 +910,35 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
 mod tests {
     use super::*;
     use bsched_faults::{FaultPlan, FaultSpec};
+    use bsched_pipeline::AnalysisGate;
+    use bsched_verify::ValidationLevel;
     use bsched_workload::{perfect, perfect_club};
 
-    /// Serialises the tests that read or write `BSCHED_*` environment
-    /// variables; the test harness runs tests on concurrent threads.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Serialises the tests that evaluate cells: a fault plan one of
+    /// them installs is process-wide and would fire in another's cells.
+    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        ENV_LOCK
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The default harness at `runs` runs a block on `threads` threads,
+    /// with no backoff; each test changes what it exercises.
+    fn harness(runs: u32, threads: usize) -> Harness {
+        Harness {
+            pipeline: Pipeline::default(),
+            eval: EvalConfig {
+                runs,
+                ..EvalConfig::default()
+            },
+            threads,
+            retries: 1,
+            backoff_ms: 0,
+            timeout: None,
+            journal: None,
+        }
     }
 
     #[test]
@@ -873,11 +954,10 @@ mod tests {
 
     #[test]
     fn run_cell_produces_consistent_results() {
-        let _guard = env_lock();
-        std::env::remove_var("BSCHED_RUNS");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let row = &table2_rows()[8]; // N(2,2)
-        let cell = run_cell(&bench, row, ProcessorModel::Unlimited);
+        let cell = harness(30, 4).run_cell(&bench, row, ProcessorModel::Unlimited);
         assert!(cell.improvement.mean_percent.is_finite());
         assert!(cell.traditional.mean_runtime > 0.0);
         assert!(cell.balanced.mean_runtime > 0.0);
@@ -886,10 +966,9 @@ mod tests {
 
     #[test]
     fn threads_env_does_not_change_results() {
+        let _guard = fault_lock();
         // One full Table-2 row: every benchmark under L80(2,5), serial
-        // (BSCHED_THREADS=1) versus maximally parallel, bit-identical.
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "5");
+        // (BSCHED_THREADS=1) versus four threads, bit-identical.
         let benchmarks = perfect_club();
         let rows = table2_rows();
         let row = &rows[0];
@@ -901,11 +980,8 @@ mod tests {
                 processor: ProcessorModel::Unlimited,
             })
             .collect();
-        std::env::set_var("BSCHED_THREADS", "1");
-        let serial = run_cells_reported(&jobs);
-        std::env::remove_var("BSCHED_THREADS");
-        let parallel = run_cells_reported(&jobs);
-        std::env::remove_var("BSCHED_RUNS");
+        let serial = harness(5, 1).run_cells(&jobs).0;
+        let parallel = harness(5, 4).run_cells(&jobs).0;
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             let (s, p) = (s.cell().expect("clean cell"), p.cell().expect("clean cell"));
@@ -933,8 +1009,7 @@ mod tests {
 
     #[test]
     fn corrupted_benchmark_degrades_to_a_failed_cell() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
+        let _guard = fault_lock();
         let good = perfect::track();
         let bad = corrupted_benchmark();
         let rows = table2_rows();
@@ -947,8 +1022,7 @@ mod tests {
                 processor: ProcessorModel::Unlimited,
             })
             .collect();
-        let reports = run_cells_reported(&jobs);
-        std::env::remove_var("BSCHED_RUNS");
+        let reports = harness(2, 4).run_cells(&jobs).0;
         assert_eq!(reports.len(), 3);
         assert!(reports[0].cell().is_some(), "good cell must survive");
         assert!(reports[2].cell().is_some(), "good cell must survive");
@@ -963,9 +1037,7 @@ mod tests {
 
     #[test]
     fn injected_panic_fails_the_same_cells_serial_and_parallel() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_BACKOFF_MS", "0");
+        let _guard = fault_lock();
         let benchmarks = perfect_club();
         let rows = table2_rows();
         let row = &rows[8]; // N(2,2)
@@ -984,18 +1056,13 @@ mod tests {
             FaultPlan::seeded(7)
                 .with(FaultSpec::always(Site::EvalPanic).with_key(benchmarks[2].name())),
         );
-        std::env::set_var("BSCHED_THREADS", "1");
-        let serial = run_cells_reported(&jobs);
-        std::env::set_var("BSCHED_THREADS", "4");
+        let serial = harness(2, 1).run_cells(&jobs).0;
         bsched_faults::install(
             FaultPlan::seeded(7)
                 .with(FaultSpec::always(Site::EvalPanic).with_key(benchmarks[2].name())),
         );
-        let parallel = run_cells_reported(&jobs);
+        let parallel = harness(2, 4).run_cells(&jobs).0;
         bsched_faults::clear();
-        std::env::remove_var("BSCHED_THREADS");
-        std::env::remove_var("BSCHED_BACKOFF_MS");
-        std::env::remove_var("BSCHED_RUNS");
         assert_eq!(serial.len(), parallel.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             match (s.cell(), p.cell()) {
@@ -1019,9 +1086,7 @@ mod tests {
 
     #[test]
     fn transient_panic_recovers_on_retry_bit_identically() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_BACKOFF_MS", "0");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let rows = table2_rows();
         let jobs = [CellJob {
@@ -1030,7 +1095,7 @@ mod tests {
             processor: ProcessorModel::Unlimited,
         }];
         bsched_faults::clear();
-        let clean = run_cells_reported(&jobs);
+        let clean = harness(2, 4).run_cells(&jobs).0;
         // limit=1 → the fault fires exactly once; the retry runs clean.
         bsched_faults::install(
             FaultPlan::seeded(3).with(
@@ -1039,10 +1104,8 @@ mod tests {
                     .with_limit(1),
             ),
         );
-        let faulted = run_cells_reported(&jobs);
+        let faulted = harness(2, 4).run_cells(&jobs).0;
         bsched_faults::clear();
-        std::env::remove_var("BSCHED_BACKOFF_MS");
-        std::env::remove_var("BSCHED_RUNS");
         assert_eq!(clean[0].status, CellStatus::Ok);
         assert_eq!(faulted[0].status, CellStatus::Recovered { attempts: 2 });
         let (a, b) = (clean[0].cell().unwrap(), faulted[0].cell().unwrap());
@@ -1056,9 +1119,7 @@ mod tests {
 
     #[test]
     fn tainted_jitter_is_never_reported_as_a_clean_number() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_BACKOFF_MS", "0");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let rows = table2_rows();
         let jobs = [CellJob {
@@ -1076,10 +1137,8 @@ mod tests {
                     .with_arg(500),
             ),
         );
-        let reports = run_cells_reported(&jobs);
+        let reports = harness(2, 4).run_cells(&jobs).0;
         bsched_faults::clear();
-        std::env::remove_var("BSCHED_BACKOFF_MS");
-        std::env::remove_var("BSCHED_RUNS");
         assert_eq!(reports[0].failure_kind(), Some(FailureKind::Tainted));
         let reason = reports[0].failure_reason().expect("tainted cell fails");
         assert!(reason.contains("latency-jitter"), "{reason}");
@@ -1091,9 +1150,7 @@ mod tests {
 
     #[test]
     fn repeated_failures_quarantine_the_benchmark() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_BACKOFF_MS", "0");
+        let _guard = fault_lock();
         let bad = corrupted_benchmark();
         let rows = table2_rows();
         let jobs: Vec<CellJob> = rows[..4]
@@ -1105,9 +1162,7 @@ mod tests {
             })
             .collect();
         bsched_faults::clear();
-        let reports = run_cells_reported(&jobs);
-        std::env::remove_var("BSCHED_BACKOFF_MS");
-        std::env::remove_var("BSCHED_RUNS");
+        let reports = harness(2, 4).run_cells(&jobs).0;
         assert!(matches!(
             reports[0].status,
             CellStatus::Failed {
@@ -1134,10 +1189,7 @@ mod tests {
 
     #[test]
     fn slow_cell_times_out_as_a_typed_failure() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_TIMEOUT_MS", "100");
-        std::env::set_var("BSCHED_RETRIES", "0");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let rows = table2_rows();
         let jobs = [CellJob {
@@ -1152,11 +1204,14 @@ mod tests {
                     .with_arg(2_000),
             ),
         );
-        let reports = run_cells_reported(&jobs);
+        let reports = Harness {
+            timeout: Some(Duration::from_millis(100)),
+            retries: 0,
+            ..harness(2, 4)
+        }
+        .run_cells(&jobs)
+        .0;
         bsched_faults::clear();
-        std::env::remove_var("BSCHED_RETRIES");
-        std::env::remove_var("BSCHED_TIMEOUT_MS");
-        std::env::remove_var("BSCHED_RUNS");
         assert_eq!(reports[0].failure_kind(), Some(FailureKind::Timeout));
         assert!(
             reports[0].failure_reason().unwrap().contains("timed out"),
@@ -1167,8 +1222,7 @@ mod tests {
 
     #[test]
     fn journal_resumes_recorded_cells_bit_identically() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let rows = table2_rows();
         let jobs: Vec<CellJob> = rows[..2]
@@ -1182,12 +1236,13 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("bsched-bench-journal-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("BSCHED_JOURNAL", &path);
+        let journaled = Harness {
+            journal: Some(path.clone()),
+            ..harness(2, 4)
+        };
         bsched_faults::clear();
-        let fresh = run_cells_reported(&jobs);
-        let resumed = run_cells_reported(&jobs);
-        std::env::remove_var("BSCHED_JOURNAL");
-        std::env::remove_var("BSCHED_RUNS");
+        let fresh = journaled.run_cells(&jobs).0;
+        let resumed = journaled.run_cells(&jobs).0;
         let _ = std::fs::remove_file(&path);
         for (f, r) in fresh.iter().zip(&resumed) {
             assert!(!f.resumed);
@@ -1208,8 +1263,7 @@ mod tests {
 
     #[test]
     fn journal_is_discarded_whole_when_any_fingerprint_field_changes() {
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
+        let _guard = fault_lock();
         let bench = perfect::track();
         let rows = table2_rows();
         let jobs: Vec<CellJob> = rows[..2]
@@ -1225,82 +1279,81 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("BSCHED_JOURNAL", &path);
+        let base = Harness {
+            journal: Some(path.clone()),
+            ..harness(2, 4)
+        };
         bsched_faults::clear();
 
-        let seed = run_cells_reported(&jobs);
+        let seed = base.run_cells(&jobs).0;
         assert!(seed.iter().all(|r| !r.resumed));
 
-        // Changing the run count changes the fingerprint: nothing may be
-        // resumed, not even the cells that *were* recorded.
-        std::env::set_var("BSCHED_RUNS", "3");
-        let after_runs = run_cells_reported(&jobs);
-        assert!(
-            after_runs.iter().all(|r| !r.resumed),
-            "a runs change must discard the journal whole, not partially resume"
-        );
-        std::env::set_var("BSCHED_RUNS", "2");
-
-        // Changing the master seed.
-        let _ = run_cells_reported(&jobs); // repopulate under runs=2
-        std::env::set_var("BSCHED_SEED", "12345");
-        let after_seed = run_cells_reported(&jobs);
-        assert!(
-            after_seed.iter().all(|r| !r.resumed),
-            "a seed change must discard the journal whole"
-        );
-        std::env::remove_var("BSCHED_SEED");
+        // Each changed harness runs against a journal the base harness
+        // just filled, and may resume nothing — not even the cells that
+        // *were* recorded. That covers every setting that decides whether
+        // a cell fails: a clean journal must not stand in for a stricter
+        // rerun. Each setting moves to a value other than the base's
+        // (CI runs this suite under BSCHED_VALIDATE=full).
+        type Change = (&'static str, fn(&mut Harness));
+        let changes: [Change; 5] = [
+            ("runs", |h| h.eval.runs = 3),
+            ("seed", |h| h.eval.seed = 12345),
+            ("validation", |h| {
+                let level = if h.eval.validation == ValidationLevel::Full {
+                    ValidationLevel::Off
+                } else {
+                    ValidationLevel::Full
+                };
+                (h.pipeline.validation, h.eval.validation) = (level, level);
+            }),
+            ("analysis", |h| {
+                h.pipeline.analysis = if h.pipeline.analysis == AnalysisGate::Check {
+                    AnalysisGate::Off
+                } else {
+                    AnalysisGate::Check
+                };
+            }),
+            ("cycle budget", |h| {
+                h.eval.cycle_budget = if h.eval.cycle_budget == Some(50) {
+                    None
+                } else {
+                    Some(50)
+                };
+            }),
+        ];
+        for (field, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            let _ = base.run_cells(&jobs);
+            let after = changed.run_cells(&jobs).0;
+            assert!(
+                after.iter().all(|r| !r.resumed),
+                "a {field} change must discard the journal whole"
+            );
+        }
 
         // Changing the job list (shape) — even to a subset of what was
         // recorded — must not resume the overlapping cell.
-        let _ = run_cells_reported(&jobs);
-        let subset = run_cells_reported(&jobs[..1]);
+        let _ = base.run_cells(&jobs);
+        let subset = base.run_cells(&jobs[..1]).0;
         assert!(
             subset.iter().all(|r| !r.resumed),
             "a job-list change must discard the journal whole"
         );
 
         // Installing a fault plan changes the fingerprint too.
-        let _ = run_cells_reported(&jobs);
+        let _ = base.run_cells(&jobs);
         bsched_faults::install(FaultPlan::seeded(7));
-        let after_plan = run_cells_reported(&jobs);
+        let after_plan = base.run_cells(&jobs).0;
         bsched_faults::clear();
         assert!(
             after_plan.iter().all(|r| !r.resumed),
             "a fault-plan change must discard the journal whole"
         );
 
-        // So does every setting that decides whether a cell fails: a
-        // clean journal must not stand in for a stricter rerun. Each
-        // variable moves to a value other than the ambient one (CI runs
-        // this suite under BSCHED_VALIDATE=full) and is restored after.
-        for (var, [value, fallback]) in [
-            ("BSCHED_VALIDATE", ["full", "off"]),
-            ("BSCHED_ANALYZE", ["check", "off"]),
-            ("BSCHED_CYCLE_BUDGET", ["50", "off"]),
-        ] {
-            let ambient = std::env::var(var).ok();
-            let value = if ambient.as_deref() == Some(value) {
-                fallback
-            } else {
-                value
-            };
-            let _ = run_cells_reported(&jobs);
-            std::env::set_var(var, value);
-            let after = run_cells_reported(&jobs);
-            match &ambient {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
-            }
-            assert!(
-                after.iter().all(|r| !r.resumed),
-                "a {var}={value} change must discard the journal whole"
-            );
-        }
-
         // The discard itself is observable: a journal opened under a
         // different fingerprint reports how many cells it threw away.
-        let fresh = run_cells_reported(&jobs);
+        let fresh = base.run_cells(&jobs).0;
         assert!(fresh.iter().all(|r| !r.resumed));
         let j = journal::Journal::open(&path, "other-fingerprint").expect("open");
         assert!(j.is_empty());
@@ -1309,9 +1362,6 @@ mod tests {
             jobs.len(),
             "the discard must be reported, not silent"
         );
-
-        std::env::remove_var("BSCHED_JOURNAL");
-        std::env::remove_var("BSCHED_RUNS");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1351,8 +1401,7 @@ mod tests {
         // model). A benchmark's cells share one memo but differ in system
         // or processor, so a statistics key that lost either would hand
         // one cell another's numbers.
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
+        let _guard = fault_lock();
         let models = ProcessorModel::paper_models();
         let mdg = perfect::mdg();
         let rows = table2_rows();
@@ -1380,11 +1429,10 @@ mod tests {
         let jobs: Vec<CellJob> = table3.chain(table5).collect();
         let expected: Vec<Vec<u64>> = jobs
             .iter()
-            .map(|job| cell_bits(&run_cell(job.bench, job.row, job.processor)))
+            .map(|job| cell_bits(&harness(2, 1).run_cell(job.bench, job.row, job.processor)))
             .collect();
-        for threads in ["1", ""] {
-            std::env::set_var("BSCHED_THREADS", threads);
-            let reports = run_cells_reported(&jobs);
+        for threads in [1, 4] {
+            let reports = harness(2, threads).run_cells(&jobs).0;
             assert_eq!(reports.len(), expected.len());
             for (report, want) in reports.iter().zip(&expected) {
                 let cell = report
@@ -1392,13 +1440,11 @@ mod tests {
                     .unwrap_or_else(|| panic!("{}: {:?}", report.key, report.status));
                 assert!(
                     cell_bits(cell) == *want,
-                    "{} differs from run_cell at BSCHED_THREADS={threads:?}",
+                    "{} differs from run_cell at {threads} threads",
                     report.key
                 );
             }
         }
-        std::env::remove_var("BSCHED_THREADS");
-        std::env::remove_var("BSCHED_RUNS");
     }
 
     #[test]
@@ -1407,9 +1453,8 @@ mod tests {
         use std::collections::HashSet;
 
         // One thread, so no two workers race to compute the same key.
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_THREADS", "1");
+        let _guard = fault_lock();
+        let harness = harness(2, 1);
         let rows = table2_rows();
         let mut totals = [0; 4];
         for bench in &perfect_club() {
@@ -1422,7 +1467,7 @@ mod tests {
                 })
                 .collect();
             let built = bsched_dag::builds_on_this_thread();
-            let (reports, memos) = run_cells(&jobs);
+            let (reports, memos) = harness.run_cells(&jobs);
             let builds = bsched_dag::builds_on_this_thread() - built;
             assert!(reports.iter().all(|r| r.status == CellStatus::Ok));
             assert_eq!(memos.len(), 1, "one memo per stand-in");
@@ -1434,7 +1479,7 @@ mod tests {
             // distinct (system, block, order pair). The protocol is the
             // same in every cell.
             let compile = |choice: SchedulerChoice| {
-                StageMemo::new(Pipeline::default(), bench.function().clone())
+                StageMemo::new(harness.pipeline, bench.function().clone())
                     .compile(&choice)
                     .expect("compiles")
             };
@@ -1483,12 +1528,12 @@ mod tests {
                 bsched_dag::builds_on_this_thread() - built
             };
             let unchecked = Pipeline {
-                validation: bsched_verify::ValidationLevel::Off,
-                analysis: bsched_pipeline::AnalysisGate::Off,
-                ..Pipeline::default()
+                validation: ValidationLevel::Off,
+                analysis: AnalysisGate::Off,
+                ..harness.pipeline
             };
             assert_eq!(plain(unchecked), 2 * blocks, "{name}: one DAG a pass");
-            let around = plain(Pipeline::default()) - plain(unchecked);
+            let around = plain(harness.pipeline) - plain(unchecked);
             let latencies: HashSet<Ratio> = rows.iter().map(|r| r.optimistic).collect();
             let programs = 1 + latencies.len();
             assert_eq!(
@@ -1507,8 +1552,6 @@ mod tests {
                 *total += n;
             }
         }
-        std::env::remove_var("BSCHED_THREADS");
-        std::env::remove_var("BSCHED_RUNS");
         // Over the whole table: pass-1 DAGs, allocations and simulated
         // block batches with the memo, then the batches without it
         // (two programs a cell, each simulating every block).
@@ -1517,12 +1560,10 @@ mod tests {
 
     #[test]
     fn all_of_table2_at_two_threads_computes_each_stage_once_per_distinct_key() {
+        let _guard = fault_lock();
         // Two workers share each stand-in's memo: a key one of them is
         // computing is waited for, not computed again. The totals are
         // those one thread computes.
-        let _guard = env_lock();
-        std::env::set_var("BSCHED_RUNS", "2");
-        std::env::set_var("BSCHED_THREADS", "2");
         let rows = table2_rows();
         let benches = perfect_club();
         let jobs: Vec<CellJob> = benches
@@ -1535,9 +1576,7 @@ mod tests {
                 })
             })
             .collect();
-        let (reports, memos) = run_cells(&jobs);
-        std::env::remove_var("BSCHED_THREADS");
-        std::env::remove_var("BSCHED_RUNS");
+        let (reports, memos) = harness(2, 2).run_cells(&jobs);
         assert!(reports.iter().all(|r| r.status == CellStatus::Ok));
         assert_eq!(memos.len(), benches.len(), "one memo per stand-in");
         let mut totals = [0; 3];
@@ -1570,27 +1609,21 @@ mod tests {
 
     #[test]
     fn eval_config_defaults() {
-        let _guard = env_lock();
-        std::env::remove_var("BSCHED_RUNS");
-        std::env::remove_var("BSCHED_SEED");
+        // The suite runs without BSCHED_RUNS and BSCHED_SEED.
         let cfg = eval_config(ProcessorModel::max_8());
         assert_eq!(cfg.runs, 30);
+        assert_eq!(cfg.seed, EvalConfig::default().seed);
         assert_eq!(cfg.processor, ProcessorModel::MaxOutstanding(8));
     }
 
     #[test]
     fn malformed_timeout_fails_loudly() {
-        let _guard = env_lock();
-        for off in ["", "0", "off"] {
-            std::env::set_var("BSCHED_TIMEOUT_MS", off);
-            assert_eq!(timeout_from_env(), None, "{off:?}");
+        // `BSCHED_TIMEOUT_MS` parses as a `Limit`: a count, or `0`/`off`
+        // for no watchdog; `bsched_par::env::var` stops the process on
+        // anything else.
+        for (text, limit) in [("250", Some(250)), ("0", None), ("off", None)] {
+            assert_eq!(text.parse(), Ok(Limit(limit)), "{text:?}");
         }
-        std::env::set_var("BSCHED_TIMEOUT_MS", "250");
-        assert_eq!(timeout_from_env(), Some(Duration::from_millis(250)));
-        std::env::set_var("BSCHED_TIMEOUT_MS", "5s");
-        let panic = std::panic::catch_unwind(timeout_from_env).expect_err("a typo must panic");
-        std::env::remove_var("BSCHED_TIMEOUT_MS");
-        let msg = panic.downcast_ref::<String>().expect("formatted message");
-        assert!(msg.starts_with("BSCHED_TIMEOUT_MS: "), "{msg}");
+        assert!("5s".parse::<Limit>().is_err(), "a typo must not parse");
     }
 }

@@ -28,7 +28,7 @@ pub use plan::{FaultPlan, FaultSpec, PlanParseError, Site};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One fault that actually fired at a site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,26 +99,6 @@ pub fn clear() {
 #[must_use]
 pub fn installed_plan() -> Option<FaultPlan> {
     ACTIVE.read().unwrap().as_ref().map(|a| a.plan.clone())
-}
-
-/// Installs a plan from the `BSCHED_FAULTS` environment variable, once
-/// per process. Call this at binary startup; later calls are no-ops.
-///
-/// # Panics
-/// Panics (loudly, by design) when `BSCHED_FAULTS` is set but does not
-/// parse — a chaos run with a typo'd plan must never silently run clean.
-pub fn init_from_env() {
-    static INIT: OnceLock<()> = OnceLock::new();
-    INIT.get_or_init(|| {
-        if let Ok(spec) = std::env::var("BSCHED_FAULTS") {
-            if !spec.trim().is_empty() {
-                let plan: FaultPlan = spec
-                    .parse()
-                    .unwrap_or_else(|e: PlanParseError| panic!("BSCHED_FAULTS: {e}"));
-                install(plan);
-            }
-        }
-    });
 }
 
 /// Default magnitude per site, used when the matching spec has no `arg`.

@@ -9,9 +9,10 @@
 //! bit-identical output.
 //!
 //! Thread count comes from the `BSCHED_THREADS` environment variable
-//! (read on every call, so tests can toggle it), defaulting to the
-//! machine's available parallelism. `BSCHED_THREADS=1` forces serial
-//! execution everywhere.
+//! (read on every call, so a caller can change it between calls),
+//! defaulting to the machine's available parallelism.
+//! `BSCHED_THREADS=1` forces serial execution everywhere. The [`env`](mod@env)
+//! module reads and documents every `BSCHED_*` variable.
 //!
 //! Nested calls degrade gracefully: a `parallel_map` running inside a
 //! worker thread of another `parallel_map` executes serially instead of
@@ -35,8 +36,8 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod env;
 pub mod pool;
 pub mod sync;
 
@@ -62,18 +63,17 @@ pub fn in_parallel_worker() -> bool {
 }
 
 /// The number of worker threads fan-out points should use right now:
-/// `BSCHED_THREADS` if set to a positive integer, otherwise the
-/// machine's available parallelism. Re-read on every call.
+/// `BSCHED_THREADS` when set, otherwise the machine's available
+/// parallelism. Re-read on every call.
+///
+/// # Panics
+///
+/// When `BSCHED_THREADS` is not a positive integer (see [`env`](mod@env)).
 #[must_use]
 pub fn max_threads() -> usize {
-    if let Ok(v) = std::env::var("BSCHED_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, usize::from)
+    env::var::<std::num::NonZeroUsize>("BSCHED_THREADS")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, usize::from)
 }
 
 /// A panic caught while mapping one item, rendered to text.
@@ -324,10 +324,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serialises tests that mutate `BSCHED_THREADS`.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn results_come_back_in_item_order() {
@@ -540,17 +536,24 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // exercises the live variable
     fn env_var_controls_thread_budget() {
-        let _guard = ENV_LOCK.lock().unwrap();
+        // The only test here that reads the variable: the rest pass
+        // explicit thread budgets.
         std::env::set_var("BSCHED_THREADS", "3");
         assert_eq!(max_threads(), 3);
-        std::env::set_var("BSCHED_THREADS", "1");
+        std::env::set_var("BSCHED_THREADS", " 1 ");
         assert_eq!(max_threads(), 1);
-        // Invalid values fall back to the hardware default.
+        // Blank means unset: the hardware default.
         let default = std::thread::available_parallelism().map_or(1, usize::from);
-        for bad in ["0", "-2", "many", ""] {
+        std::env::set_var("BSCHED_THREADS", "");
+        assert_eq!(max_threads(), default);
+        // Anything else stops the caller, naming the variable.
+        for bad in ["0", "-2", "two"] {
             std::env::set_var("BSCHED_THREADS", bad);
-            assert_eq!(max_threads(), default, "BSCHED_THREADS={bad:?}");
+            let panic = std::panic::catch_unwind(max_threads).expect_err(bad);
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.starts_with("BSCHED_THREADS: "), "{msg}");
         }
         std::env::remove_var("BSCHED_THREADS");
         assert_eq!(max_threads(), default);

@@ -7,6 +7,7 @@ use bsched_memsim::LatencyModel;
 use bsched_stats::{bootstrap_means, paired_improvement, Improvement, Pcg32};
 use bsched_verify::{verify_timeline, ValidationLevel};
 
+use crate::config::defaults;
 use crate::error::PipelineError;
 use crate::pipeline::{CompiledBlock, CompiledProgram};
 
@@ -27,14 +28,14 @@ pub struct EvalConfig {
     pub seed: u64,
     /// At [`ValidationLevel::Full`], each block's run-0 simulation is
     /// replayed with tracing and the timeline checked against the memory
-    /// model's declared latency support. Defaults to `BSCHED_VALIDATE`;
-    /// below `Full` this field changes nothing.
+    /// model's declared latency support. Defaults to `BSCHED_VALIDATE`,
+    /// read once per process; below `Full` this field changes nothing.
     pub validation: ValidationLevel,
     /// Watchdog: a single simulation run whose issue clock passes this
     /// many cycles is killed with
     /// [`SimError::BudgetExceeded`](bsched_cpusim::SimError). `None`
-    /// disables the check. Defaults to `BSCHED_CYCLE_BUDGET` (cycles;
-    /// `0` or `off` disables), falling back to
+    /// disables the check. Defaults to `BSCHED_CYCLE_BUDGET`, read once
+    /// per process (cycles; `0` or `off` disables), falling back to
     /// [`DEFAULT_CYCLE_BUDGET`] — far above any real block, so clean
     /// runs never notice it.
     pub cycle_budget: Option<u64>,
@@ -45,20 +46,6 @@ pub struct EvalConfig {
 /// simulation (e.g. an injected stall fault) can reach it.
 pub const DEFAULT_CYCLE_BUDGET: u64 = 1_000_000_000;
 
-fn cycle_budget_from_env() -> Option<u64> {
-    match std::env::var("BSCHED_CYCLE_BUDGET") {
-        Ok(v) => {
-            let v = v.trim();
-            if v.eq_ignore_ascii_case("off") || v == "0" {
-                None
-            } else {
-                v.parse().ok().or(Some(DEFAULT_CYCLE_BUDGET))
-            }
-        }
-        Err(_) => Some(DEFAULT_CYCLE_BUDGET),
-    }
-}
-
 impl Default for EvalConfig {
     fn default() -> Self {
         Self {
@@ -67,8 +54,8 @@ impl Default for EvalConfig {
             processor: ProcessorModel::Unlimited,
             issue_width: 1,
             seed: 0x5EED,
-            validation: ValidationLevel::from_env(),
-            cycle_budget: cycle_budget_from_env(),
+            validation: defaults().validation,
+            cycle_budget: defaults().cycle_budget,
         }
     }
 }

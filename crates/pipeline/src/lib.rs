@@ -51,12 +51,14 @@
 
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod error;
 pub mod eval;
 pub mod memo;
 pub mod pipeline;
 pub mod policy;
 
+pub use config::check_environment;
 pub use error::{AnalyzeError, PipelineError};
 pub use eval::{
     compare, evaluate, evaluate_serial, try_evaluate, try_evaluate_serial, EvalConfig, ProgramEval,

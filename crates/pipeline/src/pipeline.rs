@@ -9,6 +9,7 @@ use bsched_ir::{BasicBlock, Function, InstId};
 use bsched_regalloc::{allocate, allocate_usage_count, rename_registers, AllocatorConfig};
 use bsched_verify::{verify_allocation, verify_schedule, ValidationLevel};
 
+use crate::config::defaults;
 use crate::error::{AnalyzeError, PipelineError};
 use crate::memo::{through, StageMemo};
 use crate::policy::{PolicySpec, WeightFamily};
@@ -33,20 +34,6 @@ pub enum AnalysisGate {
 }
 
 impl AnalysisGate {
-    /// Reads the `BSCHED_ANALYZE` environment variable
-    /// (`off`/`check`/`strict`; unset or unrecognised means [`Off`](AnalysisGate::Off)).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("BSCHED_ANALYZE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "check" | "1" => AnalysisGate::Check,
-                "strict" => AnalysisGate::Strict,
-                _ => AnalysisGate::Off,
-            },
-            Err(_) => AnalysisGate::Off,
-        }
-    }
-
     /// The lowest severity that blocks compilation, or `None` when off.
     #[must_use]
     pub fn blocking_severity(self) -> Option<Severity> {
@@ -54,6 +41,21 @@ impl AnalysisGate {
             AnalysisGate::Off => None,
             AnalysisGate::Check => Some(Severity::Error),
             AnalysisGate::Strict => Some(Severity::Warn),
+        }
+    }
+}
+
+impl std::str::FromStr for AnalysisGate {
+    type Err = String;
+
+    /// Parses `BSCHED_ANALYZE`'s spelling, in any case: `off` (also
+    /// `0`), `check` (also `1`) or `strict`.
+    fn from_str(s: &str) -> Result<AnalysisGate, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "off" | "0" => Ok(AnalysisGate::Off),
+            "check" | "1" => Ok(AnalysisGate::Check),
+            "strict" => Ok(AnalysisGate::Strict),
+            _ => Err(format!("unknown analysis gate {s:?} (off|check|strict)")),
         }
     }
 }
@@ -67,6 +69,19 @@ pub enum AllocationStrategy {
     /// The 1992-vintage usage-count, spill-everywhere allocator that
     /// recreates GCC 2.2.2's spill behaviour (Table 4's generator).
     UsageCount,
+}
+
+impl std::str::FromStr for AllocationStrategy {
+    type Err = String;
+
+    /// Parses `BSCHED_ALLOC`'s spelling: `belady` or `usage`.
+    fn from_str(s: &str) -> Result<AllocationStrategy, String> {
+        match s {
+            "belady" => Ok(AllocationStrategy::BeladyScan),
+            "usage" => Ok(AllocationStrategy::UsageCount),
+            other => Err(format!("unknown allocator {other:?} (belady|usage)")),
+        }
+    }
 }
 
 /// Which weight-assignment strategy drives both scheduling passes.
@@ -281,12 +296,12 @@ pub struct Pipeline {
     /// FIFO pool).
     pub rename_after_alloc: bool,
     /// How much independent validation runs per block (see
-    /// `bsched-verify`). Defaults to the `BSCHED_VALIDATE` environment
-    /// variable; at [`ValidationLevel::Off`] the compiled output is
+    /// `bsched-verify`). Defaults to `BSCHED_VALIDATE`, read once per
+    /// process; at [`ValidationLevel::Off`] the compiled output is
     /// byte-identical to a build without the validators.
     pub validation: ValidationLevel,
     /// Whether `bsched-analyze`'s correctness lints gate compilation.
-    /// Defaults to the `BSCHED_ANALYZE` environment variable (off when
+    /// Defaults to `BSCHED_ANALYZE`, read once per process (off when
     /// unset).
     pub analysis: AnalysisGate,
 }
@@ -301,8 +316,8 @@ impl Default for Pipeline {
             allocation: AllocationStrategy::default(),
             second_pass: true,
             rename_after_alloc: false,
-            validation: ValidationLevel::from_env(),
-            analysis: AnalysisGate::from_env(),
+            validation: defaults().validation,
+            analysis: defaults().analysis,
         }
     }
 }

@@ -1328,7 +1328,7 @@ fn render_stats_obj(resp: &Json) -> String {
 }
 
 fn main() {
-    bsched_faults::init_from_env();
+    bsched_pipeline::check_environment();
     match run() {
         Ok(code) => std::process::exit(code),
         Err(e) => {

@@ -35,7 +35,6 @@
 //! and any future transport share one implementation.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(

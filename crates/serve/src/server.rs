@@ -176,6 +176,29 @@ impl Inner {
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed) || SIGNALLED.load(Ordering::Relaxed)
     }
+
+    /// Caches `payload` under `key` and appends it to the cache log,
+    /// compacting the log once dead records dominate it. The one
+    /// install path: compiled misses and background tunes both land
+    /// here. Durability is best-effort under IO failure: a full disk
+    /// costs warm restarts, never live serving.
+    fn install(&self, key: u128, payload: &Arc<str>) {
+        let mut cache = self.cache.lock().unwrap();
+        cache.put(key, Arc::clone(payload));
+        let Some(log) = &self.log else {
+            return;
+        };
+        let mut log = log.lock().unwrap();
+        if let Err(e) = log.append(key, payload) {
+            self.persist_errors.fetch_add(1, Ordering::Relaxed);
+            eprintln!("bsched-serve: cache-log append failed: {e}");
+        } else if log.needs_compaction() {
+            if let Err(e) = log.compact(&cache.iter_lru()) {
+                self.persist_errors.fetch_add(1, Ordering::Relaxed);
+                eprintln!("bsched-serve: cache-log compaction failed: {e}");
+            }
+        }
+    }
 }
 
 /// A running daemon. Dropping it without [`Server::join`] detaches the
@@ -406,28 +429,7 @@ fn run_schedule(
                     match outcome {
                         Ok(Ok(done)) => {
                             let payload: Arc<str> = Arc::from(done.payload);
-                            {
-                                let mut cache = inner.cache.lock().unwrap();
-                                cache.put(done.key, Arc::clone(&payload));
-                                if let Some(log) = &inner.log {
-                                    // Durability is best-effort under IO
-                                    // failure: a full disk costs warm
-                                    // restarts, never live serving.
-                                    let mut log = log.lock().unwrap();
-                                    if let Err(e) = log.append(done.key, &payload) {
-                                        inner.persist_errors.fetch_add(1, Ordering::Relaxed);
-                                        eprintln!("bsched-serve: cache-log append failed: {e}");
-                                    } else if log.needs_compaction() {
-                                        let snapshot = cache.iter_lru();
-                                        if let Err(e) = log.compact(&snapshot) {
-                                            inner.persist_errors.fetch_add(1, Ordering::Relaxed);
-                                            eprintln!(
-                                                "bsched-serve: cache-log compaction failed: {e}"
-                                            );
-                                        }
-                                    }
-                                }
-                            }
+                            inner.install(done.key, &payload);
                             inner.stats.ok.fetch_add(1, Ordering::Relaxed);
                             if req.tune {
                                 maybe_spawn_tune(inner, key, req);
@@ -515,18 +517,7 @@ fn background_tune(inner: &Arc<Inner>, key: u128, req: &ScheduleRequest) -> Opti
     let mut tuned = req.clone();
     tuned.scheduler = bsched_pipeline::SchedulerChoice::Tuned(report.best);
     let done = crate::evaluate_request(&tuned).ok()?;
-    let payload: Arc<str> = Arc::from(done.payload);
-    {
-        let mut cache = inner.cache.lock().unwrap();
-        cache.put(key, Arc::clone(&payload));
-        if let Some(log) = &inner.log {
-            let mut log = log.lock().unwrap();
-            if let Err(e) = log.append(key, &payload) {
-                inner.persist_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!("bsched-serve: cache-log append failed: {e}");
-            }
-        }
-    }
+    inner.install(key, &Arc::from(done.payload));
     inner.tuned_installs.fetch_add(1, Ordering::Relaxed);
     Some(())
 }
@@ -1152,5 +1143,51 @@ mod event {
             }
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_tuned_install_compacts_the_cache_log() {
+        let path = std::env::temp_dir().join(format!(
+            "bsched-serve-tuned-compaction-{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            io_threads: 1,
+            cache_log: Some(path.display().to_string()),
+            ..ServerConfig::default()
+        })
+        .expect("start");
+        let inner = &server.inner;
+        let line = r#"{"op":"schedule","kernel":"kernel daxpy { arrays x, y; y[0] = 3.0 * x[0] + y[0]; }","system":"N(3,2)","runs":3,"analyze":false,"tune":true}"#;
+        let Ok(Request::Schedule(req)) = parse_request(line) else {
+            panic!("a schedule request");
+        };
+        let key = prepare_request(&req).expect("prepares").key();
+        // Rewrites of one key leave the log mostly dead records: past
+        // the compaction threshold, yet never compacted, because they
+        // bypass the install path.
+        let stale = "x".repeat(8 * 1024);
+        {
+            let mut log = inner.log.as_ref().expect("log").lock().unwrap();
+            for _ in 0..9 {
+                log.append(key, &stale).expect("append");
+            }
+            assert_eq!(log.counters(), (9, 0));
+        }
+        background_tune(inner, key, &req).expect("tunes and installs");
+        assert_eq!(inner.tuned_installs.load(Ordering::Relaxed), 1);
+        let (appends, compactions) = inner.log.as_ref().unwrap().lock().unwrap().counters();
+        assert_eq!(appends, 10);
+        assert_eq!(compactions, 1, "the tuned install must compact the log");
+        server.begin_shutdown();
+        server.join();
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,30 +18,10 @@ pub enum ValidationLevel {
     Full,
 }
 
-impl ValidationLevel {
-    /// The level selected by the `BSCHED_VALIDATE` environment variable:
-    /// `off` (also `0`/`none`), `schedule`, or `full`. Unset or
-    /// unrecognised values fall back to the build default — `schedule`
-    /// when `debug_assertions` are on, `off` otherwise — so a typo can
-    /// never silently disable checking that a debug build would do.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("BSCHED_VALIDATE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "none" => ValidationLevel::Off,
-                "schedule" => ValidationLevel::Schedule,
-                "full" => ValidationLevel::Full,
-                _ => Self::build_default(),
-            },
-            Err(_) => Self::build_default(),
-        }
-    }
-
-    /// The default when `BSCHED_VALIDATE` is unset: `Schedule` in debug
-    /// builds, `Off` in release builds (validation never perturbs
-    /// measured table output).
-    #[must_use]
-    pub fn build_default() -> Self {
+impl Default for ValidationLevel {
+    /// `Schedule` in debug builds, `Off` in release builds (validation
+    /// never perturbs measured table output).
+    fn default() -> Self {
         if cfg!(debug_assertions) {
             ValidationLevel::Schedule
         } else {
@@ -50,19 +30,26 @@ impl ValidationLevel {
     }
 }
 
-impl Default for ValidationLevel {
-    fn default() -> Self {
-        Self::build_default()
+impl std::str::FromStr for ValidationLevel {
+    type Err = String;
+
+    /// Parses `BSCHED_VALIDATE`'s spelling, in any case: `off` (also
+    /// `0`/`none`), `schedule` or `full`.
+    fn from_str(s: &str) -> Result<ValidationLevel, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "off" | "0" | "none" => Ok(ValidationLevel::Off),
+            "schedule" => Ok(ValidationLevel::Schedule),
+            "full" => Ok(ValidationLevel::Full),
+            _ => Err(format!(
+                "unknown validation level {s:?} (off|schedule|full)"
+            )),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serialises tests that mutate `BSCHED_VALIDATE`.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn levels_are_ordered() {
@@ -72,9 +59,6 @@ mod tests {
 
     #[test]
     fn env_var_selects_level() {
-        let _guard = ENV_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for (text, level) in [
             ("off", ValidationLevel::Off),
             ("0", ValidationLevel::Off),
@@ -82,27 +66,12 @@ mod tests {
             ("schedule", ValidationLevel::Schedule),
             ("SCHEDULE", ValidationLevel::Schedule),
             ("full", ValidationLevel::Full),
-            (" Full ", ValidationLevel::Full),
+            ("Full", ValidationLevel::Full),
         ] {
-            std::env::set_var("BSCHED_VALIDATE", text);
-            assert_eq!(
-                ValidationLevel::from_env(),
-                level,
-                "BSCHED_VALIDATE={text:?}"
-            );
+            assert_eq!(text.parse(), Ok(level), "{text:?}");
         }
-        for fallback in ["", "garbage", "2"] {
-            std::env::set_var("BSCHED_VALIDATE", fallback);
-            assert_eq!(
-                ValidationLevel::from_env(),
-                ValidationLevel::build_default()
-            );
+        for typo in ["", "ful", "2"] {
+            assert!(typo.parse::<ValidationLevel>().is_err(), "{typo:?}");
         }
-        std::env::remove_var("BSCHED_VALIDATE");
-        assert_eq!(
-            ValidationLevel::from_env(),
-            ValidationLevel::build_default()
-        );
-        assert_eq!(ValidationLevel::default(), ValidationLevel::build_default());
     }
 }

@@ -14,8 +14,7 @@
 use std::process::ExitCode;
 
 use balanced_scheduling::analyze::{
-    audit_tree, failure_json, has_errors, max_live, pressure_profile, render_json, render_text,
-    suite_json,
+    failure_json, has_errors, max_live, pressure_profile, render_json, render_text, suite_json,
 };
 use balanced_scheduling::cpusim::{render_timeline, simulate_block_traced};
 use balanced_scheduling::dag::{to_dot, to_dot_annotated, CodeDag, DotOverlay};
@@ -43,7 +42,6 @@ const USAGE: &str = "usage:
   bsched analyze  <kernel.bsk> [--alias fortran|c] [--format text|json]
                   [--allow LINT] [--warn LINT] [--deny LINT|warnings]
   bsched analyze  --benchmarks [--format text|json] [--alias …] [--deny …]
-  bsched analyze  --unsafe-audit [--root DIR]       # every `unsafe` needs // SAFETY:
   bsched serve    --listen HOST:PORT [--workers N] [--io-threads N]
                   [--queue-cap N] [--cache-cap N] [--deadline-ms N]
                   [--cache-log PATH] [--max-line-bytes N] [--write-cap-bytes N]
@@ -68,18 +66,12 @@ const USAGE: &str = "usage:
   --faults \"seed=1;latency-jitter:rate=0.5\" — see DESIGN.md §9";
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 5] = [
-    "benchmarks",
-    "overlay",
-    "unsafe-audit",
-    "members",
-    "no-stop",
-];
+const BOOLEAN_FLAGS: [&str; 4] = ["benchmarks", "overlay", "members", "no-stop"];
 
 /// Flags that take a value. `--name` outside this list and
 /// [`BOOLEAN_FLAGS`] is an error, so a misspelt flag never silently
 /// falls back to its default.
-const VALUE_FLAGS: [&str; 36] = [
+const VALUE_FLAGS: [&str; 35] = [
     "add-shard",
     "alias",
     "allow",
@@ -105,7 +97,6 @@ const VALUE_FLAGS: [&str; 36] = [
     "probe-timeout-ms",
     "processor",
     "queue-cap",
-    "root",
     "route",
     "runs",
     "scheduler",
@@ -172,12 +163,12 @@ impl Args {
 }
 
 fn run() -> Result<(), String> {
+    balanced_scheduling::pipeline::check_environment();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
         return Err(USAGE.to_owned());
     };
     let args = Args::parse(rest)?;
-    faults::init_from_env();
     if let Some(spec) = args.flag("faults") {
         let plan: faults::FaultPlan = spec.parse().map_err(|e| format!("--faults: {e}"))?;
         faults::install(plan);
@@ -305,9 +296,6 @@ fn lint_config_of(args: &Args) -> Result<LintConfig, String> {
 /// stand-ins (profiles + envelope checks). Exits non-zero when any
 /// error-level diagnostic survives the configuration.
 fn analyze_cmd(args: &Args) -> Result<(), String> {
-    if args.is_set("unsafe-audit") {
-        return unsafe_audit_cmd(args);
-    }
     let analyzer = Analyzer::new(alias_of(args)?).with_config(lint_config_of(args)?);
     let format = args.flag("format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
@@ -374,28 +362,6 @@ fn analyze_cmd(args: &Args) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// `bsched analyze --unsafe-audit`: scan the source tree (default the
-/// current directory) for `unsafe` code lacking an adjacent
-/// `// SAFETY:` comment. Violations list on stdout; any at all fails
-/// the process, which is what CI keys on.
-fn unsafe_audit_cmd(args: &Args) -> Result<(), String> {
-    let root = args.flag("root").unwrap_or(".");
-    let violations = audit_tree(std::path::Path::new(root))
-        .map_err(|e| format!("unsafe audit walk of {root}: {e}"))?;
-    if violations.is_empty() {
-        println!("unsafe audit: every `unsafe` under {root} carries a SAFETY comment");
-        return Ok(());
-    }
-    for v in &violations {
-        println!("{v}");
-    }
-    Err(format!(
-        "{} `unsafe` occurrence{} without a SAFETY comment",
-        violations.len(),
-        if violations.len() == 1 { "" } else { "s" }
-    ))
 }
 
 /// Renders a pipeline-stage failure for `analyze`: in JSON mode the

@@ -6,6 +6,12 @@
 //! samples inside its declared support, injected jitter is clamped back
 //! into that support, and `min_latency_elapsed` stays a valid floor on
 //! simulated time even while jitter fires.
+//!
+//! The soak drives the harness through the `BSCHED_*` variables, as the
+//! table binaries and CI do, so it is the end-to-end check that
+//! `run_cells_reported` reads them at each call.
+
+#![allow(clippy::disallowed_methods)] // sets the live variables
 
 use balanced_scheduling::cpusim::simulate_block;
 use balanced_scheduling::faults::{self, FaultPlan, FaultSpec, Site};

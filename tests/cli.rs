@@ -1,12 +1,67 @@
-//! The `bsched` binary as a process: flag validation and signal
-//! handling, which only show end to end.
+//! The `bsched` binary and the table binaries as processes: flag and
+//! environment validation and signal handling, which only show end to
+//! end.
 
 use std::io::{BufRead, BufReader};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn bsched() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bsched"))
+}
+
+/// A `bsched-bench` binary from the target directory `bsched` was built
+/// into, built first when this suite runs without the bench crate's.
+fn table_binary(name: &str) -> Command {
+    let bsched = Path::new(env!("CARGO_BIN_EXE_bsched"));
+    let path = bsched.with_file_name(name);
+    if !path.exists() {
+        let mut build = Command::new(env!("CARGO"));
+        build.args(["build", "-q", "-p", "bsched-bench", "--bin", name]);
+        if bsched.parent().is_some_and(|dir| dir.ends_with("release")) {
+            build.arg("--release");
+        }
+        assert!(build.status().expect("run cargo").success(), "build {name}");
+    }
+    Command::new(path)
+}
+
+#[test]
+fn a_bad_variable_stops_a_binary_before_any_table() {
+    let compare = || {
+        let mut cmd = bsched();
+        cmd.args([
+            "compare",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/daxpy.bsk"),
+            "--system",
+            "N(3,2)",
+            "--runs",
+            "2",
+        ]);
+        cmd
+    };
+    let cases = [
+        (table_binary("table2"), "BSCHED_VALIDATE", "ful"),
+        (table_binary("table2"), "BSCHED_THREADS", "0"),
+        (table_binary("table4"), "BSCHED_ALLOC", "usage-count"),
+        (compare(), "BSCHED_CYCLE_BUDGET", "abc"),
+        (compare(), "BSCHED_ANALYZE", "strcit"),
+    ];
+    for (mut cmd, var, value) in cases {
+        let out = cmd
+            .env(var, value)
+            .env("BSCHED_RUNS", "2")
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{var}={value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value} printed output");
+        assert!(
+            stderr.contains(&format!("{var}: invalid value {value:?}")),
+            "{var}={value}: {stderr}"
+        );
+    }
 }
 
 #[test]

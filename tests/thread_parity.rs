@@ -15,6 +15,8 @@
 //! because they mutate `BSCHED_THREADS`; a single `#[test]` body keeps
 //! the env mutations ordered even with a multi-threaded test harness.
 
+#![allow(clippy::disallowed_methods)] // sets the live variable
+
 use balanced_scheduling::prelude::*;
 use bsched_pipeline::{evaluate_serial, ProgramEval};
 
