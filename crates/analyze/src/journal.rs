@@ -1,38 +1,172 @@
-//! Crash-safe, resumable JSONL journals and the workspace's one atomic
+//! Crash-safe, resumable record logs and the workspace's one atomic
 //! file writer.
 //!
-//! Results that cost real time — a Table 2 cell (30 simulated runs plus
-//! a bootstrap), an autotuner candidate's score — are journaled so a
-//! killed run resumes instead of recomputing. A journal is a JSONL file:
-//! a header line `{"journal":MAGIC,"fingerprint":FP}`, then one line per
-//! recorded entry, `{KEY:"key",…fields}`. What an entry holds is its
-//! owner's business, expressed as a [`Record`] (`bsched-bench`'s table
-//! cells, `bsched-tune`'s candidate outcomes).
+//! Results that cost real time — a Table 2 cell, a tuner candidate's
+//! score, a served response — are logged so a killed process resumes
+//! instead of recomputing. Each such file is a [`RecordLog`]: a header
+//! line, then keyed records in one [`Codec`]'s format. **Open** discards
+//! a file with another header whole (resuming must be bit-identical to
+//! not crashing) and counts what it threw away. **Replay** lets the
+//! newest record for a key win and cuts a torn tail. **Append** writes
+//! one record, as durably as [`Codec::SYNC`] says. **Compact** rewrites
+//! the file from its owner's snapshot through [`write_atomic`].
 //!
-//! * Every [`Journal::record`] rewrites the whole file through
-//!   [`write_atomic`] (temp file, `sync_all`, rename), so the file on
-//!   disk is always a complete, parseable prefix of the run: a kill at
-//!   any instant loses at most the in-flight entry.
-//! * The fingerprint names everything that determines entry values. A
-//!   journal whose header does not match is discarded **whole**, never
-//!   merged or partially resumed — resuming must be bit-identical to not
-//!   having crashed — and the discard is counted
-//!   ([`Journal::discarded`]) so callers report it rather than stay
-//!   silent.
-//! * Floats are written with [`hex`] as 16-hex-digit [`f64::to_bits`]
-//!   strings, not decimal, so a resumed value is bit-for-bit the value
-//!   that was measured.
-//!
-//! Unparseable lines (torn, hand-edited) are skipped individually, never
-//! panicked on.
+//! [`Journal`], the table harness's and the tuner's format, is a header
+//! `{"journal":MAGIC,"fingerprint":FP}` and one synced line per entry,
+//! `{KEY:"key",…fields}` (the owner's [`Record`]). A line without its
+//! newline is torn and cut; a complete line that does not parse is
+//! skipped and compacted away. Floats are [`hex`] strings of
+//! [`f64::to_bits`], so a resumed value is bit-for-bit the measured one.
 
 use std::collections::HashMap;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
+use std::hash::Hash;
 use std::io::Write as _;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::json::{self, Json};
+
+/// One record format on a [`RecordLog`].
+pub trait Codec {
+    /// A record's key; on replay the newest record for a key wins.
+    type Key: Clone + Eq + Hash;
+    /// A record's decoded value.
+    type Value;
+    /// Whether an append is synced to disk, or only handed to the OS.
+    const SYNC: bool;
+    /// True when a file whose first line is `line` (newline included) may resume.
+    fn resumes(&self, line: &[u8]) -> bool;
+    /// Decodes the record at the start of `bytes`: `None` for a torn or
+    /// corrupt record, where replay stops; otherwise its nonzero length
+    /// and its key and value, or `None` for a complete record to skip.
+    #[allow(clippy::type_complexity)]
+    fn decode(&self, bytes: &[u8]) -> Option<(usize, Option<(Self::Key, Self::Value)>)>;
+}
+
+/// What [`RecordLog::open`] found in an existing file.
+pub struct Replay<K, V> {
+    /// The newest record per key, oldest first.
+    pub entries: Vec<(K, V)>,
+    /// Records decoded, superseded ones included.
+    pub records: usize,
+    /// The header did not match: the file and its `records` were dropped.
+    pub discarded: bool,
+    /// Offset the file was cut back to at a torn or corrupt record.
+    pub truncated_at: Option<u64>,
+}
+
+/// An append-only file of keyed records in one [`Codec`]'s format.
+pub struct RecordLog {
+    path: PathBuf,
+    header: Vec<u8>,
+    sync: bool,
+    file: File,
+    len: u64,
+}
+
+impl RecordLog {
+    /// Opens (or creates) the log at `path` and replays it. A file with
+    /// another header becomes `header` alone; one holding skipped
+    /// records is compacted; a torn tail is cut off.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors creating, reading or repairing the file.
+    #[allow(clippy::type_complexity)]
+    pub fn open<C: Codec>(
+        path: &Path,
+        header: &[u8],
+        codec: &C,
+    ) -> std::io::Result<(Self, Replay<C::Key, C::Value>)> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let raw = std::fs::read(path)?;
+        let first = raw.split_inclusive(|&b| b == b'\n').next().unwrap_or(&[]);
+        let resumes = first.ends_with(b"\n") && codec.resumes(first);
+        let (mut scanned, mut skipped, mut pos) = (Vec::new(), false, first.len());
+        while pos < raw.len() {
+            let Some((len, record)) = codec.decode(&raw[pos..]) else {
+                break;
+            };
+            match record {
+                Some((key, value)) => scanned.push((key, value, pos..pos + len)),
+                None => skipped = true,
+            }
+            pos += len;
+        }
+        // The newest record for a key wins, at its own (later) position.
+        let newest: HashMap<_, _> = (scanned.iter().enumerate())
+            .map(|(i, r)| (r.0.clone(), i))
+            .collect();
+        let records = scanned.len();
+        let (entries, live): (Vec<_>, Vec<_>) = (scanned.into_iter().enumerate())
+            .filter(|(i, r)| resumes && newest[&r.0] == *i)
+            .map(|(_, (key, value, range))| ((key, value), range))
+            .unzip();
+        let replay = Replay {
+            entries,
+            records,
+            discarded: !resumes && !raw.is_empty(),
+            truncated_at: (resumes && pos < raw.len()).then_some(pos as u64),
+        };
+        let mut log = RecordLog {
+            path: path.to_path_buf(),
+            header: header.to_vec(),
+            sync: C::SYNC,
+            file,
+            len: raw.len() as u64,
+        };
+        if !resumes || skipped {
+            let kept: Vec<u8> = live.into_iter().flat_map(|r| &raw[r]).copied().collect();
+            log.compact(&kept)?;
+        } else if let Some(at) = replay.truncated_at {
+            log.file.set_len(at)?;
+            log.file.sync_all()?;
+            log.len = at;
+        }
+        Ok((log, replay))
+    }
+
+    /// Appends one encoded record, synced when the codec says so.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write failure.
+    pub fn append(&mut self, record: &[u8]) -> std::io::Result<()> {
+        self.file.write_all(record)?;
+        if self.sync {
+            self.file.sync_data()?;
+        }
+        self.len += record.len() as u64;
+        Ok(())
+    }
+
+    /// Rewrites the log as its header followed by `records`, through
+    /// [`write_atomic`], and reopens the append handle.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures; on error the log on disk is untouched.
+    pub fn compact(&mut self, records: &[u8]) -> std::io::Result<()> {
+        write_atomic(&self.path, |f| {
+            f.write_all(&self.header)?;
+            f.write_all(records)
+        })?;
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.len = self.file.metadata()?.len();
+        Ok(())
+    }
+
+    /// Current file size in bytes.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.len
+    }
+}
 
 /// One journaled entry kind: its header magic, key field and line codec.
 pub trait Record: Clone + Sized {
@@ -47,17 +181,37 @@ pub trait Record: Clone + Sized {
     fn parse(line: &Json) -> Option<Self>;
 }
 
+/// The JSONL codec of a [`Journal`] for one fingerprint: a record's value
+/// is its entry and line.
+struct Lines<R>(String, PhantomData<fn() -> R>);
+
+impl<R: Record> Codec for Lines<R> {
+    type Key = String;
+    type Value = (R, String);
+    const SYNC: bool = true;
+
+    fn resumes(&self, line: &[u8]) -> bool {
+        std::str::from_utf8(line).is_ok_and(|line| header_matches(line, R::MAGIC, &self.0))
+    }
+
+    fn decode(&self, bytes: &[u8]) -> Option<(usize, Option<(String, (R, String))>)> {
+        let len = bytes.iter().position(|&b| b == b'\n')? + 1;
+        let line = std::str::from_utf8(&bytes[..len]).ok();
+        let record = line.and_then(|l| parse_line(l).map(|(k, r)| (k, (r, l.to_owned()))));
+        Some((len, record))
+    }
+}
+
 struct State<R> {
-    /// `(key, line)` in write order; the header is not included.
+    /// `(key, line)` in file order, one per key; lines end in `\n`.
     lines: Vec<(String, String)>,
     /// Key → entry for lookup; mirrors `lines`.
     entries: HashMap<String, R>,
+    log: RecordLog,
 }
 
 /// A crash-safe, resumable record of per-key outcomes.
 pub struct Journal<R> {
-    path: PathBuf,
-    header: String,
     state: Mutex<State<R>>,
     /// Entries found on disk but thrown away because the file's
     /// fingerprint did not match this run's.
@@ -66,56 +220,33 @@ pub struct Journal<R> {
 
 impl<R: Record> Journal<R> {
     /// Opens (or creates) the journal at `path` for a run identified by
-    /// `fingerprint`. An existing journal with a matching header is
-    /// loaded for resumption; a mismatched or unparseable one is
-    /// discarded whole, with the number of thrown-away entries reported
-    /// via [`discarded`](Journal::discarded).
+    /// `fingerprint`, resuming a matching one; any other is discarded
+    /// whole and counted in [`discarded`](Journal::discarded).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors creating the parent directory or writing
-    /// the initial header.
+    /// Propagates I/O errors creating, reading or writing the file.
     pub fn open(path: impl Into<PathBuf>, fingerprint: &str) -> std::io::Result<Journal<R>> {
-        let path = path.into();
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
         let header = format!(
-            "{{\"journal\":{},\"fingerprint\":{}}}",
+            "{{\"journal\":{},\"fingerprint\":{}}}\n",
             json::string(R::MAGIC),
             json::string(fingerprint)
         );
-        let mut state = State {
-            lines: Vec::new(),
-            entries: HashMap::new(),
-        };
-        let mut discarded = 0;
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            let mut lines = existing.lines();
-            let resumable = lines
-                .next()
-                .is_some_and(|first| header_matches(first, R::MAGIC, fingerprint));
-            for line in lines {
-                let Some((key, entry)) = parse_line::<R>(line) else {
-                    continue;
-                };
-                if resumable {
-                    state.entries.insert(key.clone(), entry);
-                    state.lines.push((key, line.to_owned()));
-                } else {
-                    // Counted, so the discard can be reported, not silent.
-                    discarded += 1;
-                }
-            }
-        }
-        let journal = Journal {
-            path,
-            header,
-            state: Mutex::new(state),
-            discarded,
-        };
-        journal.rewrite(&journal.state.lock().unwrap().lines)?;
-        Ok(journal)
+        let codec = Lines::<R>(fingerprint.to_owned(), PhantomData);
+        let (log, replay) = RecordLog::open(&path.into(), header.as_bytes(), &codec)?;
+        let (lines, entries) = replay
+            .entries
+            .into_iter()
+            .map(|(key, (entry, line))| ((key.clone(), line), (key, entry)))
+            .unzip();
+        Ok(Journal {
+            state: Mutex::new(State {
+                lines,
+                entries,
+                log,
+            }),
+            discarded: if replay.discarded { replay.records } else { 0 },
+        })
     }
 
     /// Number of recorded entries found on disk but discarded because
@@ -143,35 +274,38 @@ impl<R: Record> Journal<R> {
         self.len() == 0
     }
 
-    /// Records `entry` under `key` and atomically rewrites the file.
-    /// Re-recording a key replaces its entry and keeps only the newest
+    /// Records `entry` under `key`: a new key is one synced append. A
+    /// key recorded again with the same line writes nothing; with a
+    /// different line the journal compacts, keeping only the newest
     /// line. Write errors are reported to stderr — losing the journal
     /// must not fail the run itself.
     pub fn record(&self, key: &str, entry: &R) {
         let line = format!(
-            "{{\"{}\":{},{}}}",
+            "{{\"{}\":{},{}}}\n",
             R::KEY,
             json::string(key),
             entry.render()
         );
-        let mut state = self.state.lock().unwrap();
-        let previous = state.entries.insert(key.to_owned(), entry.clone());
-        if previous.is_some() {
+        let state = &mut *self.state.lock().unwrap();
+        let written = if state
+            .entries
+            .insert(key.to_owned(), entry.clone())
+            .is_none()
+        {
+            let written = state.log.append(line.as_bytes());
+            state.lines.push((key.to_owned(), line));
+            written
+        } else if state.lines.iter().any(|(k, l)| k == key && *l == line) {
+            return;
+        } else {
             state.lines.retain(|(k, _)| k != key);
+            state.lines.push((key.to_owned(), line));
+            let text: String = state.lines.iter().map(|(_, l)| l.as_str()).collect();
+            state.log.compact(text.as_bytes())
+        };
+        if let Err(e) = written {
+            eprintln!("warning: journal {}: {e}", state.log.path.display());
         }
-        state.lines.push((key.to_owned(), line));
-        if let Err(e) = self.rewrite(&state.lines) {
-            eprintln!("warning: journal {}: {e}", self.path.display());
-        }
-    }
-
-    fn rewrite(&self, lines: &[(String, String)]) -> std::io::Result<()> {
-        let mut text = format!("{}\n", self.header);
-        for (_, line) in lines {
-            text.push_str(line);
-            text.push('\n');
-        }
-        write_atomic(&self.path, |f| f.write_all(text.as_bytes()))
     }
 }
 
@@ -336,6 +470,37 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let keys: Vec<&str> = text.lines().skip(1).map(|l| &l[..8]).collect();
         assert_eq!(keys, ["{\"k\":\"b\"", "{\"k\":\"a\""]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_last_line_is_cut_and_the_next_record_starts_clean() {
+        let dir = scratch("torn-append");
+        let path = dir.join("j.jsonl");
+        let j = Journal::<Score>::open(&path, "fp").expect("open");
+        j.record("a", &Score(Some(1.0)));
+        drop(j);
+        let whole = std::fs::read_to_string(&path).unwrap();
+        let torn = "{\"k\":\"b\",\"status\":\"failed\"}";
+        std::fs::write(&path, format!("{whole}{torn}")).unwrap();
+
+        let j = Journal::<Score>::open(&path, "fp").expect("reopen torn");
+        assert_eq!(j.len(), 1, "a line without its newline is torn");
+        assert!(j.lookup("b").is_none());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            whole,
+            "cut on open"
+        );
+        j.record("c", &Score(None));
+        drop(j);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&whole) && text.ends_with('\n'));
+        assert_eq!(text.lines().count(), 3, "the new record has its own line");
+        let j = Journal::<Score>::open(&path, "fp").expect("reopen appended");
+        assert_eq!(j.len(), 2);
+        assert_eq!(j.lookup("c"), Some(Score(None)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

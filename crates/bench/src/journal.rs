@@ -4,7 +4,7 @@
 //! terminal cell outcome to the JSONL [`Journal`] named by
 //! `BSCHED_JOURNAL`; a re-run with the same configuration resumes
 //! recorded cells verbatim instead of re-evaluating them. The file
-//! format, atomic rewrite and whole-file discard on a fingerprint
+//! format, synced appends and whole-file discard on a fingerprint
 //! mismatch live in [`bsched_analyze::journal`]; this module holds only
 //! the cell line codec and [`open`].
 //!

@@ -201,11 +201,16 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    let threads = threads.min(n);
     let call = |i: usize| catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-    if threads <= 1 || in_parallel_worker() {
-        return (0..n).map(call).collect();
+    if threads <= 1 || n <= 1 || in_parallel_worker() {
+        // A one-thread budget binds what `f` fans out; a short map does
+        // not. `call` catches panics, so the flag is always restored.
+        let outer = IN_PARALLEL.with(|flag| flag.replace(flag.get() || threads <= 1));
+        let out = (0..n).map(call).collect();
+        IN_PARALLEL.with(|flag| flag.set(outer));
+        return out;
     }
+    let threads = threads.min(n);
 
     // Pool workers inherit the spawner's fault context and cancel
     // token: a fan-out *within* one watched cell keeps charging faults
@@ -368,6 +373,33 @@ mod tests {
             .collect();
         assert_eq!(sums, expected);
         assert!(!in_parallel_worker(), "flag must not leak to the caller");
+    }
+
+    #[test]
+    fn a_one_thread_budget_keeps_nested_maps_serial() {
+        let items: Vec<usize> = (0..4).collect();
+        let flags = parallel_map_with(1, &items, |_, _| in_parallel_worker());
+        assert_eq!(flags, [true; 4], "a one-thread map marks its items");
+        assert!(
+            !in_parallel_worker(),
+            "flag must not leak after a serial map"
+        );
+
+        // One item under a larger budget keeps its nested fan-out.
+        assert_eq!(
+            parallel_map_with(4, &[0u8], |_, _| in_parallel_worker()),
+            [false]
+        );
+        assert!(
+            !in_parallel_worker(),
+            "flag must not leak after a short map"
+        );
+
+        let panicked = std::panic::catch_unwind(|| {
+            parallel_map_with(1, &items, |_, &x| assert!(x != 2, "boom"))
+        });
+        assert!(panicked.is_err());
+        assert!(!in_parallel_worker(), "flag must not leak after a panic");
     }
 
     #[test]

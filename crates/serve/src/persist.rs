@@ -1,16 +1,10 @@
 //! Restart-proof cache: an append-only on-disk log of cache entries.
 //!
 //! A `bsched serve` daemon's content-addressed cache is pure derived
-//! state — every entry can be recomputed — but recomputation is exactly
-//! the cost the cache exists to avoid, and a fleet that loses its warm
-//! state on every restart fails its latency targets for minutes after
-//! each deploy. This module makes the cache survive the process.
-//!
-//! The format follows the evaluation journals' discipline (see
-//! [`bsched_analyze::journal`]): exact bytes, atomic replacement,
-//! and recovery that *degrades* instead of crashing.
-//!
-//! ## On-disk format
+//! state, but recomputing it is exactly the cost the cache exists to
+//! avoid, so a restart should come back warm. The log is a
+//! [`RecordLog`] on the core the evaluation journals use (see
+//! [`bsched_analyze::journal`]); this module holds its record codec:
 //!
 //! ```text
 //! bsched-cachelog-v1\n                      ← magic + version header
@@ -20,47 +14,34 @@
 //! All integers are little-endian. `len` is the payload's byte length;
 //! `key` is the cache's 128-bit content hash; `payload` is the UTF-8
 //! response fragment; `crc` is CRC-32 (IEEE) over `len ‖ key ‖ payload`.
-//! Appends are flushed per record, so at most the record being written
-//! when the process dies can be torn.
+//! Appends are handed to the OS, not synced: a killed process loses
+//! nothing, and only the record being written can be torn.
 //!
-//! ## Recovery
-//!
-//! Records are replayed oldest-first; a later record for the same key
-//! wins, and replay order doubles as LRU recency, so a warm-started
-//! cache has the same hot set it died with (bounded by capacity). The
-//! first record that is short, oversized, CRC-mismatched, or not UTF-8
-//! ends the replay: the file is truncated back to the last good record
-//! with a warning on stderr — **never** a crash, and never a record
-//! resurrected from beyond the torn point (acceptance criterion of the
-//! `persist-corrupt` chaos fault).
-//!
-//! ## Compaction
-//!
-//! Dead bytes (overwritten or evicted records) accumulate until the
-//! file is ~4× its live payload, then the server rewrites it from the
-//! cache's LRU-ordered snapshot via [`write_atomic`] — the same
-//! atomic-replacement writer the journals use, so a crash during
-//! compaction leaves either the old log or the new one, both valid.
+//! Replay runs oldest-first and the latest record for a key wins, so
+//! replay order doubles as LRU recency and a warm-started cache has the
+//! hot set it died with (bounded by capacity). Unlike the journal, the
+//! codec never skips: the first record that is short, oversized,
+//! CRC-mismatched or not UTF-8 ends the replay, and the file is cut
+//! back to the last good record with a warning — **never** a crash, and
+//! never a record resurrected from beyond the torn point (the
+//! `persist-corrupt` chaos fault's criterion). Once the file is ~4× its
+//! live payload, the server compacts it from the cache's LRU snapshot.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+#[cfg(test)]
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use bsched_analyze::journal::write_atomic;
+use bsched_analyze::journal::{Codec, RecordLog, Replay};
 use bsched_faults::{fault_point, Site};
 
-/// Magic first line: identifies the file and pins the record format.
-/// Bump the version if the record layout ever changes — recovery
-/// discards (and warns about) files whose header does not match, like
-/// the journal's fingerprint discipline.
+/// Magic first line: pins the record format. Bump the version if the
+/// layout changes — a file whose header does not match is discarded.
 const MAGIC: &[u8] = b"bsched-cachelog-v1\n";
 
-/// Upper bound on a single payload. Real response payloads are a few
-/// KiB; anything claiming to be larger is a corrupt length field, and
-/// treating it as torn tail (instead of allocating it) keeps recovery
-/// robust against garbage.
+/// Upper bound on a single payload (real ones are a few KiB): a larger
+/// length field is corrupt, and is treated as a torn tail.
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
 /// Compaction triggers when the file exceeds this multiple of its live
@@ -69,96 +50,84 @@ const COMPACT_FACTOR: u64 = 4;
 /// …but never below this size — rewriting a tiny file buys nothing.
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3) lookup table, built at compile time. Hand-rolled
-/// because the workspace vendors no checksum crate; the polynomial is
-/// the reflected 0xEDB88320 everyone else (zlib, PNG, ethernet) uses,
-/// so external tools can verify records.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, bit by bit: the reflected polynomial
+/// 0xEDB88320 of zlib, PNG and ethernet, so external tools can verify
+/// records. Hand-rolled because the workspace vendors no checksum crate.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFF_u32;
+    let mut c = !0u32;
     for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+        }
     }
-    c ^ 0xFFFF_FFFF
+    !c
 }
 
 /// One record's bytes: `[len][key][payload][crc]`, ready to append.
+/// `corrupt_crc` is the `persist-corrupt` fault: an intact body under a
+/// wrong checksum, what a kill between the two writes leaves behind.
 fn encode_record(key: u128, payload: &str, corrupt_crc: bool) -> Vec<u8> {
     let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    let mut body = Vec::with_capacity(4 + 16 + payload.len() + 4);
-    body.extend_from_slice(&len.to_le_bytes());
-    body.extend_from_slice(&key.to_le_bytes());
-    body.extend_from_slice(payload.as_bytes());
-    let mut crc = crc32(&body);
-    if corrupt_crc {
-        // The `persist-corrupt` fault: the record body is intact but
-        // the checksum is wrong, exactly what a kill between the
-        // payload write and the crc write leaves behind.
-        crc ^= 0xDEAD_BEEF;
+    let mut record = len.to_le_bytes().to_vec();
+    record.extend_from_slice(&key.to_le_bytes());
+    record.extend_from_slice(payload.as_bytes());
+    let crc = crc32(&record) ^ if corrupt_crc { 0xDEAD_BEEF } else { 0 };
+    record.extend_from_slice(&crc.to_le_bytes());
+    record
+}
+
+/// The CRC-framed record codec. Replay stops at the first record that
+/// is short, oversized, CRC-mismatched or not UTF-8; it never skips.
+struct Frames;
+
+impl Codec for Frames {
+    type Key = u128;
+    type Value = Arc<str>;
+    const SYNC: bool = false;
+
+    fn resumes(&self, line: &[u8]) -> bool {
+        line == MAGIC
     }
-    body.extend_from_slice(&crc.to_le_bytes());
-    body
+
+    fn decode(&self, raw: &[u8]) -> Option<(usize, Option<(u128, Arc<str>)>)> {
+        let len = u32::from_le_bytes(raw.get(..4)?.try_into().unwrap()) as usize;
+        if len > MAX_PAYLOAD {
+            return None; // corrupt length field
+        }
+        let body_end = 4 + 16 + len;
+        let stored = raw.get(body_end..body_end + 4)?; // torn mid-record
+        if crc32(&raw[..body_end]).to_le_bytes() != stored {
+            return None; // corrupt record (bad bytes or injected fault)
+        }
+        let payload = std::str::from_utf8(&raw[20..body_end]).ok()?; // not UTF-8: torn
+        let key = u128::from_le_bytes(raw[4..20].try_into().unwrap());
+        Some((body_end + 4, Some((key, Arc::from(payload)))))
+    }
 }
 
-fn record_size(payload_len: usize) -> u64 {
-    4 + 16 + payload_len as u64 + 4
-}
-
-/// What [`CacheLog::open`] recovered from an existing log.
-pub struct Recovery {
-    /// Live entries, oldest-first (replay order = LRU recency), one per
-    /// key (the latest record wins), capped to the cache capacity.
-    pub entries: Vec<(u128, Arc<str>)>,
-    /// Valid records scanned, including ones later records superseded.
-    pub records: usize,
-    /// Byte offset the file was truncated to when a torn or corrupt
-    /// tail was found; `None` when the whole file was valid.
-    pub truncated_at: Option<u64>,
-}
+/// What [`CacheLog::open`] recovered: live entries oldest-first (replay
+/// order = LRU recency) capped to the cache capacity, the records
+/// scanned, and where a torn or corrupt tail was cut.
+pub type Recovery = Replay<u128, Arc<str>>;
 
 /// The append-only cache log behind `--cache-log PATH`.
 pub struct CacheLog {
-    path: PathBuf,
-    file: File,
+    log: RecordLog,
     /// Latest record size per key the log believes is live. Evictions
     /// the cache performs are invisible here, so this *overestimates*
     /// live bytes — which only delays compaction, never corrupts it
     /// (compaction rewrites from the cache's own snapshot).
     live: HashMap<u128, u64>,
-    file_bytes: u64,
     live_bytes: u64,
     appends: u64,
     compactions: u64,
 }
 
 impl CacheLog {
-    /// Opens (or creates) the log at `path` and recovers its contents.
-    ///
-    /// A missing file is created with just the header. A header
-    /// mismatch discards the file (with a warning) rather than guessing
-    /// at a foreign format. A torn or corrupt tail is truncated back to
-    /// the last valid record (with a warning). None of these crash.
+    /// Opens (or creates) the log at `path` and recovers its contents,
+    /// warning about a discarded foreign file or a truncated tail.
     ///
     /// # Errors
     ///
@@ -166,104 +135,39 @@ impl CacheLog {
     /// a log that cannot be *accessed* is a configuration error, unlike
     /// one that is merely damaged.
     pub fn open(path: &Path, capacity: usize) -> std::io::Result<(CacheLog, Recovery)> {
-        let mut raw = Vec::new();
-        let fresh = match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut raw)?;
-                false
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-            Err(e) => return Err(e),
-        };
-        if !fresh && !raw.starts_with(MAGIC) {
-            eprintln!(
-                "bsched-serve: cache log {} has an unrecognized header; discarding it",
-                path.display()
-            );
-            raw.clear();
+        let (log, mut recovery) = RecordLog::open(path, MAGIC, &Frames)?;
+        let path = path.display();
+        if recovery.discarded {
+            eprintln!("bsched-serve: cache log {path} has an unrecognized header; discarding it");
         }
-        let (scanned, records, valid_end) = scan_records(&raw);
-        let truncated_at = (!raw.is_empty() && valid_end < raw.len() as u64).then_some(valid_end);
-
-        // Rewrite the file when anything needs cutting (or it is new):
-        // truncate(2) via set_len covers the torn-tail case, and a full
-        // header rewrite covers the discarded-foreign-file case.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(path)?;
-        let disk_len = file.metadata()?.len();
-        if raw.is_empty() && disk_len > 0 {
-            // Foreign header: start over atomically-enough (the old
-            // content was unusable regardless of where a crash lands).
-            file.set_len(0)?;
+        if let Some(at) = recovery.truncated_at {
+            eprintln!("bsched-serve: cache log {path}: torn or corrupt tail cut at byte {at}");
         }
-        if file.metadata()?.len() == 0 {
-            file.write_all(MAGIC)?;
-            file.sync_all()?;
-        } else if let Some(at) = truncated_at {
-            eprintln!(
-                "bsched-serve: cache log {} has a torn or corrupt tail; \
-                 truncating {} -> {} bytes ({} records recovered)",
-                path.display(),
-                raw.len(),
-                at,
-                records
-            );
-            file.set_len(at)?;
-            file.sync_all()?;
-            file.seek(std::io::SeekFrom::End(0))?;
-        }
-
-        // Dedup: the latest record for a key wins, and keeps that
-        // latest position in replay order (it is the key's most recent
-        // use). Then cap to capacity — only the hottest tail fits.
-        let mut last_index: HashMap<u128, usize> = HashMap::new();
-        for (i, (key, _)) in scanned.iter().enumerate() {
-            last_index.insert(*key, i);
-        }
-        let mut entries: Vec<(u128, Arc<str>)> = scanned
-            .into_iter()
-            .enumerate()
-            .filter(|(i, (key, _))| last_index.get(key) == Some(i))
-            .map(|(_, (key, payload))| (key, Arc::from(payload)))
-            .collect();
-        if entries.len() > capacity.max(1) {
-            entries.drain(..entries.len() - capacity.max(1));
-        }
-
-        let mut live = HashMap::new();
-        let mut live_bytes = 0u64;
-        for (key, payload) in &entries {
-            let size = record_size(payload.len());
-            live.insert(*key, size);
-            live_bytes += size;
-        }
-        let file_bytes = file.metadata()?.len();
-        let log = CacheLog {
-            path: path.to_path_buf(),
-            file,
-            live,
-            file_bytes,
-            live_bytes,
+        // Only the hottest tail fits the cache.
+        let excess = recovery.entries.len().saturating_sub(capacity.max(1));
+        recovery.entries.drain(..excess);
+        let mut log = CacheLog {
+            log,
+            live: HashMap::new(),
+            live_bytes: 0,
             appends: 0,
             compactions: 0,
         };
-        let recovery = Recovery {
-            entries,
-            records,
-            truncated_at,
-        };
+        log.track(&recovery.entries);
         Ok((log, recovery))
     }
 
-    /// Appends one entry and flushes it to the OS.
-    ///
-    /// Subject to the `persist-corrupt` fault site, which writes the
-    /// record with a wrong checksum — the shape a mid-write kill leaves
-    /// — so recovery's truncate-and-warn path can be exercised on
-    /// demand.
+    /// Resets the live-byte model to exactly `entries`.
+    fn track(&mut self, entries: &[(u128, Arc<str>)]) {
+        self.live = (entries.iter())
+            .map(|(key, payload)| (*key, 24 + payload.len() as u64)) // + len, key, crc
+            .collect();
+        self.live_bytes = self.live.values().sum();
+    }
+
+    /// Appends one entry and hands it to the OS. The `persist-corrupt`
+    /// fault site writes it with a wrong checksum, so recovery's
+    /// truncate-and-warn path can be exercised on demand.
     ///
     /// # Errors
     ///
@@ -272,10 +176,8 @@ impl CacheLog {
     pub fn append(&mut self, key: u128, payload: &str) -> std::io::Result<()> {
         let corrupt = fault_point!(Site::PersistCorrupt).is_some();
         let record = encode_record(key, payload, corrupt);
-        self.file.write_all(&record)?;
-        self.file.flush()?;
-        self.file_bytes += record.len() as u64;
-        let size = record_size(payload.len());
+        self.log.append(&record)?;
+        let size = record.len() as u64;
         if let Some(old) = self.live.insert(key, size) {
             self.live_bytes -= old;
         }
@@ -288,40 +190,22 @@ impl CacheLog {
     /// for itself.
     #[must_use]
     pub fn needs_compaction(&self) -> bool {
-        self.file_bytes > COMPACT_MIN_BYTES
-            && self.file_bytes > COMPACT_FACTOR * self.live_bytes.max(1)
+        let file_bytes = self.log.bytes();
+        file_bytes > COMPACT_MIN_BYTES && file_bytes > COMPACT_FACTOR * self.live_bytes.max(1)
     }
 
-    /// Rewrites the log from the cache's LRU-ordered snapshot (coldest
-    /// first, so replay recency matches) via [`write_atomic`].
+    /// Rewrites the log atomically from the cache's LRU-ordered snapshot
+    /// (coldest first, so replay recency matches).
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; on error the original log is untouched
-    /// (the temp file may linger, and is overwritten next time).
+    /// Propagates I/O failures; on error the original log is untouched.
     pub fn compact(&mut self, entries: &[(u128, Arc<str>)]) -> std::io::Result<()> {
-        write_atomic(&self.path, |out| {
-            out.write_all(MAGIC)?;
-            for (key, payload) in entries {
-                out.write_all(&encode_record(*key, payload, false))?;
-            }
-            Ok(())
-        })?;
-        // Reopen the append handle on the new inode: the old handle
-        // still points at the renamed-over file.
-        self.file = OpenOptions::new()
-            .append(true)
-            .read(true)
-            .open(&self.path)?;
-        self.file.sync_all()?;
-        self.live.clear();
-        self.live_bytes = 0;
-        for (key, payload) in entries {
-            let size = record_size(payload.len());
-            self.live.insert(*key, size);
-            self.live_bytes += size;
-        }
-        self.file_bytes = self.file.metadata()?.len();
+        let records = entries
+            .iter()
+            .flat_map(|(key, payload)| encode_record(*key, payload, false));
+        self.log.compact(&records.collect::<Vec<u8>>())?;
+        self.track(entries);
         self.compactions += 1;
         Ok(())
     }
@@ -335,44 +219,8 @@ impl CacheLog {
     /// Current file size in bytes.
     #[must_use]
     pub fn file_bytes(&self) -> u64 {
-        self.file_bytes
+        self.log.bytes()
     }
-}
-
-/// Scans raw file bytes into `(key, payload)` records. Returns the
-/// records in file order, the count, and the byte offset of the end of
-/// the last valid record (everything past it is torn or corrupt).
-fn scan_records(raw: &[u8]) -> (Vec<(u128, String)>, usize, u64) {
-    let mut out = Vec::new();
-    if !raw.starts_with(MAGIC) {
-        return (out, 0, 0);
-    }
-    let mut pos = MAGIC.len();
-    loop {
-        if pos + 4 > raw.len() {
-            break; // torn inside a length prefix (or clean EOF)
-        }
-        let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-        if len > MAX_PAYLOAD {
-            break; // corrupt length field
-        }
-        let body_end = pos + 4 + 16 + len;
-        if body_end + 4 > raw.len() {
-            break; // torn mid-record
-        }
-        let stored = u32::from_le_bytes(raw[body_end..body_end + 4].try_into().unwrap());
-        if crc32(&raw[pos..body_end]) != stored {
-            break; // corrupt record (bad bytes or injected fault)
-        }
-        let key = u128::from_le_bytes(raw[pos + 4..pos + 20].try_into().unwrap());
-        let Ok(payload) = std::str::from_utf8(&raw[pos + 20..body_end]) else {
-            break; // CRC passed but payload is not UTF-8: treat as torn
-        };
-        out.push((key, payload.to_owned()));
-        pos = body_end + 4;
-    }
-    let records = out.len();
-    (out, records, pos as u64)
 }
 
 #[cfg(test)]

@@ -156,7 +156,7 @@ struct Inner {
     pool: WorkerPool,
     cache: Mutex<LruCache>,
     /// The cache persistence log, when `--cache-log` is configured.
-    /// Locked *after* `cache` everywhere (put-then-append ordering).
+    /// Never taken while `cache` is held: lookups never wait on disk.
     log: Option<Mutex<crate::persist::CacheLog>>,
     /// Append/compaction failures downgraded to this counter — a full
     /// disk degrades durability, never serving.
@@ -181,10 +181,11 @@ impl Inner {
     /// compacting the log once dead records dominate it. The one
     /// install path: compiled misses and background tunes both land
     /// here. Durability is best-effort under IO failure: a full disk
-    /// costs warm restarts, never live serving.
+    /// costs warm restarts, never live serving. The compaction snapshot
+    /// is taken under the log mutex, so every install missing from it
+    /// appends after the rewrite.
     fn install(&self, key: u128, payload: &Arc<str>) {
-        let mut cache = self.cache.lock().unwrap();
-        cache.put(key, Arc::clone(payload));
+        self.cache.lock().unwrap().put(key, Arc::clone(payload));
         let Some(log) = &self.log else {
             return;
         };
@@ -193,7 +194,8 @@ impl Inner {
             self.persist_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("bsched-serve: cache-log append failed: {e}");
         } else if log.needs_compaction() {
-            if let Err(e) = log.compact(&cache.iter_lru()) {
+            let snapshot = self.cache.lock().unwrap().iter_lru();
+            if let Err(e) = log.compact(&snapshot) {
                 self.persist_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("bsched-serve: cache-log compaction failed: {e}");
             }
@@ -1186,6 +1188,56 @@ mod tests {
         let (appends, compactions) = inner.log.as_ref().unwrap().lock().unwrap().counters();
         assert_eq!(appends, 10);
         assert_eq!(compactions, 1, "the tuned install must compact the log");
+        server.begin_shutdown();
+        server.join();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_lookup_never_waits_on_the_cache_log() {
+        let path = std::env::temp_dir().join(format!(
+            "bsched-serve-unblocked-lookup-{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            io_threads: 1,
+            cache_log: Some(path.display().to_string()),
+            ..ServerConfig::default()
+        })
+        .expect("start");
+        let inner = Arc::clone(&server.inner);
+        inner.install(1, &Arc::from("cached"));
+        // Holding the log mutex stands in for a slow compaction; an
+        // install of a new key then blocks on it.
+        let held = inner.log.as_ref().expect("log").lock().unwrap();
+        let installer = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || inner.install(2, &Arc::from("new")))
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || {
+                while inner.cache.lock().unwrap().len() < 2 {
+                    std::thread::yield_now();
+                }
+                let _ = tx.send(inner.cache.lock().unwrap().get(1));
+            })
+        };
+        let hit = rx.recv_timeout(Duration::from_secs(5));
+        drop(held);
+        installer.join().unwrap();
+        reader.join().unwrap();
+        let hit = hit.expect("a lookup must not wait on a blocked install");
+        assert_eq!(hit.as_deref(), Some("cached"));
+        let counters = inner.log.as_ref().unwrap().lock().unwrap().counters();
+        assert_eq!(
+            counters,
+            (2, 0),
+            "the blocked install appends once released"
+        );
         server.begin_shutdown();
         server.join();
         let _ = std::fs::remove_file(&path);

@@ -5,8 +5,8 @@
 //! should not throw that work away. Each terminal candidate outcome is
 //! recorded, keyed by the candidate's canonical policy string, in the
 //! workspace's one crash-safe journal format
-//! ([`bsched_analyze::journal`]): a fingerprinted header, atomic
-//! whole-file rewrites, and whole-file discard on a fingerprint
+//! ([`bsched_analyze::journal`]): a fingerprinted header, one synced
+//! append per outcome, and whole-file discard on a fingerprint
 //! mismatch. This module holds only the outcome line codec.
 
 use bsched_analyze::journal::{hex, unhex, Journal, Record};

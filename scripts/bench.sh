@@ -17,8 +17,8 @@ cargo build --release -q -p bsched-bench
 
 # --- Crash-safe results pass -------------------------------------------
 # Produce the table under a journal: every finished cell is recorded
-# with an atomic temp+rename write, so an interrupted run (Ctrl-C,
-# SIGTERM, OOM kill) leaves a valid prefix behind and the next
+# as one synced append, so an interrupted run (Ctrl-C, SIGTERM, OOM
+# kill) leaves a valid prefix behind (a torn last line is cut) and the next
 # invocation resumes from it instead of restarting — the harness prints
 # "resumed N of M cells from the journal" on stderr when that happens. A
 # completed pass removes the journal so stale state can never leak into
